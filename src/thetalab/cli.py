@@ -22,7 +22,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import replace
@@ -46,7 +45,7 @@ from .divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from .engine import theta_eval
+from .engine import box_points, theta_eval
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,
@@ -96,12 +95,6 @@ def _load_jet(args, default_unit_u=False, genus=None):
             return DirectionJet(U=u), {}
         raise InvalidInputError("this command requires --jet")
     return serialize.load_jet(args.jet)
-
-
-def _box_points(rm, rng, count):
-    x = rng.uniform(-0.5, 0.5, size=(count, rm.g))
-    y = rng.uniform(-0.5, 0.5, size=(count, rm.g))
-    return list(x + y @ rm.tau)
 
 
 def _rng(seed, attempt=0):
@@ -232,7 +225,7 @@ def _sample_for_kind(kind, rm, jet, count, seed, attempt):
             warnings.simplefilter("always")
             found = sample_theta_divisor(rm, jet, plan)
         return [p.z for p in found], _collect_warnings(caught)
-    return _box_points(rm, _rng(seed, attempt), count), None
+    return list(box_points(rm, _rng(seed, attempt), count)), None
 
 
 def cmd_residual(args):
@@ -269,7 +262,8 @@ def cmd_residual(args):
         doc["epsilon"] = args.epsilon
         if args.scan is not None:
             eps_grid = _float_list(args.scan, "--scan")
-            scan_points = _box_points(rm, _rng(args.seed, 9000), max(8, args.samples // 4))
+            scan_points = list(box_points(rm, _rng(args.seed, 9000),
+                                          max(8, args.samples // 4)))
             per_eps, slope = hierarchy_scan(rm, jet, eps_grid, scan_points)
             doc["scan"] = {
                 "per_epsilon": [[abs(complex(e)), float(r)] for e, r in per_eps],
@@ -328,7 +322,7 @@ def cmd_search(args):
         tolerance=args.tol,
         a=extras.get("a"),
     )
-    result = fit(problem, threads=args.threads)
+    result = fit(problem)
     if args.history is not None:
         _write_history_csv(args.history, result)
     _emit_json(serialize.search_result_to_dict(result, problem), args.out)
@@ -478,8 +472,9 @@ def _add_common(sub, jet=False, samples=None, tol=None, seed=False, threads=Fals
         sub.add_argument("--seed", type=int, default=0,
                          help="seed for every random draw in this command (default 0)")
     if threads:
-        sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="worker threads for restarts (default: available parallelism)")
+        sub.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; has no effect (restarts run "
+                         "sequentially)")
     sub.add_argument("--out", help="output path (default: stdout)")
 
 

@@ -30,6 +30,7 @@ from .engine import (
     AbelianPoint,
     BatchThetaEvaluator,
     DEFAULT_TARGET_ABS_ERR,
+    box_points,
     canonical_request,
     reduce_point,
 )
@@ -94,13 +95,6 @@ def _check_direction(rm, vec, name):
     return vec
 
 
-def _box_samples(rm, rng, count):
-    """Uniform points of the fundamental box x + tau y, x, y in [-1/2, 1/2)."""
-    x = rng.uniform(-0.5, 0.5, size=(count, rm.g))
-    y = rng.uniform(-0.5, 0.5, size=(count, rm.g))
-    return x + y @ rm.tau
-
-
 def _unit_directions(rng, count, g):
     w = rng.standard_normal((count, g)) + 1j * rng.standard_normal((count, g))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
@@ -152,7 +146,7 @@ def sample_theta_divisor(tau, jet, plan: SamplePlan,
     """
     rm = as_riemann_matrix(tau)
     rng = np.random.default_rng(plan.seed)
-    base = _box_samples(rm, rng, plan.starts)
+    base = box_points(rm, rng, plan.starts)
     lines = _unit_directions(rng, plan.starts, rm.g)
     grads = [canonical_request((np.eye(rm.g)[i],)) for i in range(rm.g)]
     ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=1.0,
@@ -207,15 +201,16 @@ def _slice_frame(rm, rng):
     )
     frame = rng.standard_normal((rm.g, 2)) + 1j * rng.standard_normal((rm.g, 2))
     frame, _ = np.linalg.qr(frame)
-    return _box_samples(rm, rng, 1)[0], frame
+    return box_points(rm, rng, 1)[0], frame
 
 
-def _newton_2d(rm, rng, plan, evaluate, target_abs_err):
-    """Shared 2-complex-unknown Newton loop.
+def _newton_2d(rm, rng, plan, evaluate):
+    """Shared 2-complex-unknown Newton loop in the slice frame.
 
-    ``evaluate(points)`` returns (F, J, norms): per-point 2-vector of stored
-    residuals, 2x2 Jacobian, and per-equation normalizers.  Row scales may
-    differ; they cancel within each equation.
+    ``evaluate(points, frame)`` returns (F, J, norms): per-point 2-vector of
+    stored residuals, 2x2 Jacobian with respect to the two slice coordinates
+    (derivatives along the columns of ``frame``), and per-equation
+    normalizers.  Row scales may differ; they cancel within each equation.
     """
     origin, frame = _slice_frame(rm, rng)
     s = rng.uniform(-0.5, 0.5, size=(plan.starts, 2)) \
@@ -227,7 +222,7 @@ def _newton_2d(rm, rng, plan, evaluate, target_abs_err):
             break
         idx = np.flatnonzero(active)
         pts = origin + s[idx] @ frame.T
-        F, J, norms = evaluate(pts)
+        F, J, norms = evaluate(pts, frame)
         converged = (np.abs(F[:, 0]) <= plan.tol * norms[:, 0]) \
             & (np.abs(F[:, 1]) <= plan.tol * norms[:, 1])
         done[idx[converged]] = True
@@ -264,17 +259,15 @@ def sample_D1_theta(tau, jet, plan: SamplePlan,
         )
         return []
     rng = np.random.default_rng(plan.seed)
-    e = np.eye(rm.g)
-    keys = [canonical_request(r) for r in
-            [(e[0],), (e[1],), (U,), (U, e[0]), (U, e[1])]]
-    k_b = keys[:2]
-    k_u, k_ub = keys[2], keys[3:]
+    k_u = canonical_request((U,))
     ev = BatchThetaEvaluator(rm, max_order=2,
                              max_direction_norm=max(1.0, float(np.linalg.norm(U))),
                              target_abs_err=target_abs_err)
 
-    def evaluate(pts):
-        res = ev.jets(pts, keys)
+    def evaluate(pts, frame):
+        k_b = [canonical_request((f,)) for f in frame.T]
+        k_ub = [canonical_request((U, f)) for f in frame.T]
+        res = ev.jets(pts, [*k_b, k_u, *k_ub])
         F = np.column_stack([res[()], res[k_u]])
         J = np.empty((len(pts), 2, 2), dtype=complex)
         J[:, 0, 0], J[:, 0, 1] = res[k_b[0]], res[k_b[1]]
@@ -282,7 +275,7 @@ def sample_D1_theta(tau, jet, plan: SamplePlan,
         norms = np.column_stack([res[("abs", ())], res[("abs", k_u)]])
         return F, J, norms
 
-    pts = _newton_2d(rm, rng, plan, evaluate, target_abs_err)
+    pts = _newton_2d(rm, rng, plan, evaluate)
     roots = []
     if len(pts):
         res = ev.jets(pts, [k_u])
@@ -311,12 +304,11 @@ def sample_theta_intersection(tau, jet, a, plan: SamplePlan,
         )
         return []
     rng = np.random.default_rng(plan.seed)
-    e = np.eye(rm.g)
-    k_b = [canonical_request((e[0],)), canonical_request((e[1],))]
     ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=1.0,
                              target_abs_err=target_abs_err)
 
-    def evaluate(pts):
+    def evaluate(pts, frame):
+        k_b = [canonical_request((f,)) for f in frame.T]
         r0 = ev.jets(pts, k_b)
         r1 = ev.jets(pts + a, k_b)
         F = np.column_stack([r0[()], r1[()]])
@@ -326,7 +318,7 @@ def sample_theta_intersection(tau, jet, a, plan: SamplePlan,
         norms = np.column_stack([r0[("abs", ())], r1[("abs", ())]])
         return F, J, norms
 
-    pts = _newton_2d(rm, rng, plan, evaluate, target_abs_err)
+    pts = _newton_2d(rm, rng, plan, evaluate)
     roots = []
     if len(pts):
         r0 = ev.jets(pts, [])

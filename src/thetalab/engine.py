@@ -10,35 +10,47 @@ Conventions (used everywhere in this package):
 
 with eps, delta having entries in {0, 1/2}.
 
-Every evaluation first reduces its argument modulo the lattice Z^g + tau Z^g
-and factors the exponential growth into a real ``scale_exponent``:
+There is one evaluation path.  ``BatchThetaEvaluator`` sizes a lattice for
+a declared worst case (derivative order, direction norm, target error);
+``BoundBatch`` holds the exponential term matrix at a fixed set of points;
+``BoundBatch.jets`` contracts it with the derivative weights of every
+requested direction list in one matrix product.  ``theta_eval`` and
+``theta_char_eval`` are batches of one point sized from their own requests,
+and ``kummer.kummer_map`` binds its 2^g characteristic points at once.
+
+Every point is first reduced modulo the lattice Z^g + tau Z^g and the
+exponential growth is factored into a real ``scale_exponent``:
 
     true value  = exp(jet.scale_exponent) * jet.value
     true D^a theta = exp(jet.scale_exponent) * jet.derivs[a]
 
 so stored numbers stay O(1).  The unit-modulus phase of the quasi-periodicity
 multiplier is folded into the stored numbers; only the real exponent is
-factored out.  Directional derivatives are by term-wise differentiation: a
-derivative along h multiplies each lattice term by 2*pi*i*<n, h>, and the
-linear exponents introduced by reduction or by a characteristic shift are
-differentiated exactly (they contribute the subset-sum corrections below).
+factored out.  A derivative along h multiplies each lattice term by
+2*pi*i*<n, h>.  The reduction multiplier, and the prefactor of a
+characteristic, are exp(L(z)) with L linear; both join one linear exponent
+whose gradient is 2*pi*i*(eps - m), m the reduction's tau-shift, and its
+derivatives are applied exactly by one subset-sum pass
+(``_linear_correction``).
 
 Truncation: lattice points with |n + c| <= R are summed (c the imaginary
 lattice coordinate of the reduced argument), with R chosen so that a Gaussian
 tail bound -- using the smallest eigenvalue of Im tau and a polynomial margin
 factor for the derivative weights -- is below the requested target.  R is
 capped at 40 / sqrt(lambda_min); beyond the cap evaluation fails rather than
-silently degrade.  Enumeration order is fixed (lexicographic shells in the
-sup norm) and the single-point path accumulates with ``math.fsum``; the batch
-path uses a fixed-order numpy reduction.  Both are deterministic and
-independent of caller parallelism.
+silently degrade.  Every point carries its own error bound on stored numbers,
+(tail + 4e-16 * largest absolute term sum * sqrt(lattice size)) times the
+largest growth prod_j (1 + |L(h_j)|) of the linear correction over the
+requests.  Enumeration order is fixed (lexicographic shells in the sup norm)
+and sums are matrix products over that order, so results are deterministic
+on a given numpy/BLAS build.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -137,11 +149,7 @@ class Characteristic:
 
 def canonical_request(request) -> tuple:
     """Canonical hashable key for a derivative request (ordered direction list)."""
-    dirs = []
-    for h in request:
-        arr = np.asarray(h, dtype=complex).reshape(-1)
-        dirs.append(tuple(complex(x) for x in arr))
-    return tuple(dirs)
+    return tuple(tuple(np.asarray(h, dtype=complex).reshape(-1).tolist()) for h in request)
 
 
 @dataclass(eq=False)
@@ -177,23 +185,35 @@ def _check_vector(z, g, what="z"):
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape != (g,):
         raise InvalidInputError(f"{what} must be a complex vector of length {g}")
-    if not np.all(np.isfinite(z.real)) or not np.all(np.isfinite(z.imag)):
+    if not np.isfinite(z).all():
         raise InvalidInputError(f"{what} has non-finite components")
     return z
 
 
+def _lattice_coords(z, rm):
+    """Real lattice coordinates (alpha, beta) with z = alpha + tau beta, for (g,) or (P, g)."""
+    beta = z.imag @ rm.Yinv
+    return z.real - beta @ rm.X, beta
+
+
 def _reduce_coords(z, rm):
-    """Split z = alpha + tau beta and return (z0, m, n) with z = z0 + tau m + n.
+    """Split z = z0 + tau m + n for one point (g,) or a stack (P, g).
 
     The reduced representative z0 has both real lattice coordinates in
     [-1/2, 1/2).
     """
-    beta = rm.Yinv @ z.imag
+    alpha, beta = _lattice_coords(z, rm)
     m = np.floor(beta + 0.5)
-    alpha = z.real - rm.X @ beta
     n = np.floor(alpha + 0.5)
-    z0 = z - rm.tau @ m - n
-    return z0, m, n
+    return z - m @ rm.tau - n, m, n
+
+
+def _reduction_exponent(z0, m, rm):
+    """Log of the multiplier theta(z0 + tau m + n) / theta(z0), for (g,) or (P, g).
+
+    It is -pi*i*m.tau.m - 2*pi*i*m.z0 = -2*pi*i*m.(z0 + tau m / 2).
+    """
+    return -TWO_PI_I * (m * (z0 + 0.5 * (m @ rm.tau))).sum(axis=-1)
 
 
 def reduce_point(z, tau: RiemannMatrix):
@@ -205,8 +225,8 @@ def reduce_point(z, tau: RiemannMatrix):
     """
     rm = tau
     zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
-    z0, m, n = _reduce_coords(zv, rm)
-    exponent = -1j * PI * (m @ rm.tau @ m) - TWO_PI_I * (m @ z0)
+    z0, m, _ = _reduce_coords(zv, rm)
+    exponent = _reduction_exponent(z0, m, rm)
     return (
         AbelianPoint(z0, reduced=True),
         complex(np.exp(1j * exponent.imag)),
@@ -216,10 +236,14 @@ def reduce_point(z, tau: RiemannMatrix):
 
 def lattice_coords(z, rm: RiemannMatrix):
     """Real lattice coordinates (alpha, beta) with z = alpha + tau beta."""
-    zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
-    beta = rm.Yinv @ zv.imag
-    alpha = zv.real - rm.X @ beta
-    return alpha, beta
+    return _lattice_coords(_check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g), rm)
+
+
+def box_points(rm: RiemannMatrix, rng, count: int) -> np.ndarray:
+    """``count`` uniform points x + tau y of the fundamental box, x, y in [-1/2, 1/2)^g."""
+    x = rng.uniform(-0.5, 0.5, size=(count, rm.g))
+    y = rng.uniform(-0.5, 0.5, size=(count, rm.g))
+    return x + y @ rm.tau
 
 
 def _ball_volume_coeff(g: int) -> float:
@@ -251,10 +275,12 @@ def _tail_bound(rm: RiemannMatrix, radius: float, weight_scale: float, weight_or
 MAX_LATTICE_POINTS = 2e7
 
 
-def _choose_radius(rm: RiemannMatrix, target: float, weight_scale: float, weight_order: int) -> float:
+def _choose_radius(rm: RiemannMatrix, target: float, weight_scale: float,
+                   weight_order: int) -> tuple[float, float]:
+    """The truncation radius and its tail bound (at most ``target``)."""
     cap = RADIUS_CAP_FACTOR / math.sqrt(rm.lambda_min)
     radius = max(1.5, math.sqrt(max(-math.log(target), 1.0) / (PI * rm.lambda_min)))
-    while _tail_bound(rm, radius, weight_scale, weight_order) > target:
+    while (tail := _tail_bound(rm, radius, weight_scale, weight_order)) > target:
         radius = max(radius * 1.2, radius + 0.5)
         if radius > cap:
             raise PrecisionUnreachableError(
@@ -269,7 +295,7 @@ def _choose_radius(rm: RiemannMatrix, target: float, weight_scale: float, weight
             f"truncation ball needs ~{est_points:.2e} lattice points "
             f"(lambda_min={rm.lambda_min:.3e}); target {target:.2e} unreachable"
         )
-    return radius
+    return radius, tail
 
 
 _LATTICE_CACHE: dict = {}
@@ -289,7 +315,7 @@ def _lattice_points(g: int, radius: float) -> np.ndarray:
         return cached
     bound = int(math.floor(reach)) + 1
     axis = range(-bound, bound + 1)
-    pts = [n for n in product(axis, repeat=g) if math.fsum(x * x for x in n) <= reach * reach]
+    pts = [n for n in product(axis, repeat=g) if sum(x * x for x in n) <= reach * reach]
     pts.sort(key=lambda n: (max(abs(x) for x in n) if n else 0, n))
     arr = np.array(pts, dtype=float).reshape(len(pts), g)
     if len(_LATTICE_CACHE) > 64:
@@ -318,280 +344,157 @@ def _normalize_requests(requests, g):
     return keys
 
 
+# _REST_INDICES[k][mask]: the indices j < k whose bit is clear in mask
+_REST_INDICES = [[tuple(j for j in range(k) if not mask >> j & 1) for mask in range(2**k)]
+                 for k in range(MAX_DERIVATIVE_ORDER + 1)]
+
+
 def _subset_closure(keys):
-    """All sub-requests (by index subset, order preserved) needed for corrections."""
-    closure = set()
-    for key in keys:
-        idx = range(len(key))
-        for r in range(len(key) + 1):
-            for comb in combinations(idx, r):
-                closure.add(tuple(key[i] for i in comb))
-    closure.discard(())
-
-    def order_key(key):
-        flat = tuple((x.real, x.imag) for h in key for x in h)
-        return (len(key), flat)
-
-    return sorted(closure, key=order_key)
+    """Every nonempty sub-request (index subset, order kept) of the keys, each once."""
+    return list(dict.fromkeys(tuple(key[j] for j in idx) for key in keys
+                              for idx in _REST_INDICES[len(key)] if idx))
 
 
 def _request_weight_scale(keys) -> tuple[float, int]:
+    """Largest direction norm and largest order among the requests."""
     h_max = 0.0
     k_max = 0
     for key in keys:
         k_max = max(k_max, len(key))
         for h in key:
-            h_max = max(h_max, math.sqrt(math.fsum(abs(x) ** 2 for x in h)))
-    return 2.0 * PI * h_max, k_max
+            h_max = max(h_max, math.hypot(*(abs(x) for x in h)))
+    return h_max, k_max
 
 
-def _fsum_complex(values: np.ndarray) -> complex:
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+def _linear_correction(keys, gradient, rows, sums, abs_sums):
+    """Derivatives of exp(L) * f from those of f, for L linear with a gradient per point.
 
-
-def _correction_terms(key, lin_coeffs, sub_values):
-    """Subset-sum assembly of a derivative of exp(linear) * f.
-
-    D^{h_1..h_k}(e^{L(z)} f(z)) = e^{L} * sum over subsets S of {1..k} of
-    prod_{j in S} L(h_j) * D^{rest} f, with L linear (constant gradient).
-    ``lin_coeffs[j]`` is L(h_j); ``sub_values`` maps sub-request keys of
-    ``key`` to D^{sub} f.
+    D^{h_1..h_k}(e^L f) = e^L * sum over subsets S of {1..k} of
+    prod_{j in S} L(h_j) * D^{rest} f, with L_p(h) = 2*pi*i*<gradient[p], h>.
+    Row r of ``sums`` and ``abs_sums`` (R, P) holds D^{rows[r]} f and its
+    absolute term sum; ``rows`` must hold () and every sub-request of
+    ``keys``.  Returns the corrected derivatives and absolute sums (K, P)
+    in the order of ``keys`` (the factor e^L is left to the caller) and the
+    per-point error growth, the maximum over keys of prod_j (1 + |L_p(h_j)|).
     """
-    k = len(key)
-    total = 0.0 + 0.0j
-    for r in range(k + 1):
-        for comb in combinations(range(k), r):
-            coeff = 1.0 + 0.0j
-            for j in comb:
-                coeff *= lin_coeffs[j]
-            rest = tuple(key[i] for i in range(k) if i not in comb)
-            total += coeff * sub_values[rest]
-    return total
+    index = {key: r for r, key in enumerate(rows)}
+    count = len(gradient)
+    vals = np.empty((len(keys), count), dtype=complex)
+    absv = np.empty((len(keys), count))
+    growth = np.ones(count)
+    by_order = {}
+    for i, key in enumerate(keys):
+        by_order.setdefault(len(key), []).append(i)
+    for k, members in by_order.items():
+        lin = TWO_PI_I * np.einsum("pg,ejg->ejp", gradient, np.array([keys[i] for i in members]))
+        coeffs = np.ones((1, len(members), count), dtype=complex)
+        for j in range(k):  # coeffs[mask] = product of lin[:, j] over the set bits j
+            coeffs = np.concatenate([coeffs, coeffs * lin[:, j]])
+        rest = [[index[tuple(keys[i][j] for j in idx)] for i in members]
+                for idx in _REST_INDICES[k]]
+        vals[members] = np.einsum("sep,sep->ep", coeffs, sums[rest])
+        absv[members] = np.einsum("sep,sep->ep", np.abs(coeffs), abs_sums[rest])
+        growth = np.maximum(growth, np.prod(1.0 + np.abs(lin), axis=1).max(axis=0))
+    return vals, absv, growth
 
 
-def _correction_abs(key, lin_coeffs, sub_abs):
-    k = len(key)
-    total = 0.0
-    for r in range(k + 1):
-        for comb in combinations(range(k), r):
-            coeff = 1.0
-            for j in comb:
-                coeff *= abs(lin_coeffs[j])
-            rest = tuple(key[i] for i in range(k) if i not in comb)
-            total += coeff * sub_abs[rest]
-    return total
+def _evaluator_for(rm, keys, target_abs_err):
+    """The evaluator sized for exactly these requests."""
+    h_max, k_max = _request_weight_scale(keys)
+    return BatchThetaEvaluator(rm, max_order=k_max, max_direction_norm=h_max,
+                               target_abs_err=target_abs_err)
 
 
-def _correction_multiplier(keys, lin_form) -> float:
-    """max over requests of prod_j (1 + |L(h_j)|), bounding error growth."""
-    mult = 1.0
-    for key in keys:
-        m = 1.0
-        for h in key:
-            m *= 1.0 + abs(lin_form(h))
-        mult = max(mult, m)
-    return mult
+def _single_jet(res, keys) -> ThetaJet:
+    """Row 0 of a batch result as a ThetaJet."""
+    return ThetaJet(
+        value=complex(res[()][0]),
+        derivs={key: complex(res[key][0]) for key in keys},
+        error_bound=float(res["error"][0]),
+        scale_exponent=float(res["scales"][0]),
+        abs_sums={key: float(res[("abs", key)][0]) for key in [(), *keys]},
+    )
 
 
-def theta_eval(z, tau: RiemannMatrix, requests=(), target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
-               radius_boost: float = 1.0) -> ThetaJet:
+def theta_eval(z, tau: RiemannMatrix, requests=(),
+               target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> ThetaJet:
     """Evaluate theta(z, tau) and requested directional derivatives.
 
     ``requests`` is an iterable of derivative multi-requests; each request is
     an ordered list of direction vectors (length <= 4).  The returned jet
-    stores numbers on the factored scale (see module docstring).
-    ``radius_boost`` multiplies the chosen truncation radius; it exists so
-    tests can verify truncation monotonicity and has no other use.
+    stores numbers on the factored scale (see module docstring).  This is a
+    batch of one point on an evaluator sized from the requests.
     """
     rm = tau
-    if target_abs_err <= 0.0:
-        raise InvalidInputError("target_abs_err must be positive")
     zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
     keys = _normalize_requests(requests, rm.g)
-
-    z0, m, n = _reduce_coords(zv, rm)
-    need_corrections = bool(np.any(m != 0.0))
-    inner_keys = _subset_closure(keys) if need_corrections else keys
-
-    weight_scale, k_max = _request_weight_scale(keys)
-    radius = _choose_radius(rm, 0.5 * target_abs_err, weight_scale, k_max) * radius_boost
-    lattice = _lattice_points(rm.g, radius)
-
-    beta0 = rm.Yinv @ z0.imag
-    g0 = PI * float(z0.imag @ beta0)
-
-    quad = np.einsum("lg,gh,lh->l", lattice, rm.tau, lattice)
-    exponents = 1j * PI * quad + TWO_PI_I * (lattice @ z0) - g0
-    terms = np.exp(exponents)
-
-    inner_vals = {(): _fsum_complex(terms)}
-    inner_abs = {(): math.fsum(np.abs(terms))}
-    for key in inner_keys:
-        weights = np.ones(len(lattice), dtype=complex)
-        for h in key:
-            weights = weights * (TWO_PI_I * (lattice @ np.asarray(h, dtype=complex)))
-        weighted = terms * weights
-        inner_vals[key] = _fsum_complex(weighted)
-        inner_abs[key] = math.fsum(np.abs(weighted))
-
-    tail = _tail_bound(rm, radius, weight_scale, k_max)
-    rounding = 4e-16 * max(inner_abs.values(), default=0.0) * math.sqrt(len(lattice))
-    error = tail + rounding
-    scale = g0
-    phase = 1.0 + 0.0j
-
-    if need_corrections:
-        red_exp = -1j * PI * (m @ rm.tau @ m) - TWO_PI_I * (m @ z0)
-        scale += float(red_exp.real)
-        phase = complex(np.exp(1j * red_exp.imag))
-        lin = lambda h: -TWO_PI_I * complex(np.dot(m, np.asarray(h, dtype=complex)))
-        derivs = {}
-        abs_sums = {(): inner_abs[()]}
-        for key in keys:
-            lin_coeffs = [lin(h) for h in key]
-            derivs[key] = phase * _correction_terms(key, lin_coeffs, inner_vals)
-            abs_sums[key] = _correction_abs(key, lin_coeffs, inner_abs)
-        value = phase * inner_vals[()]
-        error *= _correction_multiplier(keys, lin)
-    else:
-        value = inner_vals[()]
-        derivs = {key: inner_vals[key] for key in keys}
-        abs_sums = dict(inner_abs)
-
-    return ThetaJet(value=value, derivs=derivs, error_bound=float(error),
-                    scale_exponent=float(scale), abs_sums=abs_sums)
+    return _single_jet(_evaluator_for(rm, keys, target_abs_err).bind(zv).jets(keys), keys)
 
 
 def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=(),
-                    target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
-                    radius_boost: float = 1.0) -> ThetaJet:
+                    target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> ThetaJet:
     """Evaluate theta[eps, delta](z, tau) with directional derivatives.
 
     Uses the shift identity from the module docstring: the plain series is
-    evaluated at z + delta + tau@eps and the exact exponential prefactor
-    exp(pi*i*eps.tau.eps + 2*pi*i*eps.(z+delta)) -- linear in z -- is
-    differentiated symbolically (subset-sum corrections with gradient
-    2*pi*i*eps).
+    bound at z + delta + tau@eps, and the exponential prefactor
+    exp(pi*i*eps.tau.eps + 2*pi*i*eps.(z+delta)) -- linear in z, gradient
+    2*pi*i*eps -- joins the reduction multiplier in one linear correction.
     """
     rm = tau
     zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
     if ch.eps.shape != (rm.g,):
         raise InvalidInputError("characteristic length does not match genus")
     keys = _normalize_requests(requests, rm.g)
-
-    shift_needed = bool(np.any(ch.eps != 0.0))
-    inner_point = zv + ch.delta + rm.tau @ ch.eps
-    inner_keys = _subset_closure(keys) if shift_needed else keys
-    inner = theta_eval(inner_point, rm, inner_keys, target_abs_err, radius_boost)
-
-    if not shift_needed:
-        return inner
-
-    pref = 1j * PI * (ch.eps @ rm.tau @ ch.eps) + TWO_PI_I * (ch.eps @ (zv + ch.delta))
-    scale = inner.scale_exponent + float(pref.real)
-    phase = complex(np.exp(1j * pref.imag))
-    lin = lambda h: TWO_PI_I * complex(np.dot(ch.eps, np.asarray(h, dtype=complex)))
-
-    inner_vals = {(): inner.value}
-    inner_vals.update(inner.derivs)
-    inner_abs = dict(inner.abs_sums)
-
-    derivs = {}
-    abs_sums = {(): inner_abs[()]}
-    for key in keys:
-        lin_coeffs = [lin(h) for h in key]
-        derivs[key] = phase * _correction_terms(key, lin_coeffs, inner_vals)
-        abs_sums[key] = _correction_abs(key, lin_coeffs, inner_abs)
-    value = phase * inner.value
-    error = inner.error_bound * _correction_multiplier(keys, lin)
-
-    return ThetaJet(value=value, derivs=derivs, error_bound=float(error),
-                    scale_exponent=float(scale), abs_sums=abs_sums)
+    ev = _evaluator_for(rm, keys, target_abs_err)
+    return _single_jet(ev.bind_characteristic(zv, ch.eps, ch.delta).jets(keys), keys)
 
 
 class BatchThetaEvaluator:
-    """Vectorized theta jets at many points sharing one cached lattice.
+    """Theta jets at many points sharing one cached lattice.
 
     The lattice is sized once for a caller-declared worst case (maximum
     derivative order, maximum direction norm, target error), then reused for
-    every evaluation, which keeps repeated sweeps (residual sampling, Newton
-    iterations, search objectives) cheap.  Results match the single-point
-    path to within the reported error bounds; the accumulation order is fixed
-    by the lattice ordering.
+    every point bound to it, which keeps repeated sweeps (residual sampling,
+    Newton iterations, search objectives) cheap.  Accumulation order is
+    fixed by the lattice ordering.
     """
 
     def __init__(self, rm: RiemannMatrix, max_order: int = MAX_DERIVATIVE_ORDER,
                  max_direction_norm: float = 1.0,
-                 target_abs_err: float = DEFAULT_TARGET_ABS_ERR,
-                 coord_margin: float = 0.0):
+                 target_abs_err: float = DEFAULT_TARGET_ABS_ERR):
+        if target_abs_err <= 0.0:
+            raise InvalidInputError("target_abs_err must be positive")
         self.rm = rm
         weight_scale = 2.0 * PI * max(max_direction_norm, 1e-300)
-        self.target_abs_err = target_abs_err
-        self._radius = _choose_radius(rm, 0.5 * target_abs_err, weight_scale, max_order)
-        # coord_margin widens the lattice so arguments with imaginary lattice
-        # coordinates in [-1/2 - margin, 1/2 + margin) stay covered (used for
-        # once-reduced shifted arguments, whose coordinates live in [-1, 1)).
-        reach_boost = coord_margin * math.sqrt(rm.g)
-        self.lattice = _lattice_points(rm.g, self._radius + reach_boost)
-        quad = np.einsum("lg,gh,lh->l", self.lattice, rm.tau, self.lattice)
-        self._quad_exp = 1j * PI * quad
-        self._tail = _tail_bound(rm, self._radius, weight_scale, max_order)
-
-    def request_weights(self, keys):
-        """Per-request lattice weight vectors prod_j 2*pi*i*<n, h_j>."""
-        out = {}
-        for key in keys:
-            w = np.ones(len(self.lattice), dtype=complex)
-            for h in key:
-                w = w * (TWO_PI_I * (self.lattice @ np.asarray(h, dtype=complex)))
-            out[key] = w
-        return out
-
-    def term_matrix(self, points):
-        """Scaled term matrix T[l, p] for reduced points; also scales/phases.
-
-        Returns (terms, scales, phases, m_matrix) where for point p the true
-        theta series terms are exp(scales[p]) * phases[p] * terms[:, p] and
-        m_matrix[p] is the integer tau-shift used in reduction (needed for
-        derivative corrections).
-        """
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
-        count = pts.shape[0]
-        z0s = np.empty_like(pts)
-        ms = np.zeros((count, self.rm.g))
-        g0s = np.zeros(count)
-        scales = np.zeros(count)
-        phases = np.ones(count, dtype=complex)
-        for p in range(count):
-            z0, m, _ = _reduce_coords(pts[p], self.rm)
-            z0s[p] = z0
-            ms[p] = m
-            beta0 = self.rm.Yinv @ z0.imag
-            g0s[p] = PI * float(z0.imag @ beta0)
-            scales[p] = g0s[p]
-            if np.any(m != 0.0):
-                red = -1j * PI * (m @ self.rm.tau @ m) - TWO_PI_I * (m @ z0)
-                scales[p] += float(red.real)
-                phases[p] = complex(np.exp(1j * red.imag))
-        exponents = self._quad_exp[:, None] + TWO_PI_I * (self.lattice @ z0s.T) - g0s[None, :]
-        terms = np.exp(exponents)
-        return terms, scales, phases, ms
+        radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, weight_scale, max_order)
+        self.lattice = _lattice_points(rm.g, radius)
+        self._quad_exp = 1j * PI * ((self.lattice @ rm.tau) * self.lattice).sum(axis=1)
 
     def bind(self, points) -> "BoundBatch":
         """Cache the term matrix at fixed points for repeated jet requests."""
         return BoundBatch(self, points)
 
+    def bind_characteristic(self, points, eps, delta) -> "BoundBatch":
+        """Bind theta[eps_p, delta_p] at points z_p (rows of each argument).
+
+        The plain series is bound at z + delta + tau eps; the characteristic
+        prefactor's real exponent joins the scales, its phase the terms and
+        its gradient eps the linear correction of ``BoundBatch.jets``.
+        """
+        eps, delta = np.atleast_2d(eps), np.atleast_2d(delta)
+        shifted = np.atleast_2d(np.asarray(points, dtype=complex)) + delta
+        bound = BoundBatch(self, shifted + eps @ self.rm.tau)
+        pref = 1j * PI * ((eps @ self.rm.tau) * eps).sum(axis=1) \
+            + TWO_PI_I * (eps * shifted).sum(axis=1)
+        bound.scales = bound.scales + pref.real
+        bound.terms = bound.terms * np.exp(1j * pref.imag)
+        bound.gradient = bound.gradient + eps
+        return bound
+
     def jets(self, points, keys):
         """Evaluate value + requested derivatives at arbitrary points.
 
-        Returns a dict: key -> (P,) complex stored values (phase folded in),
-        plus entries ``("abs", key)`` -> (P,) absolute sums, ``"scales"`` ->
-        (P,) scale exponents and ``"error"`` -> scalar truncation tail bound
-        on stored numbers.  The bound excludes the subset-sum correction
-        growth at points with nonzero tau-shift; callers needing rigorous
-        per-point bounds use the single-point path.
+        Same result as ``self.bind(points).jets(keys)``; see ``BoundBatch.jets``.
         """
         return self.bind(points).jets(keys)
 
@@ -601,56 +504,60 @@ class BoundBatch:
 
     Search loops ask for many different direction sets at an unchanging set
     of sample points; with the exponential term matrix cached here, each
-    additional request costs one weighted sum over the lattice.  Points whose
-    reduction needed no tau-shift (the common case for samples drawn inside
-    the fundamental box) skip the derivative correction pass entirely.
+    request set costs one matrix product over the lattice.  ``gradient``
+    (P, g) is the gradient, over 2*pi*i, of the linear exponent multiplying
+    each bound series: -m from reduction, plus eps for a characteristic.
+    When it vanishes at every bound point (the common case for samples
+    drawn inside the fundamental box), jets skip the correction pass.
     """
 
     def __init__(self, evaluator: BatchThetaEvaluator, points):
         self.ev = evaluator
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
+        rm = evaluator.rm
+        pts = np.atleast_2d(np.asarray(points, dtype=complex))
         self.count = pts.shape[0]
-        self.terms, self.scales, self.phases, self.ms = evaluator.term_matrix(pts)
-        self._trivial_shift = not self.ms.any()
+        z0s, ms, _ = _reduce_coords(pts, rm)
+        # g0 = pi * Im(z0).Im(tau)^-1.Im(z0) bounds the log-modulus of every
+        # term, so stored terms have modulus at most 1
+        g0s = PI * ((z0s.imag @ rm.Yinv) * z0s.imag).sum(axis=1)
+        red = _reduction_exponent(z0s, ms, rm)
+        # exp(scales[p]) * terms[:, p] are the series terms at point p; the
+        # multiplier's phase is folded into the terms, its real part into scales
+        self.terms = np.exp(evaluator._quad_exp[:, None]
+                            + TWO_PI_I * (evaluator.lattice @ z0s.T) + (1j * red.imag - g0s))
+        self.scales = g0s + red.real
+        self.gradient = -ms
 
     def jets(self, keys):
-        """Jets for the bound points; same result contract as the evaluator."""
-        keys = [key for key in keys]
-        needed = keys if self._trivial_shift else _subset_closure(keys)
-        weights = self.ev.request_weights(needed)
+        """Value and derivatives for the bound points.
 
-        inner_vals = {(): self.terms.sum(axis=0)}
-        inner_abs = {(): np.abs(self.terms).sum(axis=0)}
-        for key in needed:
-            weighted = self.terms * weights[key][:, None]
-            inner_vals[key] = weighted.sum(axis=0)
-            inner_abs[key] = np.abs(weighted).sum(axis=0)
-
-        out = {(): self.phases * inner_vals[()], ("abs", ()): inner_abs[()]}
-        if self._trivial_shift:
-            for key in keys:
-                out[key] = self.phases * inner_vals[key]
-                out[("abs", key)] = inner_abs[key]
+        Returns a dict: key -> (P,) complex stored values,
+        ``("abs", key)`` -> (P,) absolute term sums (also for the value key
+        ()), ``"scales"`` -> (P,) scale exponents and ``"error"`` -> (P,)
+        absolute error bounds on the stored numbers, covering the value and
+        every requested derivative including the linear-correction growth.
+        """
+        keys = [key for key in keys if key]
+        corrected = bool(self.gradient.any())
+        rows = [(), *(_subset_closure(keys) if corrected else keys)]
+        lattice = self.ev.lattice
+        directions = {h: col for col, h in enumerate(dict.fromkeys(h for key in rows for h in key))}
+        factors = TWO_PI_I * (lattice @ np.array(list(directions), dtype=complex)
+                              .reshape(-1, lattice.shape[1]).T)
+        weights = np.ones((len(rows), len(lattice)), dtype=complex)
+        for row, key in zip(weights[1:], rows[1:]):
+            for h in key:
+                row *= factors[:, directions[h]]
+        sums = weights @ self.terms
+        abs_sums = np.abs(weights) @ np.abs(self.terms)
+        error = self.ev._tail + 4e-16 * math.sqrt(len(lattice)) * abs_sums.max(axis=0)
+        if corrected:
+            vals, absv, growth = _linear_correction(keys, self.gradient, rows, sums, abs_sums)
+            error = error * growth
         else:
-            for key in keys:
-                vals = np.zeros(self.count, dtype=complex)
-                absv = np.zeros(self.count)
-                k = len(key)
-                hs = [np.asarray(h, dtype=complex) for h in key]
-                lin = -TWO_PI_I * (self.ms @ np.column_stack(hs)) if k \
-                    else np.zeros((self.count, 0), complex)
-                for r in range(k + 1):
-                    for comb in combinations(range(k), r):
-                        coeff = np.ones(self.count, dtype=complex)
-                        for j in comb:
-                            coeff = coeff * lin[:, j]
-                        rest = tuple(key[i] for i in range(k) if i not in comb)
-                        vals += coeff * inner_vals[rest]
-                        absv += np.abs(coeff) * inner_abs[rest]
-                out[key] = self.phases * vals
-                out[("abs", key)] = absv
-        out["scales"] = self.scales
-        out["error"] = self.ev._tail
+            vals, absv = sums[1:], abs_sums[1:]
+        out = dict(zip(keys, vals))
+        out.update(zip([("abs", key) for key in keys], absv))
+        out.update({(): sums[0], ("abs", ()): abs_sums[0],
+                    "scales": self.scales, "error": error})
         return out

@@ -27,6 +27,8 @@ from .engine import (
     Characteristic,
     DEFAULT_TARGET_ABS_ERR,
     RiemannMatrix,
+    _evaluator_for,
+    _normalize_requests,
     as_point,
     canonical_request,
     reduce_point,
@@ -61,25 +63,21 @@ def kummer_map(z, tau, requests=(), target_abs_err: float = DEFAULT_TARGET_ABS_E
 
     Each coordinate is theta[sigma/2, 0](2z, 2 tau); a z-derivative of order
     k along given directions equals 2^k times the corresponding derivative
-    of that function at the doubled argument.
+    of that function at the doubled argument.  All 2^g characteristics are
+    bound at once on one evaluator at 2 tau.
     """
     rm = as_riemann_matrix(tau)
     point = as_point(z)
     rm2 = RiemannMatrix(2.0 * rm.tau)
-    keys = [canonical_request(r) for r in requests]
+    keys = _normalize_requests(requests, rm.g)
     sigmas = second_order_sigmas(rm.g)
-    zeros = np.zeros(rm.g)
-    jets = []
-    for sigma in sigmas:
-        ch = Characteristic(np.asarray(sigma, dtype=float) / 2.0, zeros)
-        jets.append(theta_char_eval(2.0 * point.z, rm2, ch, keys, target_abs_err))
-    log_scale = max(j.scale_exponent for j in jets)
-    rel = np.array([math.exp(j.scale_exponent - log_scale) for j in jets])
-    coords = rel * np.array([j.value for j in jets])
-    derivs = {}
-    for key in keys:
-        factor = 2.0 ** len(key)
-        derivs[key] = factor * rel * np.array([j.d(key) for j in jets])
+    eps = np.asarray(sigmas, dtype=float) / 2.0
+    ev = _evaluator_for(rm2, keys, target_abs_err)
+    res = ev.bind_characteristic(2.0 * point.z, eps, np.zeros_like(eps)).jets(keys)
+    log_scale = float(res["scales"].max())
+    rel = np.exp(res["scales"] - log_scale)
+    coords = rel * res[()]
+    derivs = {key: 2.0 ** len(key) * rel * res[key] for key in keys}
     return KummerPoint(coords=coords, base=point, sigmas=sigmas, derivs=derivs,
                        log_scale=log_scale)
 
@@ -100,12 +98,6 @@ def singular_ratios(rows) -> list:
         scaled[i] = mat[i] / (norm if norm > 1e-12 * max_norm else max_norm)
     svals = np.linalg.svd(scaled, compute_uv=False)
     return [float(s / svals[0]) for s in svals[1:]]
-
-
-def projectively_equal(coords_a, coords_b, tolerance: float = 1e-10) -> bool:
-    """True when two homogeneous coordinate vectors span a rank-1 pencil."""
-    ratios = singular_ratios([coords_a, coords_b])
-    return (ratios[0] if ratios else 0.0) <= tolerance
 
 
 @dataclass

@@ -21,7 +21,6 @@ whose seed stream is disjoint from training by construction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, permutations
 
@@ -35,7 +34,7 @@ from .bilinear import (
     gauge_normalize,
     hierarchy_scan,
 )
-from .engine import BatchThetaEvaluator, canonical_request
+from .engine import BatchThetaEvaluator, box_points, canonical_request
 from .errors import DegenerateJetError, DegenerateSampleError, InvalidInputError
 
 TARGETS = ("hirota", "one_point", "hierarchy")
@@ -86,12 +85,6 @@ class SearchResult:
 
 class _GaugeCollapse(Exception):
     pass
-
-
-def _box_points(rm, rng, count):
-    x = rng.uniform(-0.5, 0.5, size=(count, rm.g))
-    y = rng.uniform(-0.5, 0.5, size=(count, rm.g))
-    return x + y @ rm.tau
 
 
 def _ratios_from_terms(terms):
@@ -376,16 +369,16 @@ def _initial_values(problem, rm, rng, restart, nonlinear):
     return vals
 
 
-def fit(problem: SearchProblem, threads: int = 1) -> SearchResult:
+def fit(problem: SearchProblem) -> SearchResult:
     """Minimize the chosen residual over the freed jet parameters.
 
-    Deterministic for a fixed problem (restart trajectories are independent
-    seeded streams; the reduction tie-breaks by restart index), regardless
-    of ``threads``.
+    Deterministic for a fixed problem: restarts run in order on independent
+    seeded streams, and the best one is chosen with ties broken by restart
+    index.
     """
     rm = as_riemann_matrix(problem.tau)
     if problem.target == "hierarchy":
-        return fit_hierarchy(problem, threads=threads)
+        return fit_hierarchy(problem)
     _validate_problem(problem, rm)
     if (problem.target == "one_point" and "a" not in problem.free_vars
             and problem.a is None):
@@ -395,8 +388,8 @@ def fit(problem: SearchProblem, threads: int = 1) -> SearchResult:
 
     root = np.random.SeedSequence(problem.seed)
     train_ss, hold_ss, *restart_ss = root.spawn(2 + problem.restarts)
-    z_train = _box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
-    z_hold = _box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
+    z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
+    z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
 
     linear = tuple(n for n in problem.free_vars if n in _LINEAR_FIELDS[problem.target])
     nl_named = tuple(n for n in problem.free_vars
@@ -563,11 +556,7 @@ def fit(problem: SearchProblem, threads: int = 1) -> SearchResult:
         except _GaugeCollapse:
             return math.inf, None, True, nfev
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, range(problem.restarts)))
-    else:
-        outcomes = [run_restart(k) for k in range(problem.restarts)]
+    outcomes = [run_restart(k) for k in range(problem.restarts)]
 
     history = [obj for obj, _, _, _ in outcomes]
     evaluations = [n for _, _, _, n in outcomes]
@@ -614,8 +603,7 @@ def fit(problem: SearchProblem, threads: int = 1) -> SearchResult:
     )
 
 
-def fit_hierarchy(problem: SearchProblem, jet_order: int = None,
-                  threads: int = 1) -> SearchResult:
+def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult:
     """Fit germ coefficients zeta_2..zeta_K and d_3..d_(K+1).
 
     The first germ coefficient is pinned to U from the supplied jet; the
@@ -646,8 +634,8 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None,
 
     root = np.random.SeedSequence(problem.seed)
     train_ss, hold_ss, *restart_ss = root.spawn(2 + problem.restarts)
-    z_train = _box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
-    z_hold = _box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
+    z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
+    z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
     model = _OnePointModel(rm, z_train)
     eps_grid = np.asarray(EPSILON_GRID)
     # a germ truncated at order K leaves residual O(eps^(K+1)); dividing

@@ -16,8 +16,10 @@ from thetalab.divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from thetalab.engine import reduce_point, theta_eval
+from thetalab.engine import RiemannMatrix, reduce_point, theta_eval
 from thetalab.errors import InvalidInputError
+
+from conftest import random_tau
 
 
 U2 = np.array([1.0, 0.31 + 0.18j])
@@ -143,6 +145,33 @@ class TestD1Locus:
             sample_D1_theta(rm_g2, DirectionJet(U=np.zeros(2)), SamplePlan(count=1))
         with pytest.raises(InvalidInputError):
             sample_D1_theta(rm_g2, DirectionJet(U=np.array([1.0])), SamplePlan(count=1))
+
+
+class TestSliceSamplersGenus3:
+    """At g >= 3 Newton moves in a random 2-plane; its Jacobian must use that frame."""
+
+    def test_d1_locus_points_found_and_verified(self):
+        rm = RiemannMatrix(random_tau(3, seed=31))
+        U = np.array([1.0, 0.2 - 0.3j, -0.4 + 0.1j])
+        with pytest.warns(SamplingNote):
+            pts = sample_D1_theta(rm, DirectionJet(U=U), SamplePlan(count=10, seed=3))
+        assert len(pts) >= 1
+        for p in pts:
+            jet = theta_eval(p.z.z, rm, [(U,)])
+            assert abs(jet.value) / jet.abs_sum() <= 1e-10
+            assert abs(jet.d((U,))) / jet.abs_sum((U,)) <= 1e-10
+
+    def test_intersection_points_found_and_verified(self):
+        rm = RiemannMatrix(random_tau(3, seed=31))
+        a = 0.3 * (1 + 0.2j) * np.ones(3)
+        with pytest.warns(SamplingNote):
+            pts = sample_theta_intersection(rm, None, a, SamplePlan(count=10, seed=3))
+        assert len(pts) >= 1
+        for p in pts:
+            j0 = theta_eval(p.z.z, rm, ())
+            j1 = theta_eval(p.z.z + a, rm, ())
+            assert abs(j0.value) / j0.abs_sum() <= 1e-10
+            assert abs(j1.value) / j1.abs_sum() <= 1e-10
 
 
 class TestIntersection:

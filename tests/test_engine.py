@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
 
 from thetalab import (
     AbelianPoint,
+    BatchThetaEvaluator,
     Characteristic,
     RiemannMatrix,
+    canonical_request,
     lattice_coords,
     reduce_point,
     theta_char_eval,
@@ -212,8 +215,13 @@ def test_parity_of_theta(rm_g2):
 def test_monotone_truncation(rm_g2):
     z = random_points(2, 1, seed=13)[0]
     u = np.array([0.5, 0.25 - 0.3j])
+    norm = float(np.linalg.norm(u))
+    narrow = BatchThetaEvaluator(rm_g2, max_order=1, max_direction_norm=norm)
+    widened = BatchThetaEvaluator(rm_g2, max_order=1, max_direction_norm=norm,
+                                  target_abs_err=1e-15)
+    assert len(widened.lattice) > len(narrow.lattice)
     base = theta_eval(z, rm_g2, [(u,)])
-    wide = theta_eval(z, rm_g2, [(u,)], radius_boost=2.0)
+    wide = theta_eval(z, rm_g2, [(u,)], target_abs_err=1e-15)
     assert abs(base.value - wide.value) <= base.error_bound
     assert abs(base.d((u,)) - wide.d((u,))) <= base.error_bound
 
@@ -226,6 +234,106 @@ def test_error_bound_covers_truth_g1():
     stored_oracle = oracle / math.exp(jet.scale_exponent)
     assert abs(jet.value - stored_oracle) <= jet.error_bound
     assert jet.error_bound <= 1e-12
+
+
+def mp_theta_jet(z, tau, keys, eps=None, delta=None):
+    """Independent 50-digit oracle: theta[eps, delta] and derivatives by a naive sum.
+
+    Sums every lattice term within exp(-130) of the largest one (the terms
+    decay like a Gaussian around n + eps = -Im(tau)^-1 Im z); returns the
+    value and each requested derivative as mpmath complex numbers.
+    """
+    g = len(z)
+    tau = np.asarray(tau, dtype=complex)
+    eps = np.zeros(g) if eps is None else np.asarray(eps, dtype=float)
+    delta = np.zeros(g) if delta is None else np.asarray(delta, dtype=float)
+    y = tau.imag
+    beta = np.linalg.solve(y, np.asarray(z).imag)
+    reach = math.ceil(math.sqrt(140.0 / (math.pi * np.linalg.eigvalsh(y)[0]))) + 1
+    axes = [np.arange(c - reach, c + reach + 1) for c in np.round(-beta - eps)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g) + eps
+    shifted = grid + beta
+    logs = -math.pi * np.einsum("lg,gh,lh->l", shifted, y, shifted)
+    grid = grid[logs >= logs.max() - 130.0]
+    with mpmath.workdps(50):
+        mtau = [[mpmath.mpc(x.real, x.imag) for x in row] for row in tau]
+        mz = [mpmath.mpc(x.real, x.imag) + mpmath.mpf(d) for x, d in zip(z, delta)]
+        mkeys = [[[mpmath.mpc(x.real, x.imag) for x in np.asarray(h, dtype=complex)]
+                  for h in key] for key in keys]
+        two_pi_i = 2j * mpmath.pi
+        totals = [mpmath.mpc(0)] * (len(keys) + 1)
+        for n in grid:
+            nm = [mpmath.mpf(x) for x in n]
+            quad = sum(nm[i] * mtau[i][j] * nm[j] for i in range(g) for j in range(g))
+            term = mpmath.exp(1j * mpmath.pi * quad + two_pi_i * sum(a * b for a, b in zip(nm, mz)))
+            totals[0] += term
+            for k, key in enumerate(mkeys, 1):
+                weight = mpmath.mpc(1)
+                for h in key:
+                    weight *= two_pi_i * sum(a * b for a, b in zip(nm, h))
+                totals[k] += weight * term
+        return totals
+
+
+def _stored_errors(jet_values, scale, oracle):
+    """|stored - oracle * exp(-scale)| per entry, computed at 50 digits."""
+    with mpmath.workdps(50):
+        factor = mpmath.exp(-mpmath.mpf(scale))
+        return [float(abs(mpmath.mpc(v.real, v.imag) - o * factor))
+                for v, o in zip(jet_values, oracle)]
+
+
+def _oracle_case(g):
+    """A period matrix, tau-shifted points, order <= 4 requests and a characteristic."""
+    tau = random_tau(g, seed=7100 + g)
+    rm = RiemannMatrix(tau)
+    rng = np.random.default_rng(7200 + g)
+    shifts = {2: ([1.0, -1.0], [0.0, 1.0]), 3: ([1.0, 0.0, -1.0], [0.0, 1.0, 1.0])}[g]
+    points = []
+    for m in shifts:
+        z0 = rng.uniform(-0.4, 0.4, g) + 1j * rng.uniform(-0.4, 0.4, g)
+        points.append(z0 + rm.tau @ np.asarray(m) + rng.integers(-1, 2, g))
+    u, v, w = (rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(3))
+    u, v, w = u / np.linalg.norm(u), 0.8 * v / np.linalg.norm(v), 0.6 * w / np.linalg.norm(w)
+    requests = [(u,), (u, v), (u, v, w), (u, u, v, w), (w, w, w, w)]
+    ch = Characteristic([0.5] + [0.0] * (g - 2) + [0.5], [0.0] + [0.5] * (g - 1))
+    return rm, points, requests, ch
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_error_bound_covers_mpmath_oracle_at_tau_shifted_points(g):
+    rm, points, requests, ch = _oracle_case(g)
+    for z in points:
+        assert np.abs(lattice_coords(z, rm)[1]).max() > 0.5  # needs a tau-shift
+        jet = theta_eval(z, rm, requests)
+        oracle = mp_theta_jet(z, rm.tau, requests)
+        errs = _stored_errors([jet.value] + [jet.d(r) for r in requests],
+                              jet.scale_exponent, oracle)
+        assert max(errs) <= jet.error_bound, (errs, jet.error_bound)
+        assert jet.error_bound <= 1e-9
+
+        jet = theta_char_eval(z, rm, ch, requests)
+        oracle = mp_theta_jet(z, rm.tau, requests, eps=ch.eps, delta=ch.delta)
+        errs = _stored_errors([jet.value] + [jet.d(r) for r in requests],
+                              jet.scale_exponent, oracle)
+        assert max(errs) <= jet.error_bound, (errs, jet.error_bound)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_batch_error_covers_mpmath_oracle_per_point(g):
+    rm, points, requests, _ = _oracle_case(g)
+    points = points + [reduce_point(points[0], rm)[0].z]  # one point needing no shift
+    keys = [canonical_request(r) for r in requests]
+    ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0)
+    res = ev.jets(points, keys)
+    assert res["error"].shape == (len(points),)
+    for p, z in enumerate(points):
+        oracle = mp_theta_jet(z, rm.tau, requests)
+        errs = _stored_errors([res[()][p]] + [res[k][p] for k in keys],
+                              res["scales"][p], oracle)
+        assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
+    # correction growth is charged only where the linear correction applies
+    assert res["error"][-1] < res["error"][0]
 
 
 def test_char_zero_equals_plain(rm_g2):
