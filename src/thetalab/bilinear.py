@@ -15,6 +15,12 @@ not merely algebraically.  If every monomial of a combination is exactly
 zero (zero directions and zero constants), the residual is 0 by convention;
 a normalizer that underflows while the terms are not all exactly zero is a
 degenerate sample and raises.
+
+Each form has one vectorized term stack over a derivative source
+(``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
+residual at one point (a batch of one), the sweeps and the search models.
+A sweep binds all of its points at once; the shifted forms bind z and z + a
+together.
 """
 
 from __future__ import annotations
@@ -26,9 +32,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import (
+    DEFAULT_TARGET_ABS_ERR,
     AbelianPoint,
     RiemannMatrix,
+    _check_points,
+    _check_vector,
+    _evaluator_for,
+    _normalize_requests,
     as_point,
+    canonical_request,
     theta_eval,
 )
 from .errors import (
@@ -183,16 +195,128 @@ def gauge_normalize(jet: DirectionJet) -> DirectionJet:
     return out
 
 
-def _term_ratio(terms) -> float:
-    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-    normalizer = math.fsum(abs(t) for t in terms)
-    if normalizer == 0.0:
-        return 0.0
-    if normalizer < NORMALIZER_FLOOR:
-        raise DegenerateSampleError(
-            f"term-sum normalizer underflowed ({normalizer:.3e}); resample"
+def _term_ratios(terms):
+    """Complex term-sum ratios sum(terms) / sum(|terms|) per point (column), 0/0 -> 0."""
+    total = np.sum(terms, axis=0)
+    normalizer = np.sum(np.abs(terms), axis=0)
+    out = np.zeros_like(total)
+    live = normalizer != 0.0
+    if np.any(live & (normalizer < NORMALIZER_FLOOR)):
+        raise DegenerateSampleError("residual normalizer underflowed; resample")
+    out[live] = total[live] / normalizer[live]
+    return out
+
+
+def _residuals(terms):
+    """Normalized residuals min(|sum(terms)| / sum(|terms|), 1) per point."""
+    return np.minimum(np.abs(_term_ratios(terms)), 1.0)
+
+
+# Term stacks.  Each form's monomials are stacked (terms, P) from a
+# derivative source D: D(h_1, .., h_k) is the (P,) array of D_{h_1..h_k}
+# theta on the stored scale and D() the values.  The sweeps read D from
+# evaluator jets, the search models from basis tensors.
+
+def _hirota_terms(D, U, V, W, d):
+    """The eight monomials of the four-term bilinear KP form."""
+    t = D()
+    d1, d2 = D(U), D(U, U)
+    d3, d4 = D(U, U, U), D(U, U, U, U)
+    dV, dVV = D(V), D(V, V)
+    dW, dUW = D(W), D(U, W)
+    return np.stack([
+        d4 * t, -4.0 * d3 * d1, 3.0 * d2 * d2,
+        3.0 * dVV * t, -3.0 * dV * dV,
+        -3.0 * dUW * t, 3.0 * dW * d1, -d * t * t,
+    ])
+
+
+def _one_point_terms(Dz, Da, U, V, c):
+    """The six monomials of the one-point form, Dz at z and Da at z + a."""
+    tz, ta = Dz(), Da()
+    return np.stack([
+        Dz(U, U) * ta, tz * Da(U, U),
+        Dz(V) * ta, -tz * Da(V),
+        -2.0 * Dz(U) * Da(U), c * tz * ta,
+    ])
+
+
+def _longeq_terms(D, U, V):
+    """The six degree-three monomials of the on-divisor identity."""
+    d1, d2 = D(U), D(V)
+    d11, d12, d22 = D(U, U), D(U, V), D(V, V)
+    d111, d1111 = D(U, U, U), D(U, U, U, U)
+    return np.stack([
+        -d11 * d2 * d2, 2.0 * d12 * d2 * d1, -d22 * d1 * d1,
+        d11**3, -2.0 * d11 * d111 * d1, d1111 * d1 * d1,
+    ])
+
+
+def _jets(rm, points, requests):
+    """Jets at all points (rows) through one evaluator sized for the requests."""
+    keys = _normalize_requests(requests, rm.g)
+    return _evaluator_for(rm, keys, DEFAULT_TARGET_ABS_ERR).jets(points, keys)
+
+
+def _source(res, cols=slice(None)):
+    """The derivative source D over columns ``cols`` of a jets result."""
+    return lambda *dirs: res[canonical_request(dirs)][cols]
+
+
+def _hirota_residuals(rm, jet, pts):
+    jet.require("U", "V", "W", "d")
+    U, V, W = jet.U, jet.V, jet.W
+    res = _jets(rm, pts, [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,), (U, W), (W,)])
+    return _residuals(_hirota_terms(_source(res), U, V, W, jet.d))
+
+
+def _one_point_residuals(rm, pts, U, V, c, a):
+    """One-point residuals at the rows of pts: z and z + a share one bind."""
+    av = _vec(a, rm.g, "a")
+    res = _jets(rm, np.concatenate([pts, pts + av]), [(U, U), (U,), (V,)])
+    count = len(pts)
+    terms = _one_point_terms(_source(res, slice(None, count)), _source(res, slice(count, None)),
+                             U, V, c)
+    return _residuals(terms)
+
+
+def _p_residuals(rm, jet, pts, a):
+    jet.require("U", "V", "c")
+    return _one_point_residuals(rm, pts, jet.U, jet.V, jet.c, a)
+
+
+def _p_AB_residuals(rm, jet, pts, a):
+    # the 2A cross monomials fold into the second direction V - 2A*U and the
+    # constant becomes A^2 - B; see the module docstring on folding
+    jet.require("U", "V", "A", "B")
+    return _one_point_residuals(rm, pts, jet.U, jet.V - 2.0 * jet.A * jet.U,
+                                jet.A**2 - jet.B, a)
+
+
+def _hierarchy_residuals(rm, jet, pts, epsilon):
+    jet.require("U", "V", "zeta_coeffs")
+    epsilon = complex(epsilon)
+    if abs(epsilon) >= 1.0:
+        raise InvalidInputError("hierarchy parameter must satisfy |epsilon| < 1")
+    if epsilon == 0.0:
+        return np.zeros(len(pts))
+    return _one_point_residuals(rm, pts, jet.U, jet.V + jet.U / epsilon,
+                                jet.d_of(epsilon) / epsilon, 2.0 * jet.zeta(epsilon))
+
+
+def _longeq_residuals(rm, jet, pts):
+    jet.require("U", "V")
+    U, V = jet.U, jet.V
+    res = _jets(rm, pts, [(U,), (V,), (U, U), (U, V), (V, V), (U, U, U), (U, U, U, U)])
+    value, local = np.abs(res[()]), res[("abs", ())]
+    off = np.flatnonzero(value > DIVISOR_REL_TOL * local)
+    if off.size:
+        p = off[0]
+        raise NotOnDivisorError(
+            f"|theta| = {value[p]:.3e} exceeds {DIVISOR_REL_TOL:.0e} of the "
+            f"local scale {local[p]:.3e}; not a divisor point"
         )
-    return min(abs(total) / normalizer, 1.0)
+    return _residuals(_longeq_terms(_source(res), U, V))
 
 
 def hirota_residual(z, tau, jet: DirectionJet) -> float:
@@ -203,42 +327,7 @@ def hirota_residual(z, tau, jet: DirectionJet) -> float:
     are evaluated from a single jet and term-sum normalized.
     """
     rm = as_riemann_matrix(tau)
-    jet.require("U", "V", "W", "d")
-    U, V, W = jet.U, jet.V, jet.W
-    j = theta_eval(
-        as_point(z).z, rm,
-        [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,), (U, W), (W,)],
-    )
-    t = j.value
-    terms = (
-        j.d((U, U, U, U)) * t,
-        -4.0 * j.d((U, U, U)) * j.d((U,)),
-        3.0 * j.d((U, U)) ** 2,
-        3.0 * j.d((V, V)) * t,
-        -3.0 * j.d((V,)) ** 2,
-        -3.0 * j.d((U, W)) * t,
-        3.0 * j.d((W,)) * j.d((U,)),
-        -jet.d * t * t,
-    )
-    return _term_ratio(terms)
-
-
-def _one_point_terms(z, rm, U, V, c, a):
-    """The six monomials of the one-point form, from exactly two engine calls."""
-    zv = as_point(z).z
-    av = _vec(a, rm.g, "a")
-    requests = [(U, U), (U,), (V,)]
-    jz = theta_eval(zv, rm, requests)
-    ja = theta_eval(zv + av, rm, requests)
-    t, ta = jz.value, ja.value
-    return (
-        jz.d((U, U)) * ta,
-        t * ja.d((U, U)),
-        jz.d((V,)) * ta,
-        -t * ja.d((V,)),
-        -2.0 * jz.d((U,)) * ja.d((U,)),
-        c * t * ta,
-    )
+    return float(_hirota_residuals(rm, jet, _check_points([z], rm.g))[0])
 
 
 def p_residual(z, tau, jet: DirectionJet, a) -> float:
@@ -248,8 +337,7 @@ def p_residual(z, tau, jet: DirectionJet, a) -> float:
     T_a(z) = T(z + a), term-sum normalized over the six monomials.
     """
     rm = as_riemann_matrix(tau)
-    jet.require("U", "V", "c")
-    return _term_ratio(_one_point_terms(z, rm, jet.U, jet.V, jet.c, a))
+    return float(_p_residuals(rm, jet, _check_points([z], rm.g), a)[0])
 
 
 def p_AB_residual(z, tau, jet: DirectionJet, a) -> float:
@@ -260,10 +348,7 @@ def p_AB_residual(z, tau, jet: DirectionJet, a) -> float:
     combination exactly; see the module docstring on folding.
     """
     rm = as_riemann_matrix(tau)
-    jet.require("U", "V", "A", "B")
-    v_eff = jet.V - 2.0 * jet.A * jet.U
-    c_eff = jet.A**2 - jet.B
-    return _term_ratio(_one_point_terms(z, rm, jet.U, v_eff, c_eff, a))
+    return float(_p_AB_residuals(rm, jet, _check_points([z], rm.g), a)[0])
 
 
 def hierarchy_residual(z, tau, jet: DirectionJet, epsilon: complex) -> float:
@@ -280,16 +365,7 @@ def hierarchy_residual(z, tau, jet: DirectionJet, epsilon: complex) -> float:
     combination collapses to D1 T*T - T*D1 T = 0 and the residual is 0.
     """
     rm = as_riemann_matrix(tau)
-    jet.require("U", "V", "zeta_coeffs")
-    epsilon = complex(epsilon)
-    if abs(epsilon) >= 1.0:
-        raise InvalidInputError("hierarchy parameter must satisfy |epsilon| < 1")
-    if epsilon == 0.0:
-        return 0.0
-    a = 2.0 * jet.zeta(epsilon)
-    v_eff = jet.V + jet.U / epsilon
-    c_eff = jet.d_of(epsilon) / epsilon
-    return _term_ratio(_one_point_terms(z, rm, jet.U, v_eff, c_eff, a))
+    return float(_hierarchy_residuals(rm, jet, _check_points([z], rm.g), epsilon)[0])
 
 
 def longeq_residual(z_on_theta, tau, jet: DirectionJet) -> float:
@@ -305,30 +381,30 @@ def longeq_residual(z_on_theta, tau, jet: DirectionJet) -> float:
     series scale, else NotOnDivisorError.
     """
     rm = as_riemann_matrix(tau)
-    jet.require("U", "V")
-    U, V = jet.U, jet.V
-    j = theta_eval(
-        as_point(z_on_theta).z, rm,
-        [(U,), (V,), (U, U), (U, V), (V, V), (U, U, U), (U, U, U, U)],
-    )
-    local = j.abs_sum(())
-    if abs(j.value) > DIVISOR_REL_TOL * local:
-        raise NotOnDivisorError(
-            f"|theta| = {abs(j.value):.3e} exceeds {DIVISOR_REL_TOL:.0e} of the "
-            f"local scale {local:.3e}; not a divisor point"
-        )
-    d1, d2 = j.d((U,)), j.d((V,))
-    d11, d12, d22 = j.d((U, U)), j.d((U, V)), j.d((V, V))
-    d111, d1111 = j.d((U, U, U)), j.d((U, U, U, U))
-    terms = (
-        -d11 * d2 * d2,
-        2.0 * d12 * d2 * d1,
-        -d22 * d1 * d1,
-        d11**3,
-        -2.0 * d11 * d111 * d1,
-        d1111 * d1 * d1,
-    )
-    return _term_ratio(terms)
+    return float(_longeq_residuals(rm, jet, _check_points([z_on_theta], rm.g))[0])
+
+
+def kp_field_values(xyt, z, tau, jet: DirectionJet):
+    """The field u of ``kp_field_u`` at many grid arguments, with a pole mask.
+
+    ``xyt`` holds rows (x, y, t); all arguments xU + yV + tW + z share one
+    evaluator.  Returns ``(u, pole)``: u (N,) complex, and pole (N,) True
+    where theta vanishes at the argument (|T| <= 1e-10 of the local series
+    scale), where u is NaN.
+    """
+    rm = as_riemann_matrix(tau)
+    jet.require("U", "V", "W", "c")
+    xyt = np.asarray(xyt, dtype=float).reshape(-1, 3)
+    x, y, t = xyt[:, :1], xyt[:, 1:2], xyt[:, 2:]
+    args = x * jet.U + y * jet.V + t * jet.W + _check_vector(as_point(z).z, rm.g)
+    res = _jets(rm, args, [(jet.U,), (jet.U, jet.U)])
+    D = _source(res)
+    value, d1, d11 = D(), D(jet.U), D(jet.U, jet.U)
+    pole = np.abs(value) <= POLE_REL_TOL * res[("abs", ())]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = 2.0 * (d11 * value - d1 * d1) / (value * value) + jet.c
+    u[pole] = np.nan
+    return u, pole
 
 
 def kp_field_u(x: float, y: float, t: float, z, tau, jet: DirectionJet) -> complex:
@@ -337,16 +413,10 @@ def kp_field_u(x: float, y: float, t: float, z, tau, jet: DirectionJet) -> compl
     Computed analytically as 2*(D1^2 T*T - (D1 T)^2)/T^2 + c on stored jet
     numbers (the exponential scale cancels in the ratio).
     """
-    rm = as_riemann_matrix(tau)
-    jet.require("U", "V", "W", "c")
-    arg = x * jet.U + y * jet.V + t * jet.W + as_point(z).z
-    j = theta_eval(arg, rm, [(jet.U,), (jet.U, jet.U)])
-    if abs(j.value) <= POLE_REL_TOL * j.abs_sum(()):
-        raise PoleError(
-            f"theta vanishes at the grid argument (|T| = {abs(j.value):.3e}); u has a pole"
-        )
-    d1, d11 = j.d((jet.U,)), j.d((jet.U, jet.U))
-    return 2.0 * (d11 * j.value - d1 * d1) / (j.value * j.value) + jet.c
+    u, pole = kp_field_values([(x, y, t)], z, tau, jet)
+    if pole[0]:
+        raise PoleError("theta vanishes at the grid argument; u has a pole")
+    return complex(u[0])
 
 
 def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> complex:
@@ -425,29 +495,30 @@ def sweep_residual(kind: str, tau, jet: DirectionJet, points, tolerance: float,
     """Evaluate one residual family over many points into a ResidualReport.
 
     kind is one of "kp" (four-term bilinear form), "one-point", "dressed"
-    (exponential-dressed one-point form), "longeq", "hierarchy".
+    (exponential-dressed one-point form), "longeq", "hierarchy".  Every
+    point is bound at once (z and z + a together for the shifted forms).
     """
     rm = as_riemann_matrix(tau)
     if kind == "kp":
-        fn = lambda p: hirota_residual(p, rm, jet)
+        fn = lambda pts: _hirota_residuals(rm, jet, pts)
     elif kind == "one-point":
         if a is None:
             raise InvalidInputError("one-point sweep needs the shift a")
-        fn = lambda p: p_residual(p, rm, jet, a)
+        fn = lambda pts: _p_residuals(rm, jet, pts, a)
     elif kind == "dressed":
         if a is None:
             raise InvalidInputError("dressed sweep needs the shift a")
-        fn = lambda p: p_AB_residual(p, rm, jet, a)
+        fn = lambda pts: _p_AB_residuals(rm, jet, pts, a)
     elif kind == "longeq":
-        fn = lambda p: longeq_residual(p, rm, jet)
+        fn = lambda pts: _longeq_residuals(rm, jet, pts)
     elif kind == "hierarchy":
         if epsilon is None:
             raise InvalidInputError("hierarchy sweep needs epsilon")
-        fn = lambda p: hierarchy_residual(p, rm, jet, epsilon)
+        fn = lambda pts: _hierarchy_residuals(rm, jet, pts, epsilon)
     else:
         raise InvalidInputError(f"unknown residual kind {kind!r}")
     pts = [as_point(p) for p in points]
-    return build_report(pts, [fn(p) for p in pts], tolerance)
+    return build_report(pts, fn(_check_points(pts, rm.g)), tolerance)
 
 
 def hierarchy_scan(tau, jet: DirectionJet, epsilons, points):
@@ -455,14 +526,16 @@ def hierarchy_scan(tau, jet: DirectionJet, epsilons, points):
 
     Returns (per_eps, exponent): per_eps is a list of (epsilon, max residual)
     pairs; exponent is the least-squares slope of log(residual) against
-    log(epsilon) (0.0 when fewer than two usable epsilon values).
+    log(epsilon) (0.0 when fewer than two usable epsilon values).  Each
+    epsilon binds every point once, on its own evaluator (the second
+    direction V + U/eps, hence the lattice, changes with epsilon).
     """
     rm = as_riemann_matrix(tau)
-    pts = [as_point(p) for p in points]
-    per_eps = []
-    for eps in epsilons:
-        worst = max(hierarchy_residual(p, rm, jet, eps) for p in pts)
-        per_eps.append((complex(eps), worst))
+    pts = _check_points(points, rm.g)
+    if not len(pts):
+        raise InvalidInputError("hierarchy scan needs at least one sample point")
+    per_eps = [(complex(eps), float(_hierarchy_residuals(rm, jet, pts, eps).max()))
+               for eps in epsilons]
     usable = [(abs(e), r) for e, r in per_eps if r > 0.0 and abs(e) > 0.0]
     if len(usable) < 2:
         return per_eps, 0.0

@@ -34,7 +34,7 @@ from .bilinear import (
     as_riemann_matrix,
     gauge_balance,
     hierarchy_scan,
-    kp_field_u,
+    kp_field_values,
     kp_standard_time_direction,
     sweep_residual,
 )
@@ -49,7 +49,6 @@ from .engine import box_points, theta_eval
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,
-    PoleError,
     ThetaLabError,
 )
 from .kummer import decomposability_indicator, flex_scan
@@ -431,16 +430,11 @@ def cmd_grid(args):
         raise InvalidInputError("--shape entries must be non-negative")
     z0 = extras.get("z0", np.zeros(rm.g, dtype=complex))
 
-    rows = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nt):
-                x, y, t = x0 + i * dx, y0 + j * dy, t0 + k * dt
-                try:
-                    u = kp_field_u(x, y, t, z0, rm, jet)
-                    rows.append([x, y, t, u.real, u.imag])
-                except PoleError:
-                    rows.append([x, y, t, "pole", "pole"])
+    xyt = [(x0 + i * dx, y0 + j * dy, t0 + k * dt)
+           for i in range(nx) for j in range(ny) for k in range(nt)]
+    field, poles = kp_field_values(xyt, z0, rm, jet)
+    rows = [[x, y, t, "pole", "pole"] if pole else [x, y, t, u.real, u.imag]
+            for (x, y, t), u, pole in zip(xyt, field.tolist(), poles)]
 
     if args.out is None:
         writer = csv.writer(sys.stdout)

@@ -14,9 +14,12 @@ There is one evaluation path.  ``BatchThetaEvaluator`` sizes a lattice for
 a declared worst case (derivative order, direction norm, target error);
 ``BoundBatch`` holds the exponential term matrix at a fixed set of points;
 ``BoundBatch.jets`` contracts it with the derivative weights of every
-requested direction list in one matrix product.  ``theta_eval`` and
-``theta_char_eval`` are batches of one point sized from their own requests,
-and ``kummer.kummer_map`` binds its 2^g characteristic points at once.
+requested direction list in one matrix product.  The evaluator's ``jets``
+and ``characteristic_jets`` bind a whole point set at once, in blocks of at
+most ``MAX_BIND_TERMS`` lattice terms.  Every pointwise caller (the residual
+sweeps, the hierarchy scan, the u-field grid, the flex scan) binds all of
+its points through one evaluator; ``theta_eval`` and ``theta_char_eval``
+are batches of one point sized from their own requests.
 
 Every point is first reduced modulo the lattice Z^g + tau Z^g and the
 exponential growth is factored into a real ``scale_exponent``:
@@ -67,6 +70,10 @@ TWO_PI_I = 2j * math.pi
 MAX_DERIVATIVE_ORDER = 4
 RADIUS_CAP_FACTOR = 40.0
 DEFAULT_TARGET_ABS_ERR = 1e-12
+# Lattice terms (points x lattice size) held by one bind: a larger point set
+# is bound in blocks.  2^20 is about a genus-4 search model's bind (240
+# points x 3457 lattice points, 13 MiB of terms).
+MAX_BIND_TERMS = 2**20
 
 
 class RiemannMatrix:
@@ -188,6 +195,12 @@ def _check_vector(z, g, what="z"):
     if not np.isfinite(z).all():
         raise InvalidInputError(f"{what} has non-finite components")
     return z
+
+
+def _check_points(points, g):
+    """Points (AbelianPoints or vectors) as validated rows of a (P, g) array."""
+    rows = [_check_vector(p.z if isinstance(p, AbelianPoint) else p, g) for p in points]
+    return np.array(rows, dtype=complex).reshape(len(rows), g)
 
 
 def _lattice_coords(z, rm):
@@ -428,7 +441,7 @@ def theta_eval(z, tau: RiemannMatrix, requests=(),
     rm = tau
     zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
     keys = _normalize_requests(requests, rm.g)
-    return _single_jet(_evaluator_for(rm, keys, target_abs_err).bind(zv).jets(keys), keys)
+    return _single_jet(_evaluator_for(rm, keys, target_abs_err).jets(zv, keys), keys)
 
 
 def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=(),
@@ -446,7 +459,7 @@ def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=(),
         raise InvalidInputError("characteristic length does not match genus")
     keys = _normalize_requests(requests, rm.g)
     ev = _evaluator_for(rm, keys, target_abs_err)
-    return _single_jet(ev.bind_characteristic(zv, ch.eps, ch.delta).jets(keys), keys)
+    return _single_jet(ev.characteristic_jets(zv, ch.eps, ch.delta, keys), keys)
 
 
 class BatchThetaEvaluator:
@@ -482,7 +495,7 @@ class BatchThetaEvaluator:
         its gradient eps the linear correction of ``BoundBatch.jets``.
         """
         eps, delta = np.atleast_2d(eps), np.atleast_2d(delta)
-        shifted = np.atleast_2d(np.asarray(points, dtype=complex)) + delta
+        shifted = np.asarray(points, dtype=complex).reshape(-1, self.rm.g) + delta
         bound = BoundBatch(self, shifted + eps @ self.rm.tau)
         pref = 1j * PI * ((eps @ self.rm.tau) * eps).sum(axis=1) \
             + TWO_PI_I * (eps * shifted).sum(axis=1)
@@ -494,9 +507,33 @@ class BatchThetaEvaluator:
     def jets(self, points, keys):
         """Evaluate value + requested derivatives at arbitrary points.
 
-        Same result as ``self.bind(points).jets(keys)``; see ``BoundBatch.jets``.
+        The result of ``self.bind(points).jets(keys)`` (see
+        ``BoundBatch.jets``), computed in binds of at most ``MAX_BIND_TERMS``
+        lattice terms.
         """
-        return self.bind(points).jets(keys)
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.rm.g)
+        return self._in_blocks(self.bind, keys, pts)
+
+    def characteristic_jets(self, points, eps, delta, keys):
+        """``self.bind_characteristic(points, eps, delta).jets(keys)``, in blocks.
+
+        ``eps`` and ``delta`` are one characteristic or one row per point.
+        """
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.rm.g)
+        return self._in_blocks(self.bind_characteristic, keys, pts,
+                               np.broadcast_to(eps, pts.shape), np.broadcast_to(delta, pts.shape))
+
+    def _in_blocks(self, bind, keys, *rows):
+        """``bind(*rows).jets(keys)`` over row blocks of at most MAX_BIND_TERMS terms, joined.
+
+        An empty point set still makes one (zero-point) bind.
+        """
+        step = max(1, MAX_BIND_TERMS // len(self.lattice))
+        parts = [bind(*(r[start:start + step] for r in rows)).jets(keys)
+                 for start in range(0, max(len(rows[0]), 1), step)]
+        if len(parts) == 1:
+            return parts[0]
+        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
 class BoundBatch:
@@ -514,7 +551,7 @@ class BoundBatch:
     def __init__(self, evaluator: BatchThetaEvaluator, points):
         self.ev = evaluator
         rm = evaluator.rm
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
+        pts = np.asarray(points, dtype=complex).reshape(-1, rm.g)
         self.count = pts.shape[0]
         z0s, ms, _ = _reduce_coords(pts, rm)
         # g0 = pi * Im(z0).Im(tau)^-1.Im(z0) bounds the log-modulus of every

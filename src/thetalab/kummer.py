@@ -11,6 +11,10 @@ stacked jet rows have rank <= 2, measured by the singular-value ratio
 sigma_3/sigma_1 after row normalization.  Coordinates are materialized on a
 common exponential scale per point (one global factor, projectively
 irrelevant), so rank and ratios refer to the true homogeneous values.
+
+All coordinates go through one evaluator at 2 tau: ``flex_scan`` binds the
+2^g characteristic points of all 2^(2g) half-points together and decides
+every half-point with one stacked singular value decomposition.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from .engine import (
     Characteristic,
     DEFAULT_TARGET_ABS_ERR,
     RiemannMatrix,
+    _check_points,
     _evaluator_for,
     _normalize_requests,
     as_point,
     canonical_request,
     reduce_point,
-    theta_char_eval,
 )
 from .errors import DegenerateJetError, InvalidInputError, UnsupportedGenusError
 
@@ -58,6 +62,27 @@ class KummerPoint:
     log_scale: float
 
 
+def _kummer_coords(rm, zs, keys, target_abs_err):
+    """Second-order coordinates and their derivatives at the rows of zs.
+
+    Returns ``(coords, derivs, log_scale)``: coords (H, 2^g) and derivs
+    {key: (H, 2^g)} on one common scale per point, and that scale (H,).
+    All H * 2^g characteristic points are bound on one evaluator at 2 tau.
+    """
+    rm2 = RiemannMatrix(2.0 * rm.tau)
+    eps = np.asarray(second_order_sigmas(rm.g), dtype=float) / 2.0
+    count, n = len(zs), len(eps)
+    ev = _evaluator_for(rm2, keys, target_abs_err)
+    res = ev.characteristic_jets(np.repeat(2.0 * zs, n, axis=0), np.tile(eps, (count, 1)),
+                                 np.zeros((count * n, rm.g)), keys)
+    scales = res["scales"].reshape(count, n)
+    log_scale = scales.max(axis=1)
+    rel = np.exp(scales - log_scale[:, None])
+    coords = rel * res[()].reshape(count, n)
+    derivs = {key: 2.0 ** len(key) * rel * res[key].reshape(count, n) for key in keys}
+    return coords, derivs, log_scale
+
+
 def kummer_map(z, tau, requests=(), target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> KummerPoint:
     """Evaluate the second-order theta coordinates and their derivatives.
 
@@ -68,18 +93,23 @@ def kummer_map(z, tau, requests=(), target_abs_err: float = DEFAULT_TARGET_ABS_E
     """
     rm = as_riemann_matrix(tau)
     point = as_point(z)
-    rm2 = RiemannMatrix(2.0 * rm.tau)
     keys = _normalize_requests(requests, rm.g)
-    sigmas = second_order_sigmas(rm.g)
-    eps = np.asarray(sigmas, dtype=float) / 2.0
-    ev = _evaluator_for(rm2, keys, target_abs_err)
-    res = ev.bind_characteristic(2.0 * point.z, eps, np.zeros_like(eps)).jets(keys)
-    log_scale = float(res["scales"].max())
-    rel = np.exp(res["scales"] - log_scale)
-    coords = rel * res[()]
-    derivs = {key: 2.0 ** len(key) * rel * res[key] for key in keys}
-    return KummerPoint(coords=coords, base=point, sigmas=sigmas, derivs=derivs,
-                       log_scale=log_scale)
+    coords, derivs, log_scale = _kummer_coords(
+        rm, _check_points([point], rm.g), keys, target_abs_err)
+    return KummerPoint(coords=coords[0], base=point, sigmas=second_order_sigmas(rm.g),
+                       derivs={key: d[0] for key, d in derivs.items()},
+                       log_scale=float(log_scale[0]))
+
+
+def _singular_ratio_stack(mats):
+    """``singular_ratios`` of each matrix of an (H, R, N) stack, as an (H, K-1) array."""
+    norms = np.linalg.norm(mats, axis=2)
+    max_norm = norms.max(axis=1, initial=0.0)[:, None]
+    if np.any(max_norm < 1e-300):
+        raise DegenerateJetError("all jet rows are numerically zero")
+    scaled = mats / np.where(norms > 1e-12 * max_norm, norms, max_norm)[:, :, None]
+    svals = np.linalg.svd(scaled, compute_uv=False)
+    return svals[:, 1:] / svals[:, :1]
 
 
 def singular_ratios(rows) -> list:
@@ -89,15 +119,7 @@ def singular_ratios(rows) -> list:
     they carry no rank).  Raises when every row is numerically zero.
     """
     mat = np.array([np.asarray(r, dtype=complex).reshape(-1) for r in rows])
-    norms = np.linalg.norm(mat, axis=1)
-    max_norm = float(norms.max(initial=0.0))
-    if max_norm < 1e-300:
-        raise DegenerateJetError("all jet rows are numerically zero")
-    scaled = np.empty_like(mat)
-    for i, norm in enumerate(norms):
-        scaled[i] = mat[i] / (norm if norm > 1e-12 * max_norm else max_norm)
-    svals = np.linalg.svd(scaled, compute_uv=False)
-    return [float(s / svals[0]) for s in svals[1:]]
+    return _singular_ratio_stack(mat[None])[0].tolist()
 
 
 @dataclass
@@ -123,20 +145,51 @@ class FlexReport:
     @property
     def rank_ratio(self) -> float:
         """The deciding ratio sigma_3/sigma_1 (0 when fewer than 3 values)."""
-        return self.sigma_ratios[1] if len(self.sigma_ratios) >= 2 else 0.0
+        return _deciding(self.sigma_ratios)
 
 
-def _flex_rows(kp: KummerPoint, U, V, W, order: int):
-    u_key = canonical_request((U,))
-    rows = [kp.coords, 2.0 * kp.derivs[u_key]]
-    rows.append(4.0 * kp.derivs[canonical_request((U, U))] + 4.0 * kp.derivs[canonical_request((V,))])
-    if order == 3:
-        rows.append(
-            8.0 * kp.derivs[canonical_request((U, U, U))]
-            + 24.0 * kp.derivs[canonical_request((U, V))]
-            + 12.0 * kp.derivs[canonical_request((W,))]
-        )
-    return rows
+def _flex_germ(rm, U, V, order, W):
+    """Checked germ directions (U, V, W) and the derivative requests of the flex rows."""
+    U = np.asarray(U, dtype=complex).reshape(-1)
+    V = np.asarray(V, dtype=complex).reshape(-1)
+    if U.shape != (rm.g,) or V.shape != (rm.g,):
+        raise InvalidInputError(f"U and V must be complex vectors of length {rm.g}")
+    if float(np.linalg.norm(U)) == 0.0:
+        raise InvalidInputError("flex germ requires U != 0")
+    if order not in (2, 3):
+        raise InvalidInputError("order must be 2 or 3")
+    if order == 2:
+        return U, V, None, [(U,), (U, U), (V,)]
+    if W is None:
+        raise InvalidInputError("order-3 germ requires W")
+    W = np.asarray(W, dtype=complex).reshape(-1)
+    if W.shape != (rm.g,):
+        raise InvalidInputError(f"W must be a complex vector of length {rm.g}")
+    return U, V, W, [(U,), (U, U), (V,), (U, U, U), (U, V), (W,)]
+
+
+def _flex_ratios(rm, bs, germ, target_abs_err):
+    """Singular-value ratios (H, K-1) of the flex jet rows at each row b of bs.
+
+    Jet rows at eps = 0: K(b), 2 D_U K, 4 D_U^2 K + 4 D_V K and, for an
+    order-3 germ (W given), 8 D_U^3 K + 24 D_U D_V K + 12 D_W K.
+    """
+    U, V, W, requests = germ
+    coords, derivs, _ = _kummer_coords(rm, bs, _normalize_requests(requests, rm.g),
+                                       target_abs_err)
+
+    def D(*dirs):
+        return derivs[canonical_request(dirs)]
+
+    rows = [coords, 2.0 * D(U), 4.0 * D(U, U) + 4.0 * D(V)]
+    if W is not None:
+        rows.append(8.0 * D(U, U, U) + 24.0 * D(U, V) + 12.0 * D(W))
+    return _singular_ratio_stack(np.stack(rows, axis=1))
+
+
+def _deciding(ratios) -> float:
+    """sigma_3/sigma_1 from sigma_k/sigma_1, k >= 2 (0 when fewer than 3 values)."""
+    return ratios[1] if len(ratios) >= 2 else 0.0
 
 
 def flex_test(b, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
@@ -150,32 +203,14 @@ def flex_test(b, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
     normalization).
     """
     rm = as_riemann_matrix(tau)
-    U = np.asarray(U, dtype=complex).reshape(-1)
-    V = np.asarray(V, dtype=complex).reshape(-1)
-    if U.shape != (rm.g,) or V.shape != (rm.g,):
-        raise InvalidInputError(f"U and V must be complex vectors of length {rm.g}")
-    if float(np.linalg.norm(U)) == 0.0:
-        raise InvalidInputError("flex germ requires U != 0")
-    if order not in (2, 3):
-        raise InvalidInputError("order must be 2 or 3")
-    if order == 3:
-        if W is None:
-            raise InvalidInputError("order-3 germ requires W")
-        W = np.asarray(W, dtype=complex).reshape(-1)
-        if W.shape != (rm.g,):
-            raise InvalidInputError(f"W must be a complex vector of length {rm.g}")
-        requests = [(U,), (U, U), (V,), (U, U, U), (U, V), (W,)]
-    else:
-        requests = [(U,), (U, U), (V,)]
-    kp = kummer_map(b, rm, requests, target_abs_err)
-    rows = _flex_rows(kp, U, V, W, order)
-    ratios = singular_ratios(rows)
-    deciding = ratios[1] if len(ratios) >= 2 else 0.0
+    germ = _flex_germ(rm, U, V, order, W)
+    point = as_point(b)
+    ratios = _flex_ratios(rm, _check_points([point], rm.g), germ, target_abs_err)[0].tolist()
     return FlexReport(
-        b=as_point(b),
+        b=point,
         sigma_ratios=ratios,
         order="third" if order == 3 else "second",
-        passed=deciding <= tolerance,
+        passed=_deciding(ratios) <= tolerance,
         tolerance=float(tolerance),
     )
 
@@ -203,28 +238,23 @@ def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
     """Run flex_test at every half point of a; pass when any candidate does.
 
     The report's b and ratios are those of the best candidate; per-candidate
-    verdicts are kept in tested_halves, ordered by (m, n).
+    verdicts are kept in tested_halves, ordered by (m, n).  Every half-point
+    is bound on one evaluator at 2 tau and decided by one stacked SVD.
     """
     rm = as_riemann_matrix(tau)
-    candidates = []
-    reports = []
-    index = 0
+    germ = _flex_germ(rm, U, V, order, W)
     halves = half_points(a, rm)
-    for m in product((0, 1), repeat=rm.g):
-        for n in product((0, 1), repeat=rm.g):
-            b = halves[index]
-            index += 1
-            rep = flex_test(b, U, V, rm, order, W, tolerance, target_abs_err)
-            reports.append(rep)
-            candidates.append(HalfCandidate(
-                b=b, m=m, n=n, sigma_ratios=rep.sigma_ratios, passed=rep.passed,
-            ))
-    best = min(reports, key=lambda r: r.rank_ratio)
+    ratios = _flex_ratios(rm, np.array([b.z for b in halves]), germ, target_abs_err)
+    labels = product(product((0, 1), repeat=rm.g), repeat=2)
+    candidates = [HalfCandidate(b=b, m=m, n=n, sigma_ratios=row,
+                                passed=_deciding(row) <= tolerance)
+                  for b, (m, n), row in zip(halves, labels, ratios.tolist())]
+    best = min(candidates, key=lambda c: _deciding(c.sigma_ratios))
     return FlexReport(
         b=best.b,
         sigma_ratios=best.sigma_ratios,
-        order=best.order,
-        passed=any(r.passed for r in reports),
+        order="third" if order == 3 else "second",
+        passed=any(c.passed for c in candidates),
         tolerance=float(tolerance),
         tested_halves=candidates,
     )
@@ -256,9 +286,8 @@ def decomposability_indicator(tau, target_abs_err: float = DEFAULT_TARGET_ABS_ER
         )
     evens = even_characteristics(2)
     assert len(evens) == 10
-    zeros = np.zeros(2)
-    log_mags = []
-    for ch in evens:
-        jet = theta_char_eval(zeros, rm, ch, (), target_abs_err)
-        log_mags.append(jet.scale_exponent + math.log(max(abs(jet.value), 1e-300)))
-    return math.exp(min(log_mags) - max(log_mags))
+    ev = _evaluator_for(rm, [], target_abs_err)
+    res = ev.characteristic_jets(np.zeros((len(evens), 2)), np.array([ch.eps for ch in evens]),
+                                 np.array([ch.delta for ch in evens]), [])
+    log_mags = res["scales"] + np.log(np.maximum(np.abs(res[()]), 1e-300))
+    return math.exp(log_mags.min() - log_mags.max())

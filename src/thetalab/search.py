@@ -30,12 +30,15 @@ from scipy.optimize import least_squares, minimize
 from .bilinear import (
     DirectionJet,
     NORMALIZER_FLOOR,
+    _hirota_terms,
+    _one_point_terms,
+    _term_ratios,
     as_riemann_matrix,
     gauge_normalize,
     hierarchy_scan,
 )
 from .engine import BatchThetaEvaluator, box_points, canonical_request
-from .errors import DegenerateJetError, DegenerateSampleError, InvalidInputError
+from .errors import DegenerateJetError, InvalidInputError
 
 TARGETS = ("hirota", "one_point", "hierarchy")
 _FIELD_SIZES = {"U": None, "V": None, "W": None, "a": None, "c": 1, "d": 1}
@@ -87,33 +90,18 @@ class _GaugeCollapse(Exception):
     pass
 
 
-def _ratios_from_terms(terms):
-    """Complex term-sum ratios: sum(terms) / sum(|terms|), 0/0 -> 0."""
-    total = np.sum(terms, axis=0)
-    normalizer = np.sum(np.abs(terms), axis=0)
-    out = np.zeros_like(total)
-    live = normalizer != 0.0
-    if np.any(live & (normalizer < NORMALIZER_FLOOR)):
-        raise DegenerateSampleError("residual normalizer underflowed")
-    out[live] = total[live] / normalizer[live]
-    return out
-
-
-def _clip_res(ratios):
-    return np.minimum(np.abs(ratios), 1.0)
-
-
 class _BasisJets:
-    """Symmetric directional-derivative tensors at a bound point cloud.
+    """Symmetric directional-derivative tensors at a point cloud.
 
     ``tensor[k]`` has shape (g,)*k + (P,); a directional derivative along
     h_1..h_k is the full contraction, valid for any complex directions by
     multilinearity (lattice-shift corrections are linear in each direction,
-    so corrected jets compose the same way).
+    so corrected jets compose the same way).  ``deriv`` is a derivative
+    source for the term stacks of ``bilinear``.
     """
 
-    def __init__(self, bound, orders):
-        g = bound.ev.rm.g
+    def __init__(self, ev, points, orders):
+        g = ev.rm.g
         eye = np.eye(g)
         combos = {k: list(combinations_with_replacement(range(g), k))
                   for k in orders}
@@ -121,7 +109,7 @@ class _BasisJets:
         for k, idxs in combos.items():
             for idx in idxs:
                 keys[(k, idx)] = canonical_request(tuple(eye[i] for i in idx))
-        res = bound.jets(list(keys.values()))
+        res = ev.jets(points, list(keys.values()))
         self.value = res[()]
         self.count = len(self.value)
         self.tensor = {}
@@ -164,24 +152,14 @@ class _HirotaModel:
     def __init__(self, rm, points, target_abs_err=1e-12):
         ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0,
                                  target_abs_err=target_abs_err)
-        self.basis = _BasisJets(ev.bind(points), orders=(1, 2, 3, 4))
+        self.basis = _BasisJets(ev, points, orders=(1, 2, 3, 4))
         self.g = rm.g
 
     def term_stack(self, U, V, W, d):
-        b = self.basis
-        t = b.value
-        d1, d2 = b.deriv(U), b.deriv(U, U)
-        d3, d4 = b.deriv(U, U, U), b.deriv(U, U, U, U)
-        dV, dVV = b.deriv(V), b.deriv(V, V)
-        dW, dUW = b.deriv(W), b.deriv(U, W)
-        return np.stack([
-            d4 * t, -4.0 * d3 * d1, 3.0 * d2 * d2,
-            3.0 * dVV * t, -3.0 * dV * dV,
-            -3.0 * dUW * t, 3.0 * dW * d1, -d * t * t,
-        ])
+        return _hirota_terms(self.basis.deriv, U, V, W, d)
 
     def ratios(self, U, V, W, d):
-        return _ratios_from_terms(self.term_stack(U, V, W, d))
+        return _term_ratios(self.term_stack(U, V, W, d))
 
     def solve_linear(self, U, V, free_names, W0, d0):
         """Least-squares (W, d) given (U, V); missing names stay at W0/d0."""
@@ -229,30 +207,34 @@ class _HirotaModel:
 
 
 class _OnePointModel:
-    """Vectorized one-point residual; the shifted side rebinds per shift a."""
+    """Vectorized one-point residual; the shifted side is bound per shift a."""
 
     def __init__(self, rm, points, target_abs_err=1e-12):
         self.ev = BatchThetaEvaluator(rm, max_order=2, max_direction_norm=1.0,
                                       target_abs_err=target_abs_err)
         self.points = np.asarray(points, dtype=complex)
-        self.basis_z = _BasisJets(self.ev.bind(self.points), orders=(1, 2))
+        self.basis_z = _BasisJets(self.ev, self.points, orders=(1, 2))
         self.g = rm.g
+        self._shift = None
+        self._basis_a = None
 
     def basis_at(self, a):
-        return _BasisJets(self.ev.bind(self.points + np.asarray(a, dtype=complex)),
-                          orders=(1, 2))
+        """Basis jets at the points shifted by a; the last shift's are kept.
+
+        A fixed shift is bound once per model, a free one once per
+        objective evaluation (the IRLS solve and the ratios share it).
+        """
+        a = np.array(a, dtype=complex)
+        if self._shift is None or not np.array_equal(a, self._shift):
+            self._basis_a = _BasisJets(self.ev, self.points + a, orders=(1, 2))
+            self._shift = a
+        return self._basis_a
 
     def term_stack(self, basis_a, U, V, c):
-        bz, ba = self.basis_z, basis_a
-        tz, ta = bz.value, ba.value
-        return np.stack([
-            bz.deriv(U, U) * ta, tz * ba.deriv(U, U),
-            bz.deriv(V) * ta, -tz * ba.deriv(V),
-            -2.0 * bz.deriv(U) * ba.deriv(U), c * tz * ta,
-        ])
+        return _one_point_terms(self.basis_z.deriv, basis_a.deriv, U, V, c)
 
     def ratios(self, basis_a, U, V, c):
-        return _ratios_from_terms(self.term_stack(basis_a, U, V, c))
+        return _term_ratios(self.term_stack(basis_a, U, V, c))
 
     def solve_linear(self, basis_a, U, free_names, V0, c0):
         bz, ba = self.basis_z, basis_a
@@ -586,7 +568,7 @@ def fit(problem: SearchProblem) -> SearchResult:
         # report the canonical gauge representative; residuals are invariant
         best_jet = gauge_normalize(best_jet)
 
-    best_residual = float(_clip_res(hold).max())
+    best_residual = float(np.minimum(np.abs(hold), 1.0).max())
     converged = best_residual <= problem.tolerance
     if not converged:
         extra = "no solution found within budget (not a proof of non-existence)"

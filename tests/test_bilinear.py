@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from thetalab.bilinear import (
     hierarchy_scan,
     hirota_residual,
     kp_field_u,
+    kp_field_values,
     kp_standard_time_direction,
     longeq_residual,
     p_AB_residual,
@@ -32,7 +34,10 @@ from thetalab.errors import (
     PoleError,
 )
 
+from thetalab.engine import BoundBatch, box_points, lattice_coords
+
 from conftest import random_points, random_tau
+from test_engine import _oracle_case, mp_theta_jet
 
 G1_TAU = np.array([[0.3 + 1.1j]])
 
@@ -469,3 +474,98 @@ def test_build_report_and_sweep(rm_kdv, kdv_jet):
         sweep_residual("one-point", rm_kdv, kdv_jet, [], 1e-6)
     with pytest.raises(InvalidInputError):
         sweep_residual("unknown", rm_kdv, kdv_jet, [], 1e-6)
+
+
+@pytest.fixture
+def bind_sizes(monkeypatch):
+    """The point count of every bind made while the test runs."""
+    sizes = []
+    init = BoundBatch.__init__
+
+    def recording(self, evaluator, points):
+        init(self, evaluator, points)
+        sizes.append(self.count)
+
+    monkeypatch.setattr(BoundBatch, "__init__", recording)
+    return sizes
+
+
+def _full_jet(g):
+    rng = np.random.default_rng(280 + g)
+    U, V, W = (rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(3))
+    return DirectionJet(U=U / np.linalg.norm(U), V=0.8 * V / np.linalg.norm(V),
+                        W=0.6 * W / np.linalg.norm(W), c=0.4 - 0.3j, d=-0.2 + 0.5j,
+                        A=0.3 + 0.1j, B=0.1 - 0.2j, zeta_coeffs=[U, -V], d_coeffs=[0.3 - 0.1j])
+
+
+def test_empty_point_list_is_vacuous_for_every_kind(rm_kdv, bind_sizes):
+    jet = _full_jet(1)
+    kinds = ("kp", "one-point", "dressed", "longeq", "hierarchy")
+    for kind in kinds:
+        report = sweep_residual(kind, rm_kdv, jet, [], 1e-6, a=[0.3 + 0.1j], epsilon=1e-2)
+        assert report.passed and report.residuals == [] and report.max_residual == 0.0
+        assert report.note.startswith("vacuous")
+    assert bind_sizes == [0] * len(kinds)  # one zero-point bind per sweep
+    with pytest.raises(InvalidInputError):
+        hierarchy_scan(rm_kdv, jet, [1e-2, 1e-1], [])
+
+
+def test_sweeps_bind_all_points_at_once(rm_kdv, bind_sizes):
+    jet = _full_jet(1)
+    pts = random_points(1, 7, seed=290)
+    a = [0.31 + 0.12j]
+    for kind, binds in (("kp", [7]), ("one-point", [14]), ("dressed", [14]),
+                        ("hierarchy", [14])):
+        bind_sizes.clear()
+        sweep_residual(kind, rm_kdv, jet, pts, 1.0, a=a, epsilon=1e-2)
+        assert bind_sizes == binds, kind
+    bind_sizes.clear()
+    hierarchy_scan(rm_kdv, jet, [1e-3, 1e-2, 1e-1], pts)
+    assert bind_sizes == [14] * 3
+    bind_sizes.clear()
+    grid = [(0.01 * i, 0.02 * j, -0.01 * j) for i in range(4) for j in range(5)]
+    u, pole = kp_field_values(grid, [0.06 + 0.21j], rm_kdv, jet)
+    assert bind_sizes == [20] and not pole.any()
+    for (x, y, t), value in zip(grid, u):
+        assert abs(value - kp_field_u(x, y, t, [0.06 + 0.21j], rm_kdv, jet)) <= 1e-12 * abs(value)
+
+
+def _mp_hirota_terms(z, tau, jet):
+    U, V, W = jet.U, jet.V, jet.W
+    t, d4, d3, d2, d1, dvv, dv, duw, dw = mp_theta_jet(
+        z, tau, [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,), (U, W), (W,)])
+    return [d4 * t, -4 * d3 * d1, 3 * d2 * d2, 3 * dvv * t, -3 * dv * dv,
+            -3 * duw * t, 3 * dw * d1, -mpmath.mpc(jet.d.real, jet.d.imag) * t * t]
+
+
+def _mp_one_point_terms(z, tau, U, V, c, a):
+    t, tuu, tu, tv = mp_theta_jet(z, tau, [(U, U), (U,), (V,)])
+    s, suu, su, sv = mp_theta_jet(z + a, tau, [(U, U), (U,), (V,)])
+    return [tuu * s, t * suu, tv * s, -t * sv, -2 * tu * su, mpmath.mpc(c.real, c.imag) * t * s]
+
+
+@pytest.mark.parametrize("kind", ["kp", "one-point", "hierarchy"])
+def test_tau_shifted_sweep_matches_mpmath_oracle(kind):
+    # Two box points and two tau-shifted points in one batch: the whole
+    # batch takes the linear-correction path.  Each residual must match the
+    # term-sum ratio of the monomials built from 50-digit oracle jets.
+    rm, shifted, _, _ = _oracle_case(2)
+    points = [*box_points(rm, np.random.default_rng(300), 2), *shifted]
+    assert [bool(np.abs(lattice_coords(z, rm)[1]).max() > 0.5) for z in points] == \
+        [False, False, True, True]
+    jet = _full_jet(2)
+    a = np.array([0.23 - 0.11j, -0.35 + 0.3j])
+    eps = 0.25
+    report = sweep_residual(kind, rm, jet, points, 1.0, a=a, epsilon=eps)
+    for z, got in zip(points, report.residuals):
+        with mpmath.workdps(50):
+            if kind == "kp":
+                terms = _mp_hirota_terms(z, rm.tau, jet)
+            elif kind == "one-point":
+                terms = _mp_one_point_terms(z, rm.tau, jet.U, jet.V, jet.c, a)
+            else:  # the folded one-point form of hierarchy_residual
+                terms = _mp_one_point_terms(z, rm.tau, jet.U, jet.V + jet.U / eps,
+                                            jet.d_of(eps) / eps, 2.0 * jet.zeta(eps))
+            want = float(abs(mpmath.fsum(terms)) / mpmath.fsum([abs(x) for x in terms]))
+        assert want >= 1e-3
+        assert abs(got - want) <= 1e-10, (kind, got, want)

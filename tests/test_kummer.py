@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from thetalab.engine import RiemannMatrix, canonical_request, reduce_point
+from thetalab.engine import (
+    DEFAULT_TARGET_ABS_ERR,
+    MAX_BIND_TERMS,
+    RiemannMatrix,
+    _evaluator_for,
+    _normalize_requests,
+    canonical_request,
+    reduce_point,
+)
 from thetalab.errors import (
     DegenerateJetError,
     InvalidInputError,
@@ -169,6 +177,13 @@ class TestFlex:
             flex_test(b, U, V, rm_g2, order=5)
         with pytest.raises(InvalidInputError):
             flex_test(b, U, np.array([0.1]), rm_g2)
+        a = np.array([0.1 + 0.2j, -0.3 + 0.1j])
+        with pytest.raises(InvalidInputError):
+            flex_scan(a, U, np.array([0.1]), rm_g2)
+        with pytest.raises(InvalidInputError):
+            flex_scan(a, np.zeros(2), V, rm_g2)
+        with pytest.raises(InvalidInputError):
+            flex_scan(a, U, V, rm_g2, order=3)  # missing W
 
     def test_degenerate_rows(self):
         with pytest.raises(DegenerateJetError):
@@ -222,6 +237,29 @@ class TestHalfPoints:
         assert rep.passed
         assert len(rep.tested_halves) == 16
         assert any(c.passed for c in rep.tested_halves)
+
+
+    def test_scan_across_bind_blocks_g4_product(self):
+        # tau_1 + tau_3 with the germ in the elliptic factor: the Kummer
+        # image of the germ lies in a line at every half-point.  The scan
+        # binds 256 x 16 characteristic points, more than one bind block.
+        tau = np.zeros((4, 4), dtype=complex)
+        tau[0, 0] = 0.17 + 1.2j
+        tau[1:, 1:] = random_tau(3, seed=310)
+        U = np.array([0.7 + 0.2j, 0, 0, 0])
+        V = np.array([-0.3 + 0.4j, 0, 0, 0])
+        a = np.array([0.12 - 0.3j, 0.4 + 0.1j, -0.2 + 0.25j, 0.05 - 0.15j])
+        requests = _normalize_requests([(U,), (U, U), (V,)], 4)
+        lattice = _evaluator_for(RiemannMatrix(2 * tau), requests, DEFAULT_TARGET_ABS_ERR).lattice
+        assert 256 * 16 * len(lattice) > 2 * MAX_BIND_TERMS
+        rep = flex_scan(a, U, V, tau)
+        assert len(rep.tested_halves) == 256
+        assert all(h.passed for h in rep.tested_halves)
+        for i in (0, 137, 255):
+            half = rep.tested_halves[i]
+            single = flex_test(half.b, U, V, tau)
+            assert single.passed
+            assert np.abs(np.subtract(single.sigma_ratios, half.sigma_ratios)).max() <= 1e-12
 
 
 class TestDecomposability:

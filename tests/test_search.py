@@ -73,7 +73,7 @@ class TestBasisComposition:
         rng = np.random.default_rng(3)
         pts = box_points(rm_g2, rng, 5)
         ev = BatchThetaEvaluator(rm_g2, max_order=4, max_direction_norm=1.0)
-        basis = _BasisJets(ev.bind(pts), orders=(1, 2, 3, 4))
+        basis = _BasisJets(ev, pts, orders=(1, 2, 3, 4))
         U = np.array([0.3 - 0.2j, 0.8 + 0.1j])
         V = np.array([-0.5 + 0.4j, 0.2 - 0.7j])
         W = np.array([0.1 + 0.9j, -0.3 - 0.2j])
@@ -112,6 +112,18 @@ class TestBasisComposition:
         mine = np.abs(model.ratios(model.basis_at(a), U, V, c))
         ref = np.array([p_residual(z, rm_g2, jet, a) for z in pts])
         assert np.abs(mine - ref).max() <= 1e-12
+
+
+    def test_one_point_model_keeps_the_last_shift(self, rm_g2):
+        model = _OnePointModel(rm_g2, box_points(rm_g2, np.random.default_rng(10), 4))
+        a = np.array([0.21 - 0.34j, -0.17 + 0.25j])
+        first = model.basis_at(a)
+        assert model.basis_at(a.copy()) is first
+        other = model.basis_at(a + 0.1)
+        assert other is not first
+        again = model.basis_at(a)
+        assert np.array_equal(again.value, first.value)
+        assert np.array_equal(again.tensor[2], first.tensor[2])
 
 
 class TestFitHirota:
