@@ -6,8 +6,12 @@ parameter vector with finite-difference Jacobians.  Two structural tricks
 keep the objective cheap and well-conditioned:
 
 * all theta jets at the (fixed) training points are precomputed once as
-  symmetric basis-derivative tensors, so changing direction vectors costs a
-  tensor contraction, not a lattice sum;
+  symmetric basis-derivative tensors, flattened so that contracting one
+  direction is one matrix product; changing direction vectors costs a few
+  such products, not a lattice sum.  Each candidate (one objective or
+  residual-vector evaluation) reads them through its own derivative source,
+  which keeps its prefix contractions, so the IRLS rounds and the final
+  ratios contract U and V once;
 * fields that enter the residual linearly (W and d for the four-direction
   form, V and c for the one-point form, the d-coefficients for the
   hierarchy germ) are solved by iteratively reweighted least squares inside
@@ -93,15 +97,18 @@ class _GaugeCollapse(Exception):
 class _BasisJets:
     """Symmetric directional-derivative tensors at a point cloud.
 
-    ``tensor[k]`` has shape (g,)*k + (P,); a directional derivative along
-    h_1..h_k is the full contraction, valid for any complex directions by
-    multilinearity (lattice-shift corrections are linear in each direction,
-    so corrected jets compose the same way).  ``deriv`` is a derivative
-    source for the term stacks of ``bilinear``.
+    ``tensor[k]`` is the order-k tensor of shape (g,)*k + (P,) stored
+    flattened as (g, g^(k-1)*P), so contracting its leading axis with a
+    direction h is the matrix product ``h[None, :] @ tensor[k]``.  A
+    directional derivative along h_1..h_k contracts h_1 first; it is valid
+    for any complex directions by multilinearity (lattice-shift corrections
+    are linear in each direction, so corrected jets compose the same way).
+    A search reads the tensors through one ``_Contractions`` source per
+    candidate; ``deriv`` is a source that keeps nothing between calls.
     """
 
     def __init__(self, ev, points, orders):
-        g = ev.rm.g
+        g = self.g = ev.rm.g
         eye = np.eye(g)
         combos = {k: list(combinations_with_replacement(range(g), k))
                   for k in orders}
@@ -119,15 +126,46 @@ class _BasisJets:
                 arr = res[keys[(k, idx)]]
                 for perm in set(permutations(idx)):
                     T[perm] = arr
-            self.tensor[k] = T
+            self.tensor[k] = T.reshape(g, -1)
 
     def deriv(self, *directions):
+        return _Contractions(self)(*directions)
+
+
+class _Contractions:
+    """The derivative source of one search candidate over a ``_BasisJets``.
+
+    It keeps every prefix contraction h_1..h_j . T_k it makes, so the IRLS
+    rounds and the final ratios of a candidate contract U.T_k, U.U.T_k, ..
+    and D(V), D(V, V) once.  Entries are keyed by direction values, not by
+    array identity, because a caller may change an array in place.  A source
+    is made per candidate and dropped with it, which bounds its memory by
+    one candidate.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self._memo = {}
+
+    def __call__(self, *directions):
         if not directions:
-            return self.value
-        cur = self.tensor[len(directions)]
-        for h in directions:
-            cur = np.tensordot(np.asarray(h, dtype=complex), cur, axes=(0, 0))
-        return cur
+            return self.basis.value
+        return self.contract(len(directions), *directions)
+
+    def contract(self, k, *directions):
+        """h_1..h_j . T_k: shape (g, g^(k-j-1)*P) for j < k, (P,) for j = k."""
+        hs = [np.asarray(h, dtype=complex) for h in directions]
+        return self._prefix(k, hs, tuple(h.tobytes() for h in hs))
+
+    def _prefix(self, k, hs, keys):
+        if not hs:
+            return self.basis.tensor[k]
+        out = self._memo.get((k, keys))
+        if out is None:
+            out = np.dot(hs[-1][None, :], self._prefix(k, hs[:-1], keys[:-1]))
+            out = out.reshape(self.basis.g, -1) if len(hs) < k else out[0]
+            self._memo[(k, keys)] = out
+        return out
 
 
 def _weighted_lstsq(columns, fixed, weights, rounds_norm):
@@ -155,28 +193,26 @@ class _HirotaModel:
         self.basis = _BasisJets(ev, points, orders=(1, 2, 3, 4))
         self.g = rm.g
 
-    def term_stack(self, U, V, W, d):
-        return _hirota_terms(self.basis.deriv, U, V, W, d)
+    def source(self):
+        """An empty derivative source for one candidate."""
+        return _Contractions(self.basis)
 
-    def ratios(self, U, V, W, d):
-        return _term_ratios(self.term_stack(U, V, W, d))
+    def ratios(self, D, U, V, W, d):
+        return _term_ratios(_hirota_terms(D, U, V, W, d))
 
-    def solve_linear(self, U, V, free_names, W0, d0):
+    def solve_linear(self, D, U, V, free_names, W0, d0):
         """Least-squares (W, d) given (U, V); missing names stay at W0/d0."""
-        b = self.basis
-        t = b.value
-        d1 = b.deriv(U)
-        TU1 = np.tensordot(U, b.tensor[2], axes=(0, 0))  # (g, P)
-        fixed = (b.deriv(U, U, U, U) * t - 4.0 * b.deriv(U, U, U) * d1
-                 + 3.0 * b.deriv(U, U) ** 2
-                 + 3.0 * b.deriv(V, V) * t - 3.0 * b.deriv(V) ** 2)
+        t, d1 = D(), D(U)
+        fixed = (D(U, U, U, U) * t - 4.0 * D(U, U, U) * d1
+                 + 3.0 * D(U, U) ** 2
+                 + 3.0 * D(V, V) * t - 3.0 * D(V) ** 2)
         cols = []
         if "W" in free_names:
+            TU1, T1 = D.contract(2, U), self.basis.tensor[1]  # (g, P) each
             for i in range(self.g):
-                cols.append(-3.0 * TU1[i] * t + 3.0 * b.tensor[1][i] * d1)
+                cols.append(-3.0 * TU1[i] * t + 3.0 * T1[i] * d1)
         else:
-            fixed = fixed - 3.0 * np.tensordot(W0, TU1, axes=(0, 0)) * t \
-                + 3.0 * np.tensordot(W0, b.tensor[1], axes=(0, 0)) * d1
+            fixed = fixed - 3.0 * D(U, W0) * t + 3.0 * D(W0) * d1
         if "d" in free_names:
             cols.append(-t * t)
         else:
@@ -184,13 +220,13 @@ class _HirotaModel:
 
         def weights_for(x):
             W, d = self._expand(free_names, x, W0, d0)
-            norm = np.abs(self.term_stack(U, V, W, d)).sum(axis=0)
+            norm = np.abs(_hirota_terms(D, U, V, W, d)).sum(axis=0)
             return 1.0 / np.maximum(norm, NORMALIZER_FLOOR)
 
         base = np.abs(np.stack([
-            b.deriv(U, U, U, U) * t, 4.0 * b.deriv(U, U, U) * d1,
-            3.0 * b.deriv(U, U) ** 2, 3.0 * b.deriv(V, V) * t,
-            3.0 * b.deriv(V) ** 2])).sum(axis=0)
+            D(U, U, U, U) * t, 4.0 * D(U, U, U) * d1,
+            3.0 * D(U, U) ** 2, 3.0 * D(V, V) * t,
+            3.0 * D(V) ** 2])).sum(axis=0)
         w0 = 1.0 / np.maximum(base, NORMALIZER_FLOOR)
         x = _weighted_lstsq(np.column_stack(cols), fixed, w0, weights_for)
         return self._expand(free_names, x, W0, d0)
@@ -230,23 +266,23 @@ class _OnePointModel:
             self._shift = a
         return self._basis_a
 
-    def term_stack(self, basis_a, U, V, c):
-        return _one_point_terms(self.basis_z.deriv, basis_a.deriv, U, V, c)
+    def sources(self, a):
+        """Empty derivative sources at z and at z + a, for one candidate."""
+        return _Contractions(self.basis_z), _Contractions(self.basis_at(a))
 
-    def ratios(self, basis_a, U, V, c):
-        return _term_ratios(self.term_stack(basis_a, U, V, c))
+    def ratios(self, Dz, Da, U, V, c):
+        return _term_ratios(_one_point_terms(Dz, Da, U, V, c))
 
-    def solve_linear(self, basis_a, U, free_names, V0, c0):
-        bz, ba = self.basis_z, basis_a
-        tz, ta = bz.value, ba.value
-        fixed = bz.deriv(U, U) * ta + tz * ba.deriv(U, U) \
-            - 2.0 * bz.deriv(U) * ba.deriv(U)
+    def solve_linear(self, Dz, Da, U, free_names, V0, c0):
+        tz, ta = Dz(), Da()
+        fixed = Dz(U, U) * ta + tz * Da(U, U) - 2.0 * Dz(U) * Da(U)
         cols = []
         if "V" in free_names:
+            T1z, T1a = Dz.basis.tensor[1], Da.basis.tensor[1]
             for i in range(self.g):
-                cols.append(bz.tensor[1][i] * ta - tz * ba.tensor[1][i])
+                cols.append(T1z[i] * ta - tz * T1a[i])
         else:
-            fixed = fixed + bz.deriv(V0) * ta - tz * ba.deriv(V0)
+            fixed = fixed + Dz(V0) * ta - tz * Da(V0)
         if "c" in free_names:
             cols.append(tz * ta)
         else:
@@ -254,11 +290,11 @@ class _OnePointModel:
 
         def weights_for(x):
             V, c = self._expand(free_names, x, V0, c0)
-            norm = np.abs(self.term_stack(basis_a, U, V, c)).sum(axis=0)
+            norm = np.abs(_one_point_terms(Dz, Da, U, V, c)).sum(axis=0)
             return 1.0 / np.maximum(norm, NORMALIZER_FLOOR)
 
-        base = np.abs(bz.deriv(U, U) * ta) + np.abs(tz * ba.deriv(U, U)) \
-            + 2.0 * np.abs(bz.deriv(U) * ba.deriv(U))
+        base = np.abs(Dz(U, U) * ta) + np.abs(tz * Da(U, U)) \
+            + 2.0 * np.abs(Dz(U) * Da(U))
         w0 = 1.0 / np.maximum(base, NORMALIZER_FLOOR)
         x = _weighted_lstsq(np.column_stack(cols), fixed, w0, weights_for)
         return self._expand(free_names, x, V0, c0)
@@ -325,6 +361,10 @@ def _validate_problem(problem, rm):
         raise InvalidInputError(
             f"sample_count {problem.sample_count} is below 10x the "
             f"{n_real} real free parameters")
+    _check_budget(problem)
+
+
+def _check_budget(problem):
     if problem.restarts < 1 or problem.iterations < 1:
         raise InvalidInputError("budget must be positive")
 
@@ -433,35 +473,44 @@ def fit(problem: SearchProblem) -> SearchResult:
             else ("U", "V", "c", "a")
         return {n: (vals[n] if n in vals else fixed_field(n)) for n in names}
 
-    def ratios_for(vals):
+    def sources_for(vals):
+        """Empty derivative sources for the candidate ``vals``."""
+        if problem.target == "hirota":
+            return (model.source(),)
+        return model.sources(vals["a"] if "a" in vals else fixed_field("a"))
+
+    def ratios_for(vals, sources):
         p = gather(vals)
         if problem.target == "hirota":
-            return model.ratios(p["U"], p["V"], p["W"], p["d"])
-        basis_a = model.basis_at(p["a"])
-        return model.ratios(basis_a, p["U"], p["V"], p["c"])
+            return model.ratios(*sources, p["U"], p["V"], p["W"], p["d"])
+        return model.ratios(*sources, p["U"], p["V"], p["c"])
 
     def with_linear_solved(vals):
-        """Fill the linear fields by IRLS least squares given the rest."""
+        """Fill the linear fields by IRLS least squares given the rest.
+
+        Returns the filled fields and the derivative sources of the
+        candidate, which its ratios reuse.
+        """
+        sources = sources_for(vals)
         if not linear:
-            return vals
+            return vals, sources
         p = gather({**vals,
                     **{n: (np.zeros(g, complex) if _FIELD_SIZES[n] is None else 0j)
                        for n in linear}})
         out = dict(vals)
         if problem.target == "hirota":
-            W, d = model.solve_linear(p["U"], p["V"], linear, p["W"], p["d"])
+            W, d = model.solve_linear(*sources, p["U"], p["V"], linear, p["W"], p["d"])
             if "W" in linear:
                 out["W"] = W
             if "d" in linear:
                 out["d"] = d
         else:
-            basis_a = model.basis_at(p["a"])
-            V, c = model.solve_linear(basis_a, p["U"], linear, p["V"], p["c"])
+            V, c = model.solve_linear(*sources, p["U"], linear, p["V"], p["c"])
             if "V" in linear:
                 out["V"] = V
             if "c" in linear:
                 out["c"] = c
-        return out
+        return out, sources
 
     def decode_nonlinear(x):
         vals = {"U": decode_u(x)}
@@ -474,11 +523,12 @@ def fit(problem: SearchProblem) -> SearchResult:
         return vals
 
     def objective_nonlinear(x):
-        vals = with_linear_solved(decode_nonlinear(x))
-        return float(np.mean(np.abs(ratios_for(vals)) ** 2))
+        vals, sources = with_linear_solved(decode_nonlinear(x))
+        return float(np.mean(np.abs(ratios_for(vals, sources)) ** 2))
 
     def resvec_full(x):
-        r = ratios_for(decode_full(x))
+        vals = decode_full(x)
+        r = ratios_for(vals, sources_for(vals))
         return np.concatenate([r.real, r.imag])
 
     n_nl = 2 * u_len + sum(2 * _field_size(n, g) for n in nl_named)
@@ -522,9 +572,9 @@ def fit(problem: SearchProblem) -> SearchResult:
                                        "xatol": 1e-12, "fatol": 1e-16,
                                        "adaptive": True})
                 nfev += nm.nfev
-                vals = with_linear_solved(decode_nonlinear(nm.x))
+                vals, _ = with_linear_solved(decode_nonlinear(nm.x))
             else:
-                vals = with_linear_solved({"U": base_U})
+                vals, _ = with_linear_solved({"U": base_U})
             parts = encode_u(vals["U"])
             if others:
                 parts.append(_pack({n: vals[n] for n in others}, others, g))
@@ -553,13 +603,14 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     if problem.target == "hirota":
         hold_model = _HirotaModel(rm, z_hold)
-        hold = hold_model.ratios(final["U"], final["V"], final["W"], final["d"])
+        hold = hold_model.ratios(hold_model.source(), final["U"], final["V"], final["W"],
+                                 final["d"])
         best_jet = replace(jet, U=final["U"], V=final["V"], W=final["W"], d=final["d"])
         result_a = None
         note = None
     else:
         hold_model = _OnePointModel(rm, z_hold)
-        hold = hold_model.ratios(hold_model.basis_at(final["a"]),
+        hold = hold_model.ratios(*hold_model.sources(final["a"]),
                                  final["U"], final["V"], final["c"])
         best_jet = replace(jet, U=final["U"], V=final["V"], c=final["c"])
         result_a = final["a"]
@@ -613,6 +664,7 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
         raise InvalidInputError(
             f"sample_count {problem.sample_count} is below 10x the "
             f"{n_real} real free parameters")
+    _check_budget(problem)
 
     root = np.random.SeedSequence(problem.seed)
     train_ss, hold_ss, *restart_ss = root.spawn(2 + problem.restarts)
@@ -636,27 +688,38 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
             power *= eps
         return total
 
-    def bases_for(zetas):
-        return [(eps, model.basis_at(2.0 * zeta_of(zetas, eps)))
-                for eps in eps_grid]
+    last_zetas, last_bases = None, None
 
-    def ratios_grid(bases, dvals):
+    def sources_for(zetas):
+        """Derivative sources of one candidate: at z, and at z + 2 zeta(eps) per eps.
+
+        The last germ's shifted bases are kept, keyed by its zeta values, so a
+        candidate that moves only the d-coefficients binds nothing.
+        """
+        nonlocal last_zetas, last_bases
+        key = np.array(zetas, dtype=complex)
+        if last_zetas is None or not np.array_equal(key, last_zetas):
+            last_bases = [model.basis_at(2.0 * zeta_of(zetas, eps)) for eps in eps_grid]
+            last_zetas = key
+        Dz = _Contractions(model.basis_z)
+        return [(eps, Dz, _Contractions(basis_a)) for eps, basis_a in zip(eps_grid, last_bases)]
+
+    def ratios_grid(sources, dvals):
         rows = []
-        for i, (eps, basis_a) in enumerate(bases):
+        for i, (eps, Dz, Da) in enumerate(sources):
             d_at = sum(dv * eps ** (j + 3) for j, dv in enumerate(dvals))
-            rows.append(model.ratios(basis_a, U, V + U / eps, d_at / eps)
-                        * weights[i])
+            rows.append(model.ratios(Dz, Da, U, V + U / eps, d_at / eps) * weights[i])
         return np.concatenate(rows)
 
-    def solve_d(bases):
+    def solve_d(sources):
         """The d-coefficients enter linearly through c_eff; IRLS solve."""
         if n_d == 0:
             return ()
         fixed_rows, col_rows = [], []
-        for eps, basis_a in bases:
-            stack = model.term_stack(basis_a, U, V + U / eps, 0j)
+        for eps, Dz, Da in sources:
+            stack = _one_point_terms(Dz, Da, U, V + U / eps, 0j)
             fixed_rows.append(stack[:5].sum(axis=0))
-            tz_ta = model.basis_z.value * basis_a.value
+            tz_ta = Dz() * Da()
             col_rows.append(np.column_stack(
                 [eps ** (j + 2) * tz_ta for j in range(n_d)]))
         fixed = np.concatenate(fixed_rows)
@@ -665,9 +728,9 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
 
         def weights_for(x):
             norms = []
-            for eps, basis_a in bases:
+            for eps, Dz, Da in sources:
                 d_at = sum(x[j] * eps ** (j + 3) for j in range(n_d))
-                stack = model.term_stack(basis_a, U, V + U / eps, d_at / eps)
+                stack = _one_point_terms(Dz, Da, U, V + U / eps, d_at / eps)
                 norms.append(np.abs(stack).sum(axis=0))
             return wrow / np.maximum(np.concatenate(norms), NORMALIZER_FLOOR)
 
@@ -694,7 +757,7 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
 
     def resvec(x):
         zetas, dvals = split(x)
-        r = ratios_grid(bases_for(zetas), dvals)
+        r = ratios_grid(sources_for(zetas), dvals)
         return np.concatenate([r.real, r.imag])
 
     # Near the optimum the weighted residual is almost linear in every germ
@@ -716,7 +779,7 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
                 zetas0 = [z + 0.5 * (rng.standard_normal(g)
                                      + 1j * rng.standard_normal(g))
                           for z in zetas0]
-            dvals0 = solve_d(bases_for(zetas0))
+            dvals0 = solve_d(sources_for(zetas0))
             polish = least_squares(resvec, join(zetas0, dvals0), method="lm",
                                    max_nfev=problem.iterations)
             obj = float(np.mean(resvec(polish.x) ** 2) * 2.0)

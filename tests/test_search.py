@@ -12,16 +12,20 @@ from thetalab.bilinear import (
 )
 from thetalab.engine import (
     BatchThetaEvaluator,
+    BoundBatch,
     RiemannMatrix,
     box_points,
+    canonical_request,
     reduce_point,
     theta_eval,
 )
 from thetalab.errors import DegenerateJetError, InvalidInputError
 from thetalab.search import (
+    EPSILON_GRID,
     SearchProblem,
     SearchResult,
     _BasisJets,
+    _Contractions,
     _HirotaModel,
     _OnePointModel,
     fit,
@@ -97,7 +101,7 @@ class TestBasisComposition:
         W = np.array([-0.7 + 0.2j, 0.5 - 0.1j])
         d = 0.3 - 0.8j
         jet = DirectionJet(U=U, V=V, W=W, d=d)
-        mine = np.abs(model.ratios(U, V, W, d))
+        mine = np.abs(model.ratios(model.source(), U, V, W, d))
         ref = np.array([hirota_residual(z, rm_g2, jet) for z in pts])
         assert np.abs(mine - ref).max() <= 1e-12
 
@@ -109,10 +113,44 @@ class TestBasisComposition:
         a = np.array([0.21 - 0.34j, -0.17 + 0.25j])
         c = 0.4 + 0.2j
         jet = DirectionJet(U=U, V=V, c=c)
-        mine = np.abs(model.ratios(model.basis_at(a), U, V, c))
+        mine = np.abs(model.ratios(*model.sources(a), U, V, c))
         ref = np.array([p_residual(z, rm_g2, jet, a) for z in pts])
         assert np.abs(mine - ref).max() <= 1e-12
 
+    def test_matches_evaluator_jets_g3(self):
+        # non-unit complex directions at genus 3, orders 1 to 4, mixed keys
+        # included; the memoizing source must give the same numbers on a
+        # second pass, when every prefix comes from its memory
+        rm = RiemannMatrix(random_tau(3, seed=33))
+        rng = np.random.default_rng(12)
+        pts = box_points(rm, rng, 6)
+        U, V, W = (rng.uniform(0.6, 1.4) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                   for _ in range(3))
+        norm = max(np.linalg.norm(h) for h in (U, V, W))
+        ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=norm)
+        basis = _BasisJets(ev, pts, orders=(1, 2, 3, 4))
+        requests = [(U,), (W,), (U, U), (V, W), (U, U, V), (V, U, W), (U, U, U),
+                    (U, U, U, U), (U, U, V, W)]
+        direct = ev.jets(pts, [canonical_request(r) for r in requests])
+        D = _Contractions(basis)
+        for _ in range(2):
+            for r in requests:
+                ref = direct[canonical_request(r)]
+                bound = 1e-12 * max(1.0, np.abs(ref).max())
+                assert np.abs(basis.deriv(*r) - ref).max() <= bound, len(r)
+                assert np.abs(D(*r) - ref).max() <= bound, len(r)
+
+    def test_source_follows_a_direction_changed_in_place(self, rm_g2):
+        model = _HirotaModel(rm_g2, box_points(rm_g2, np.random.default_rng(11), 5))
+        U = np.array([0.9 + 0.1j, -0.2 + 0.3j])
+        first = model.source()
+        before = first(U, U)
+        U[:] = [0.3 - 0.5j, 0.7 + 0.2j]
+        second = model.source()
+        want = model.basis.deriv(U.copy(), U.copy())
+        assert np.abs(want - before).max() > 1e-3
+        for D in (second, first):
+            assert np.array_equal(D(U, U), want)
 
     def test_one_point_model_keeps_the_last_shift(self, rm_g2):
         model = _OnePointModel(rm_g2, box_points(rm_g2, np.random.default_rng(10), 4))
@@ -233,6 +271,13 @@ class TestProblemValidation:
         with pytest.raises(InvalidInputError):
             fit(g1_problem(restarts=0))
 
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iterations": 0}])
+    def test_empty_budget_hierarchy(self, budget):
+        problem = g1_problem(target="hierarchy", free_vars=(), jet_order=2,
+                             jet=DirectionJet(U=U1, V=np.array([0.4 - 0.3j])), **budget)
+        with pytest.raises(InvalidInputError, match="budget must be positive"):
+            fit(problem)
+
     def test_nothing_to_fit(self):
         with pytest.raises(InvalidInputError):
             fit(g1_problem(free_vars=()))
@@ -351,6 +396,40 @@ class TestFitHierarchy:
                 tau=TAU1, target="hierarchy", jet=stage1.best_jet,
                 free_vars=(), sample_count=79, seed=7, restarts=2,
                 iterations=100, tolerance=1e-6, jet_order=3))
+
+    def test_germ_grid_is_bound_once_per_germ(self, g1_chain, monkeypatch):
+        # LM's difference columns along the d-coefficients and repeated
+        # evaluations at one germ reuse the last germ's grid of shifted bases
+        stage1, _ = g1_chain
+        bound = []
+        init = BoundBatch.__init__
+
+        def recording(self, evaluator, points):
+            init(self, evaluator, points)
+            bound.append(np.array(points, dtype=complex).reshape(-1))
+
+        calls = []
+        ratios = _OnePointModel.ratios
+
+        def counting(self, *args):
+            calls.append(1)
+            return ratios(self, *args)
+
+        monkeypatch.setattr(BoundBatch, "__init__", recording)
+        monkeypatch.setattr(_OnePointModel, "ratios", counting)
+        fit_hierarchy(SearchProblem(
+            tau=TAU1, target="hierarchy", jet=stage1.best_jet, free_vars=(),
+            sample_count=60, seed=7, restarts=2, iterations=40, tolerance=1e-6,
+            jet_order=2))
+        z = bound[0]  # the training cloud; the holdout scan binds 2P points per eps
+        shifts = [b[0] - z[0] for b in bound[1:] if len(b) == len(z)]
+        n = len(EPSILON_GRID)
+        assert shifts and len(shifts) % n == 0
+        grids = [tuple(shifts[i:i + n]) for i in range(0, len(shifts), n)]
+        assert all(a != b for a, b in zip(grids, grids[1:]))
+        # without reuse, every residual-vector evaluation (one ratios call
+        # per eps) and every restart's d-solve would bind a grid
+        assert len(grids) < len(calls) // n + 2
 
     def test_result_type(self, g1_chain):
         _, res = g1_chain
