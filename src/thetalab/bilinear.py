@@ -215,30 +215,46 @@ def _residuals(terms):
 # Term stacks.  Each form's monomials are stacked (terms, P) from a
 # derivative source D: D(h_1, .., h_k) is the (P,) array of D_{h_1..h_k}
 # theta on the stored scale and D() the values.  The sweeps read D from
-# evaluator jets, the search models from basis tensors.
+# evaluator jets, the search models from basis tensors.  The KP and
+# one-point stacks are a base block joined to a block affine in the fields
+# the searches solve for linearly; the searches' IRLS reads the two blocks.
 
 def _hirota_terms(D, U, V, W, d):
     """The eight monomials of the four-term bilinear KP form."""
+    return np.concatenate([_hirota_base(D, U, V), _hirota_linear(D, U, W, d)])
+
+
+def _hirota_base(D, U, V):
+    """The five KP monomials free of W and d."""
     t = D()
-    d1, d2 = D(U), D(U, U)
-    d3, d4 = D(U, U, U), D(U, U, U, U)
-    dV, dVV = D(V), D(V, V)
-    dW, dUW = D(W), D(U, W)
+    d1, d2, dV = D(U), D(U, U), D(V)
     return np.stack([
-        d4 * t, -4.0 * d3 * d1, 3.0 * d2 * d2,
-        3.0 * dVV * t, -3.0 * dV * dV,
-        -3.0 * dUW * t, 3.0 * dW * d1, -d * t * t,
+        D(U, U, U, U) * t, -4.0 * D(U, U, U) * d1, 3.0 * d2 * d2,
+        3.0 * D(V, V) * t, -3.0 * dV * dV,
     ])
+
+
+def _hirota_linear(D, U, W, d):
+    """The three KP monomials affine in (W, d), exactly 0 at W = 0, d = 0."""
+    t = D()
+    return np.stack([-3.0 * D(U, W) * t, 3.0 * D(W) * D(U), -d * t * t])
 
 
 def _one_point_terms(Dz, Da, U, V, c):
     """The six monomials of the one-point form, Dz at z and Da at z + a."""
+    return np.concatenate([_one_point_base(Dz, Da, U), _one_point_linear(Dz, Da, V, c)])
+
+
+def _one_point_base(Dz, Da, U):
+    """The three one-point monomials free of V and c."""
     tz, ta = Dz(), Da()
-    return np.stack([
-        Dz(U, U) * ta, tz * Da(U, U),
-        Dz(V) * ta, -tz * Da(V),
-        -2.0 * Dz(U) * Da(U), c * tz * ta,
-    ])
+    return np.stack([Dz(U, U) * ta, tz * Da(U, U), -2.0 * Dz(U) * Da(U)])
+
+
+def _one_point_linear(Dz, Da, V, c):
+    """The three one-point monomials affine in (V, c), exactly 0 at V = 0, c = 0."""
+    tz, ta = Dz(), Da()
+    return np.stack([Dz(V) * ta, -tz * Da(V), c * tz * ta])
 
 
 def _longeq_terms(D, U, V):

@@ -14,12 +14,18 @@ keep the objective cheap and well-conditioned:
   ratios contract U and V once;
 * fields that enter the residual linearly (W and d for the four-direction
   form, V and c for the one-point form, the d-coefficients for the
-  hierarchy germ) are solved by iteratively reweighted least squares inside
-  the objective, shrinking the search dimension seen by the simplex.
+  hierarchy germ) are solved inside the objective, shrinking the search
+  dimension seen by the simplex.  Each form's term stack in ``bilinear`` is
+  a base block joined to a block affine in those fields, and one
+  iteratively reweighted least-squares solve (``_solve_affine``) serves
+  all three: it reads the fixed part and the columns off the affine block
+  and weights each sample by the inverse of its term-sum normalizer.
 
 Objectives are means of squared term-normalized residuals over seeded
 training samples; reported residuals always come from a fresh holdout set
 whose seed stream is disjoint from training by construction.
+``SearchResult.evaluations`` counts, per restart, the calls of the
+objective and of the residual vector, finite-difference columns included.
 """
 
 from __future__ import annotations
@@ -34,7 +40,11 @@ from scipy.optimize import least_squares, minimize
 from .bilinear import (
     DirectionJet,
     NORMALIZER_FLOOR,
+    _hirota_base,
+    _hirota_linear,
     _hirota_terms,
+    _one_point_base,
+    _one_point_linear,
     _one_point_terms,
     _term_ratios,
     as_riemann_matrix,
@@ -46,8 +56,6 @@ from .errors import DegenerateJetError, InvalidInputError
 
 TARGETS = ("hirota", "one_point", "hierarchy")
 _FIELD_SIZES = {"U": None, "V": None, "W": None, "a": None, "c": 1, "d": 1}
-_LINEAR_FIELDS = {"hirota": ("W", "d"), "one_point": ("V", "c")}
-_ALLOWED_FREE = {"hirota": ("U", "V", "W", "d"), "one_point": ("U", "V", "c", "a")}
 GAUGE_COLLAPSE_NORM = 1e-6
 EPSILON_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 IRLS_ROUNDS = 3
@@ -168,24 +176,63 @@ class _Contractions:
         return out
 
 
-def _weighted_lstsq(columns, fixed, weights, rounds_norm):
-    """IRLS solve of min sum |(fixed + columns @ x) * w|^2, renormalizing.
+def _solve_affine(base, linear, n, row_weight):
+    """IRLS least squares for the n complex parameters of an affine block.
 
-    ``rounds_norm(x)`` maps a candidate solution to fresh per-sample
-    normalizer weights; a few rounds suffice because the normalizer varies
-    slowly compared to the residual.
+    A candidate's term stack is ``base`` joined to ``linear(x)``, which is
+    affine in x and exactly 0 in every row that holds x when x = 0.  Each
+    round minimizes sum_p |row_weight_p * sum(terms(x))_p / sum|terms|_p|^2
+    with the normalizer taken at the previous x (at x = 0 first); a few
+    rounds suffice because the normalizer varies slowly compared to the
+    residual.  The fixed part is the sum of base ++ linear(0) and column j
+    the sum of linear(e_j) - linear(0), which is exact: the rows without x
+    cancel to 0.
     """
-    x = np.zeros(columns.shape[1], dtype=complex)
-    for _ in range(IRLS_ROUNDS):
-        A = columns * weights[:, None]
-        b = -fixed * weights
-        x = np.linalg.lstsq(A, b, rcond=None)[0]
-        weights = rounds_norm(x)
+    zero = linear(np.zeros(n, dtype=complex))
+    columns = np.column_stack([(linear(e) - zero).sum(axis=0)
+                               for e in np.eye(n, dtype=complex)])
+    terms = np.concatenate([base, zero])
+    fixed = terms.sum(axis=0)
+    for k in range(IRLS_ROUNDS):
+        if k:
+            terms = np.concatenate([base, linear(x)])
+        weights = row_weight / np.maximum(np.abs(terms).sum(axis=0), NORMALIZER_FLOOR)
+        x = np.linalg.lstsq(columns * weights[:, None], -fixed * weights, rcond=None)[0]
     return x
 
 
-class _HirotaModel:
+class _Model:
+    """A form's term stack at fixed sample points, read by field name.
+
+    A subclass names the form's ``fields`` (a search may free any of them)
+    and the ``linear_fields`` its stack is affine in.  Its ``ratios`` read
+    the full stack, and ``base`` and ``linear`` the two blocks that join
+    into it, from one candidate's derivative sources and a dict p of field
+    values.
+    """
+
+    def solve_linear(self, sources, p, free):
+        """p with the linear fields ``free`` solved by IRLS, the rest as in p."""
+        sizes = [_field_size(name, self.g) for name in free]
+
+        def fields(x):
+            out, pos = dict(p), 0
+            for name, size in zip(free, sizes):
+                out[name] = x[pos] if _FIELD_SIZES[name] == 1 else x[pos:pos + size]
+                pos += size
+            return out
+
+        x = _solve_affine(self.base(sources, p), lambda x: self.linear(sources, fields(x)),
+                          sum(sizes), 1.0)
+        return fields(x)
+
+
+class _HirotaModel(_Model):
     """Vectorized four-direction residual at fixed sample points."""
+
+    fields = ("U", "V", "W", "d")
+    linear_fields = ("W", "d")
+    note = None
 
     def __init__(self, rm, points, target_abs_err=1e-12):
         ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0,
@@ -193,57 +240,26 @@ class _HirotaModel:
         self.basis = _BasisJets(ev, points, orders=(1, 2, 3, 4))
         self.g = rm.g
 
-    def source(self):
-        """An empty derivative source for one candidate."""
-        return _Contractions(self.basis)
+    def sources(self, p):
+        """Empty derivative sources for the candidate p."""
+        return (_Contractions(self.basis),)
 
-    def ratios(self, D, U, V, W, d):
-        return _term_ratios(_hirota_terms(D, U, V, W, d))
+    def ratios(self, sources, p):
+        return _term_ratios(_hirota_terms(*sources, p["U"], p["V"], p["W"], p["d"]))
 
-    def solve_linear(self, D, U, V, free_names, W0, d0):
-        """Least-squares (W, d) given (U, V); missing names stay at W0/d0."""
-        t, d1 = D(), D(U)
-        fixed = (D(U, U, U, U) * t - 4.0 * D(U, U, U) * d1
-                 + 3.0 * D(U, U) ** 2
-                 + 3.0 * D(V, V) * t - 3.0 * D(V) ** 2)
-        cols = []
-        if "W" in free_names:
-            TU1, T1 = D.contract(2, U), self.basis.tensor[1]  # (g, P) each
-            for i in range(self.g):
-                cols.append(-3.0 * TU1[i] * t + 3.0 * T1[i] * d1)
-        else:
-            fixed = fixed - 3.0 * D(U, W0) * t + 3.0 * D(W0) * d1
-        if "d" in free_names:
-            cols.append(-t * t)
-        else:
-            fixed = fixed - d0 * t * t
+    def base(self, sources, p):
+        return _hirota_base(*sources, p["U"], p["V"])
 
-        def weights_for(x):
-            W, d = self._expand(free_names, x, W0, d0)
-            norm = np.abs(_hirota_terms(D, U, V, W, d)).sum(axis=0)
-            return 1.0 / np.maximum(norm, NORMALIZER_FLOOR)
-
-        base = np.abs(np.stack([
-            D(U, U, U, U) * t, 4.0 * D(U, U, U) * d1,
-            3.0 * D(U, U) ** 2, 3.0 * D(V, V) * t,
-            3.0 * D(V) ** 2])).sum(axis=0)
-        w0 = 1.0 / np.maximum(base, NORMALIZER_FLOOR)
-        x = _weighted_lstsq(np.column_stack(cols), fixed, w0, weights_for)
-        return self._expand(free_names, x, W0, d0)
-
-    def _expand(self, free_names, x, W0, d0):
-        pos = 0
-        W, d = W0, d0
-        if "W" in free_names:
-            W = x[pos:pos + self.g]
-            pos += self.g
-        if "d" in free_names:
-            d = x[pos]
-        return W, d
+    def linear(self, sources, p):
+        return _hirota_linear(*sources, p["U"], p["W"], p["d"])
 
 
-class _OnePointModel:
+class _OnePointModel(_Model):
     """Vectorized one-point residual; the shifted side is bound per shift a."""
+
+    fields = ("U", "V", "c", "a")
+    linear_fields = ("V", "c")
+    note = "irreducibility of the subgroup generated by a is assumed, not verified"
 
     def __init__(self, rm, points, target_abs_err=1e-12):
         self.ev = BatchThetaEvaluator(rm, max_order=2, max_direction_norm=1.0,
@@ -266,48 +282,21 @@ class _OnePointModel:
             self._shift = a
         return self._basis_a
 
-    def sources(self, a):
-        """Empty derivative sources at z and at z + a, for one candidate."""
-        return _Contractions(self.basis_z), _Contractions(self.basis_at(a))
+    def sources(self, p):
+        """Empty derivative sources at z and at z + a for the candidate p."""
+        return _Contractions(self.basis_z), _Contractions(self.basis_at(p["a"]))
 
-    def ratios(self, Dz, Da, U, V, c):
-        return _term_ratios(_one_point_terms(Dz, Da, U, V, c))
+    def ratios(self, sources, p):
+        return _term_ratios(_one_point_terms(*sources, p["U"], p["V"], p["c"]))
 
-    def solve_linear(self, Dz, Da, U, free_names, V0, c0):
-        tz, ta = Dz(), Da()
-        fixed = Dz(U, U) * ta + tz * Da(U, U) - 2.0 * Dz(U) * Da(U)
-        cols = []
-        if "V" in free_names:
-            T1z, T1a = Dz.basis.tensor[1], Da.basis.tensor[1]
-            for i in range(self.g):
-                cols.append(T1z[i] * ta - tz * T1a[i])
-        else:
-            fixed = fixed + Dz(V0) * ta - tz * Da(V0)
-        if "c" in free_names:
-            cols.append(tz * ta)
-        else:
-            fixed = fixed + c0 * tz * ta
+    def base(self, sources, p):
+        return _one_point_base(*sources, p["U"])
 
-        def weights_for(x):
-            V, c = self._expand(free_names, x, V0, c0)
-            norm = np.abs(_one_point_terms(Dz, Da, U, V, c)).sum(axis=0)
-            return 1.0 / np.maximum(norm, NORMALIZER_FLOOR)
+    def linear(self, sources, p):
+        return _one_point_linear(*sources, p["V"], p["c"])
 
-        base = np.abs(Dz(U, U) * ta) + np.abs(tz * Da(U, U)) \
-            + 2.0 * np.abs(Dz(U) * Da(U))
-        w0 = 1.0 / np.maximum(base, NORMALIZER_FLOOR)
-        x = _weighted_lstsq(np.column_stack(cols), fixed, w0, weights_for)
-        return self._expand(free_names, x, V0, c0)
 
-    def _expand(self, free_names, x, V0, c0):
-        pos = 0
-        V, c = V0, c0
-        if "V" in free_names:
-            V = x[pos:pos + self.g]
-            pos += self.g
-        if "c" in free_names:
-            c = x[pos]
-        return V, c
+_MODELS = {"hirota": _HirotaModel, "one_point": _OnePointModel}
 
 
 def _field_size(name, g):
@@ -337,16 +326,15 @@ def _unpack(x, names, g):
 
 
 def _validate_problem(problem, rm):
+    """The model class of the problem's target, after checking the problem."""
     if problem.target not in TARGETS:
         raise InvalidInputError(f"unknown search target {problem.target!r}")
-    if problem.target == "hierarchy":
-        return
-    allowed = _ALLOWED_FREE[problem.target]
+    model_cls = _MODELS[problem.target]
     for name in problem.free_vars:
-        if name not in allowed:
+        if name not in model_cls.fields:
             raise InvalidInputError(
                 f"free variable {name!r} is not a parameter of the "
-                f"{problem.target} target (allowed: {allowed})")
+                f"{problem.target} target (allowed: {model_cls.fields})")
     if len(set(problem.free_vars)) != len(problem.free_vars):
         raise InvalidInputError("free_vars contains duplicates")
     n_real = sum(2 * _field_size(name, rm.g) for name in problem.free_vars)
@@ -362,6 +350,7 @@ def _validate_problem(problem, rm):
             f"sample_count {problem.sample_count} is below 10x the "
             f"{n_real} real free parameters")
     _check_budget(problem)
+    return model_cls
 
 
 def _check_budget(problem):
@@ -401,19 +390,27 @@ def fit(problem: SearchProblem) -> SearchResult:
     rm = as_riemann_matrix(problem.tau)
     if problem.target == "hierarchy":
         return fit_hierarchy(problem)
-    _validate_problem(problem, rm)
-    if (problem.target == "one_point" and "a" not in problem.free_vars
-            and problem.a is None):
-        raise InvalidInputError("one_point with fixed a requires problem.a")
+    model_cls = _validate_problem(problem, rm)
     g = rm.g
     jet = problem.jet
+
+    def fixed_value(name):
+        value = problem.a if name == "a" else getattr(jet, name)
+        if value is not None:
+            return np.asarray(value, dtype=complex) if name == "a" else value
+        if name in ("c", "d"):
+            return 0j
+        raise InvalidInputError(f"{name} is neither set nor freed")
+
+    fixed = {n: fixed_value(n) for n in model_cls.fields
+             if n != "U" and n not in problem.free_vars}
 
     root = np.random.SeedSequence(problem.seed)
     train_ss, hold_ss, *restart_ss = root.spawn(2 + problem.restarts)
     z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
     z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
 
-    linear = tuple(n for n in problem.free_vars if n in _LINEAR_FIELDS[problem.target])
+    linear = tuple(n for n in problem.free_vars if n in model_cls.linear_fields)
     nl_named = tuple(n for n in problem.free_vars
                      if n not in linear and n != "U")
     others = tuple(n for n in problem.free_vars if n != "U")
@@ -453,64 +450,19 @@ def fit(problem: SearchProblem) -> SearchResult:
         w = np.delete(np.asarray(U, dtype=complex) / U[pivot], pivot)
         return [np.real(w), np.imag(w)]
 
-    if problem.target == "hirota":
-        model = _HirotaModel(rm, z_train)
-    else:
-        model = _OnePointModel(rm, z_train)
-
-    def fixed_field(name):
-        if name == "a":
-            return np.asarray(problem.a, dtype=complex)
-        val = getattr(jet, name)
-        if val is None:
-            if name in ("c", "d"):
-                return 0j
-            raise InvalidInputError(f"jet field {name} is neither set nor freed")
-        return val
-
-    def gather(vals):
-        names = ("U", "V", "W", "d") if problem.target == "hirota" \
-            else ("U", "V", "c", "a")
-        return {n: (vals[n] if n in vals else fixed_field(n)) for n in names}
-
-    def sources_for(vals):
-        """Empty derivative sources for the candidate ``vals``."""
-        if problem.target == "hirota":
-            return (model.source(),)
-        return model.sources(vals["a"] if "a" in vals else fixed_field("a"))
-
-    def ratios_for(vals, sources):
-        p = gather(vals)
-        if problem.target == "hirota":
-            return model.ratios(*sources, p["U"], p["V"], p["W"], p["d"])
-        return model.ratios(*sources, p["U"], p["V"], p["c"])
+    model = model_cls(rm, z_train)
 
     def with_linear_solved(vals):
-        """Fill the linear fields by IRLS least squares given the rest.
+        """The candidate's field values, its linear fields solved by IRLS.
 
-        Returns the filled fields and the derivative sources of the
-        candidate, which its ratios reuse.
+        Returns the values and the candidate's derivative sources, which
+        its ratios reuse.
         """
-        sources = sources_for(vals)
-        if not linear:
-            return vals, sources
-        p = gather({**vals,
-                    **{n: (np.zeros(g, complex) if _FIELD_SIZES[n] is None else 0j)
-                       for n in linear}})
-        out = dict(vals)
-        if problem.target == "hirota":
-            W, d = model.solve_linear(*sources, p["U"], p["V"], linear, p["W"], p["d"])
-            if "W" in linear:
-                out["W"] = W
-            if "d" in linear:
-                out["d"] = d
-        else:
-            V, c = model.solve_linear(*sources, p["U"], linear, p["V"], p["c"])
-            if "V" in linear:
-                out["V"] = V
-            if "c" in linear:
-                out["c"] = c
-        return out, sources
+        p = {**fixed, **vals}
+        sources = model.sources(p)
+        if linear:
+            p = model.solve_linear(sources, p, linear)
+        return p, sources
 
     def decode_nonlinear(x):
         vals = {"U": decode_u(x)}
@@ -518,17 +470,21 @@ def fit(problem: SearchProblem) -> SearchResult:
         return vals
 
     def decode_full(x):
-        vals = {"U": decode_u(x)}
-        vals.update(_unpack(x[2 * u_len:], others, g))
-        return vals
+        return {**fixed, "U": decode_u(x), **_unpack(x[2 * u_len:], others, g)}
+
+    calls = 0  # objective and residual-vector evaluations, all restarts
 
     def objective_nonlinear(x):
-        vals, sources = with_linear_solved(decode_nonlinear(x))
-        return float(np.mean(np.abs(ratios_for(vals, sources)) ** 2))
+        nonlocal calls
+        calls += 1
+        p, sources = with_linear_solved(decode_nonlinear(x))
+        return float(np.mean(np.abs(model.ratios(sources, p)) ** 2))
 
     def resvec_full(x):
-        vals = decode_full(x)
-        r = ratios_for(vals, sources_for(vals))
+        nonlocal calls
+        calls += 1
+        p = decode_full(x)
+        r = model.ratios(model.sources(p), p)
         return np.concatenate([r.real, r.imag])
 
     n_nl = 2 * u_len + sum(2 * _field_size(n, g) for n in nl_named)
@@ -562,7 +518,7 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     def run_restart(k):
         rng = np.random.default_rng(restart_ss[k])
-        nfev = 0
+        start = calls
         try:
             if n_nl:
                 x0 = initial_x(k, rng)
@@ -571,22 +527,18 @@ def fit(problem: SearchProblem) -> SearchResult:
                                        "maxfev": 4 * problem.iterations,
                                        "xatol": 1e-12, "fatol": 1e-16,
                                        "adaptive": True})
-                nfev += nm.nfev
-                vals, _ = with_linear_solved(decode_nonlinear(nm.x))
+                p, _ = with_linear_solved(decode_nonlinear(nm.x))
             else:
-                vals, _ = with_linear_solved({"U": base_U})
-            parts = encode_u(vals["U"])
+                p, _ = with_linear_solved({"U": base_U})
+            parts = encode_u(p["U"])
             if others:
-                parts.append(_pack({n: vals[n] for n in others}, others, g))
-            x_full = np.concatenate(parts)
-            polish = least_squares(resvec_full, x_full, method="lm",
+                parts.append(_pack(p, others, g))
+            polish = least_squares(resvec_full, np.concatenate(parts), method="lm",
                                    max_nfev=problem.iterations)
-            nfev += polish.nfev
-            best_x = polish.x
-            best_obj = float(np.mean(resvec_full(best_x) ** 2) * 2.0)
-            return best_obj, best_x, False, nfev
+            best_obj = float(np.mean(polish.fun ** 2) * 2.0)
+            return best_obj, polish.x, False, calls - start
         except _GaugeCollapse:
-            return math.inf, None, True, nfev
+            return math.inf, None, True, calls - start
 
     outcomes = [run_restart(k) for k in range(problem.restarts)]
 
@@ -599,22 +551,11 @@ def fit(problem: SearchProblem) -> SearchResult:
     if best_x is None:
         raise DegenerateJetError("every restart collapsed the gauge")
 
-    final = gather(decode_full(best_x))
-
-    if problem.target == "hirota":
-        hold_model = _HirotaModel(rm, z_hold)
-        hold = hold_model.ratios(hold_model.source(), final["U"], final["V"], final["W"],
-                                 final["d"])
-        best_jet = replace(jet, U=final["U"], V=final["V"], W=final["W"], d=final["d"])
-        result_a = None
-        note = None
-    else:
-        hold_model = _OnePointModel(rm, z_hold)
-        hold = hold_model.ratios(*hold_model.sources(final["a"]),
-                                 final["U"], final["V"], final["c"])
-        best_jet = replace(jet, U=final["U"], V=final["V"], c=final["c"])
-        result_a = final["a"]
-        note = "irreducibility of the subgroup generated by a is assumed, not verified"
+    final = decode_full(best_x)
+    hold_model = model_cls(rm, z_hold)
+    hold = hold_model.ratios(hold_model.sources(final), final)
+    best_jet = replace(jet, **{n: v for n, v in final.items() if n != "a"})
+    note = model_cls.note
     if u_mode == "slice":
         # report the canonical gauge representative; residuals are invariant
         best_jet = gauge_normalize(best_jet)
@@ -629,7 +570,7 @@ def fit(problem: SearchProblem) -> SearchResult:
         best_residual=best_residual,
         history=history,
         converged=converged,
-        a=result_a,
+        a=final.get("a"),
         gauge_degenerate_restarts=gauge_failures,
         evaluations=evaluations,
         note=note,
@@ -702,42 +643,31 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
             last_bases = [model.basis_at(2.0 * zeta_of(zetas, eps)) for eps in eps_grid]
             last_zetas = key
         Dz = _Contractions(model.basis_z)
-        return [(eps, Dz, _Contractions(basis_a)) for eps, basis_a in zip(eps_grid, last_bases)]
+        return [(Dz, _Contractions(basis_a)) for basis_a in last_bases]
+
+    # each grid row is the one-point form with the second direction folded
+    # to V + U/eps and the constant d(eps)/eps (see hierarchy_residual)
+    grid_V = [V + U / eps for eps in eps_grid]
+
+    def grid_fields(dvals):
+        return [{"U": U, "V": v, "c": sum(dv * eps ** (j + 3) for j, dv in enumerate(dvals)) / eps}
+                for eps, v in zip(eps_grid, grid_V)]
 
     def ratios_grid(sources, dvals):
-        rows = []
-        for i, (eps, Dz, Da) in enumerate(sources):
-            d_at = sum(dv * eps ** (j + 3) for j, dv in enumerate(dvals))
-            rows.append(model.ratios(Dz, Da, U, V + U / eps, d_at / eps) * weights[i])
-        return np.concatenate(rows)
+        return np.concatenate([model.ratios(src, p) * w
+                               for src, p, w in zip(sources, grid_fields(dvals), weights)])
 
     def solve_d(sources):
-        """The d-coefficients enter linearly through c_eff; IRLS solve."""
+        """The d-coefficients enter every row's constant linearly; IRLS solve."""
         if n_d == 0:
             return ()
-        fixed_rows, col_rows = [], []
-        for eps, Dz, Da in sources:
-            stack = _one_point_terms(Dz, Da, U, V + U / eps, 0j)
-            fixed_rows.append(stack[:5].sum(axis=0))
-            tz_ta = Dz() * Da()
-            col_rows.append(np.column_stack(
-                [eps ** (j + 2) * tz_ta for j in range(n_d)]))
-        fixed = np.concatenate(fixed_rows)
-        cols = np.vstack(col_rows)
-        wrow = np.concatenate([np.full(model.basis_z.count, w) for w in weights])
+        base = np.concatenate([model.base(src, {"U": U}) for src in sources], axis=1)
 
-        def weights_for(x):
-            norms = []
-            for eps, Dz, Da in sources:
-                d_at = sum(x[j] * eps ** (j + 3) for j in range(n_d))
-                stack = _one_point_terms(Dz, Da, U, V + U / eps, d_at / eps)
-                norms.append(np.abs(stack).sum(axis=0))
-            return wrow / np.maximum(np.concatenate(norms), NORMALIZER_FLOOR)
+        def linear(x):
+            return np.concatenate([model.linear(src, p)
+                                   for src, p in zip(sources, grid_fields(x))], axis=1)
 
-        base = np.abs(np.concatenate(fixed_rows))
-        w0 = wrow / np.maximum(base, NORMALIZER_FLOOR)
-        x = _weighted_lstsq(cols, fixed, w0, weights_for)
-        return tuple(x)
+        return tuple(_solve_affine(base, linear, n_d, np.repeat(weights, model.basis_z.count)))
 
     def split(x):
         zetas = [x[2 * g * k:2 * g * (k + 1)][:g]
@@ -755,7 +685,11 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
             parts.extend([[np.real(dv)], [np.imag(dv)]])
         return np.concatenate(parts) if parts else np.zeros(0)
 
+    calls = 0  # residual-vector evaluations, all restarts
+
     def resvec(x):
+        nonlocal calls
+        calls += 1
         zetas, dvals = split(x)
         r = ratios_grid(sources_for(zetas), dvals)
         return np.concatenate([r.real, r.imag])
@@ -780,11 +714,12 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
                                      + 1j * rng.standard_normal(g))
                           for z in zetas0]
             dvals0 = solve_d(sources_for(zetas0))
+            start = calls
             polish = least_squares(resvec, join(zetas0, dvals0), method="lm",
                                    max_nfev=problem.iterations)
-            obj = float(np.mean(resvec(polish.x) ** 2) * 2.0)
+            obj = float(np.mean(polish.fun ** 2) * 2.0)
             history.append(obj)
-            evaluations.append(polish.nfev)
+            evaluations.append(calls - start)
             if obj < best[0]:
                 best = (obj, polish.x)
         zetas, dvals = split(best[1])

@@ -1,9 +1,32 @@
 from __future__ import annotations
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from thetalab import RiemannMatrix
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("thetalab", derandomize=True, deadline=None, database=None)
+settings.load_profile("thetalab")
+
+
+def pytest_configure(config):
+    """Keep Hypothesis's own caches out of the tree.
+
+    Hypothesis parses the local modules for constants while tests are
+    collected and caches them under its home directory (``.hypothesis/`` in
+    the working directory by default); here that is a temporary directory
+    removed when the run ends.
+    """
+    home = tempfile.mkdtemp(prefix="thetalab-hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 # A fixed generic genus-2 period matrix used across the suite.  It is
 # comfortably far from the decomposable locus (the decomposability indicator

@@ -5,10 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thetalab import RiemannMatrix, theta_eval
+from thetalab import RiemannMatrix, bilinear, theta_eval
 from thetalab.bilinear import (
     DirectionJet,
+    _hirota_base,
+    _hirota_linear,
+    _jets,
+    _one_point_base,
+    _one_point_linear,
+    _source,
     ResidualReport,
     baker_akhiezer,
     build_report,
@@ -528,6 +535,77 @@ def test_sweeps_bind_all_points_at_once(rm_kdv, bind_sizes):
     assert bind_sizes == [20] and not pole.any()
     for (x, y, t), value in zip(grid, u):
         assert abs(value - kp_field_u(x, y, t, [0.06 + 0.21j], rm_kdv, jet)) <= 1e-12 * abs(value)
+
+
+def _cvec(g, bound=1.5):
+    part = st.floats(-bound, bound, allow_subnormal=False)
+    return st.lists(part, min_size=2 * g, max_size=2 * g).map(
+        lambda v: np.array(v[:g]) + 1j * np.array(v[g:]))
+
+
+_cnum = st.builds(complex, st.floats(-2.0, 2.0, allow_subnormal=False),
+                  st.floats(-2.0, 2.0, allow_subnormal=False))
+_PTS_G2 = random_points(2, 3, seed=301)
+
+
+def _swept_stack(sweep):
+    """The jets a sweep binds and the term stack it reduces, captured."""
+    seen = {}
+    jets, residuals = bilinear._jets, bilinear._residuals
+
+    def keep_jets(*args):
+        seen["jets"] = jets(*args)
+        return seen["jets"]
+
+    def keep_terms(terms):
+        seen["terms"] = terms
+        return residuals(terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bilinear, "_jets", keep_jets)
+        mp.setattr(bilinear, "_residuals", keep_terms)
+        sweep()
+    return seen["jets"], seen["terms"]
+
+
+def _assert_affine(block, fields, alpha):
+    """block(alpha f1 + (1 - alpha) f2) = alpha block(f1) + (1 - alpha) block(f2)."""
+    f1, f2 = fields
+    mixed = [alpha * x + (1.0 - alpha) * y for x, y in zip(f1, f2)]
+    b1, b2, bm = block(*f1), block(*f2), block(*mixed)
+    scale = (abs(alpha) * np.abs(b1) + abs(1.0 - alpha) * np.abs(b2) + np.abs(bm)).sum(axis=0)
+    assert np.all(np.abs(bm - (alpha * b1 + (1.0 - alpha) * b2)).sum(axis=0) <= 1e-12 * scale)
+
+
+@settings(max_examples=20)
+@given(U=_cvec(2), V=_cvec(2), W=st.tuples(_cvec(2), _cvec(2)), d=st.tuples(_cnum, _cnum),
+       alpha=st.floats(-1.0, 2.0))
+def test_kp_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, W, d, alpha):
+    jet = DirectionJet(U=U, V=V, W=W[0], d=d[0])
+    res, terms = _swept_stack(lambda: sweep_residual("kp", rm_g2, jet, _PTS_G2, 1.0))
+    D = _source(res)
+    assert np.array_equal(terms, np.concatenate([_hirota_base(D, U, V),
+                                                 _hirota_linear(D, U, W[0], d[0])]))
+    # every W on one evaluator, so the jets are linear in W up to roundoff
+    mixed = alpha * W[0] + (1.0 - alpha) * W[1]
+    D = _source(_jets(rm_g2, _PTS_G2, [(U,)] + [r for w in (*W, mixed) for r in ((w,), (U, w))]))
+    _assert_affine(lambda w, c: _hirota_linear(D, U, w, c), zip(W, d), alpha)
+
+
+@settings(max_examples=20)
+@given(U=_cvec(2), V=st.tuples(_cvec(2), _cvec(2)), c=st.tuples(_cnum, _cnum),
+       a=_cvec(2, bound=0.5), alpha=st.floats(-1.0, 2.0))
+def test_one_point_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, c, a, alpha):
+    jet = DirectionJet(U=U, V=V[0], c=c[0])
+    count = len(_PTS_G2)
+    res, terms = _swept_stack(lambda: sweep_residual("one-point", rm_g2, jet, _PTS_G2, 1.0, a=a))
+    Dz, Da = _source(res, slice(None, count)), _source(res, slice(count, None))
+    assert np.array_equal(terms, np.concatenate([_one_point_base(Dz, Da, U),
+                                                 _one_point_linear(Dz, Da, V[0], c[0])]))
+    mixed = alpha * V[0] + (1.0 - alpha) * V[1]
+    res = _jets(rm_g2, np.concatenate([_PTS_G2, _PTS_G2 + a]), [(v,) for v in (*V, mixed)])
+    Dz, Da = _source(res, slice(None, count)), _source(res, slice(count, None))
+    _assert_affine(lambda v, k: _one_point_linear(Dz, Da, v, k), zip(V, c), alpha)
 
 
 def _mp_hirota_terms(z, tau, jet):

@@ -20,6 +20,7 @@ from thetalab.engine import (
     theta_eval,
 )
 from thetalab.errors import DegenerateJetError, InvalidInputError
+from thetalab import search
 from thetalab.search import (
     EPSILON_GRID,
     SearchProblem,
@@ -101,7 +102,8 @@ class TestBasisComposition:
         W = np.array([-0.7 + 0.2j, 0.5 - 0.1j])
         d = 0.3 - 0.8j
         jet = DirectionJet(U=U, V=V, W=W, d=d)
-        mine = np.abs(model.ratios(model.source(), U, V, W, d))
+        p = dict(U=U, V=V, W=W, d=d)
+        mine = np.abs(model.ratios(model.sources(p), p))
         ref = np.array([hirota_residual(z, rm_g2, jet) for z in pts])
         assert np.abs(mine - ref).max() <= 1e-12
 
@@ -113,7 +115,8 @@ class TestBasisComposition:
         a = np.array([0.21 - 0.34j, -0.17 + 0.25j])
         c = 0.4 + 0.2j
         jet = DirectionJet(U=U, V=V, c=c)
-        mine = np.abs(model.ratios(*model.sources(a), U, V, c))
+        p = dict(U=U, V=V, c=c, a=a)
+        mine = np.abs(model.ratios(model.sources(p), p))
         ref = np.array([p_residual(z, rm_g2, jet, a) for z in pts])
         assert np.abs(mine - ref).max() <= 1e-12
 
@@ -143,10 +146,10 @@ class TestBasisComposition:
     def test_source_follows_a_direction_changed_in_place(self, rm_g2):
         model = _HirotaModel(rm_g2, box_points(rm_g2, np.random.default_rng(11), 5))
         U = np.array([0.9 + 0.1j, -0.2 + 0.3j])
-        first = model.source()
+        (first,) = model.sources({})
         before = first(U, U)
         U[:] = [0.3 - 0.5j, 0.7 + 0.2j]
-        second = model.source()
+        (second,) = model.sources({})
         want = model.basis.deriv(U.copy(), U.copy())
         assert np.abs(want - before).max() > 1e-3
         for D in (second, first):
@@ -162,6 +165,71 @@ class TestBasisComposition:
         again = model.basis_at(a)
         assert np.array_equal(again.value, first.value)
         assert np.array_equal(again.tensor[2], first.tensor[2])
+
+
+class TestSharedSolve:
+    """The one IRLS solve recovers every subset of a form's linear fields."""
+
+    @staticmethod
+    def check(model, p, subsets):
+        sources = model.sources(p)
+        for free in subsets:
+            solved = model.solve_linear(
+                sources, {n: v for n, v in p.items() if n not in free}, free)
+            assert np.abs(model.ratios(sources, solved)).max() <= 1e-9, free
+            for name in free:
+                want = np.asarray(p[name])
+                assert np.abs(solved[name] - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
+
+    def test_kp_fields(self, g1_fit, rm_g1):
+        jet = g1_fit.best_jet
+        model = _HirotaModel(rm_g1, box_points(rm_g1, np.random.default_rng(7), 40))
+        self.check(model, dict(U=jet.U, V=jet.V, W=jet.W, d=jet.d),
+                   [("W",), ("d",), ("W", "d")])
+
+    def test_one_point_fields(self, g2_one_point_fit, rm_g2):
+        jet = g2_one_point_fit.best_jet
+        model = _OnePointModel(rm_g2, box_points(rm_g2, np.random.default_rng(7), 40))
+        self.check(model, dict(U=jet.U, V=jet.V, c=jet.c, a=g2_one_point_fit.a),
+                   [("V",), ("c",), ("V", "c")])
+
+
+class TestEvaluations:
+    """``evaluations`` counts every call of the objective and residual vector."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = []
+
+        def counting(solver):
+            def wrapped(fun, x0, *args, **kwargs):
+                k = len(counts)
+                counts.append(0)
+
+                def counted(x):
+                    counts[k] += 1
+                    return fun(x)
+
+                return solver(counted, x0, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(search, "minimize", counting(search.minimize))
+        monkeypatch.setattr(search, "least_squares", counting(search.least_squares))
+        return counts
+
+    def test_fit_counts_both_stages(self, calls):
+        res = fit(g1_problem(restarts=2, iterations=60))
+        # each restart runs one Nelder-Mead stage, then one LM stage
+        assert len(calls) == 4
+        assert res.evaluations == [calls[0] + calls[1], calls[2] + calls[3]]
+
+    def test_fit_hierarchy_counts_difference_columns(self, calls, g1_fit):
+        res = fit_hierarchy(SearchProblem(
+            tau=TAU1, target="hierarchy", jet=g1_fit.best_jet, free_vars=(),
+            sample_count=60, seed=7, restarts=2, iterations=40, tolerance=1e-6,
+            jet_order=2))
+        assert len(calls) == 2
+        assert res.evaluations == calls
 
 
 class TestFitHirota:
