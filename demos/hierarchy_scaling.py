@@ -30,7 +30,7 @@ print(f"four-term fit: residual {base.best_residual:.2e}")
 germ = fit_hierarchy(SearchProblem(
     tau=TAU, target="hierarchy", jet=base.best_jet, free_vars=(),
     sample_count=80, seed=7, restarts=2, iterations=400, tolerance=1e-8,
-), jet_order=3)
+))
 jet = germ.best_jet
 print(f"germ fit: worst training-grid residual {germ.best_residual:.2e} "
       f"(set by truncation at the largest eps), exponent {germ.scaling_exponent:.2f}")

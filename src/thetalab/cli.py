@@ -52,7 +52,7 @@ from .errors import (
     ThetaLabError,
 )
 from .kummer import decomposability_indicator, flex_scan
-from .search import SearchProblem, fit
+from .search import SearchProblem, _real_parameters, fit
 from .serialize import SCHEMA_ID
 
 RESAMPLE_ATTEMPTS = 4  # initial draw plus up to three redraws
@@ -284,16 +284,6 @@ _SEARCH_TARGETS = {
     "one-point-search": ("one_point", "V,a,c"),
 }
 
-_VECTOR_FIELDS = {"U", "V", "W", "a"}
-
-
-def _default_samples(free_vars, g):
-    dof = sum(2 * g if name in _VECTOR_FIELDS else 2 for name in free_vars)
-    if "U" not in free_vars:
-        dof += 2 * (g - 1)
-    return max(40, 10 * dof)
-
-
 def _write_history_csv(path, result):
     evaluations = result.evaluations or [0] * len(result.history)
     with open(path, "w", newline="") as fh:
@@ -308,7 +298,9 @@ def cmd_search(args):
     rm = _load_tau(args)
     jet, extras = _load_jet(args, default_unit_u=True, genus=rm.g)
     free_vars = tuple(v.strip() for v in (args.free or default_free).split(",") if v.strip())
-    samples = args.samples if args.samples is not None else _default_samples(free_vars, rm.g)
+    samples = args.samples
+    if samples is None:
+        samples = max(40, 10 * _real_parameters(free_vars, rm.g))
     problem = SearchProblem(
         tau=rm,
         target=target,

@@ -1,9 +1,12 @@
 """Direction-vector searches: fitting bilinear-residual minimizers.
 
-The optimizer is multi-start Nelder-Mead over the parameters that enter the
-residual nonlinearly, followed by Levenberg-Marquardt polishing of the full
-parameter vector with finite-difference Jacobians.  Two structural tricks
-keep the objective cheap and well-conditioned:
+``fit`` and ``fit_hierarchy`` share one multi-start driver
+(``_Multistart``): seeded restarts in order, each an optional Nelder-Mead
+stage followed by one Levenberg-Marquardt polish of the full parameter
+vector with finite-difference Jacobians, and the best restart chosen with
+ties broken by restart index.  ``fit`` runs the simplex over the parameters
+that enter the residual nonlinearly; the hierarchy fit polishes only.  Two
+structural tricks keep the objective cheap and well-conditioned:
 
 * all theta jets at the (fixed) training points are precomputed once as
   symmetric basis-derivative tensors, flattened so that contracting one
@@ -34,8 +37,10 @@ moved far along the orbit.
 Objectives are means of squared term-normalized residuals over seeded
 training samples; reported residuals always come from a fresh holdout set
 whose seed stream is disjoint from training by construction.
-``SearchResult.evaluations`` counts, per restart, the calls of the
-objective and of the residual vector, finite-difference columns included.
+``SearchResult.evaluations`` counts, per restart, the driver's calls of the
+Nelder-Mead objective and of the residual vector, finite-difference
+columns included; the polish's ``iterations`` budget leaves those columns
+out (scipy >= 1.16).
 """
 
 from __future__ import annotations
@@ -65,7 +70,6 @@ from .engine import BatchThetaEvaluator, box_points, canonical_request
 from .errors import DegenerateJetError, InvalidInputError
 
 TARGETS = ("hirota", "one_point", "hierarchy")
-_FIELD_SIZES = {"U": None, "V": None, "W": None, "a": None, "c": 1, "d": 1}
 GAUGE_COLLAPSE_NORM = 1e-6
 EPSILON_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 IRLS_ROUNDS = 3
@@ -232,7 +236,7 @@ class _Model:
         def fields(x):
             out, pos = dict(p), 0
             for name, size in zip(free, sizes):
-                out[name] = x[pos] if _FIELD_SIZES[name] == 1 else x[pos:pos + size]
+                out[name] = x[pos] if _scalar(name) else x[pos:pos + size]
                 pos += size
             return out
 
@@ -297,24 +301,26 @@ class _OnePointModel(_Model):
         self.points = np.asarray(points, dtype=complex)
         self.basis_z = _BasisJets(self.ev, self.points, orders=(1, 2))
         self.g = rm.g
-        self._shift = None
-        self._basis_a = None
+        self._shifts = None
+        self._bases = None
 
-    def basis_at(self, a):
-        """Basis jets at the points shifted by a; the last shift's are kept.
+    def basis_at(self, shifts):
+        """Basis jets at the points shifted by each of ``shifts``; the last stack's are kept.
 
         A fixed shift is bound once per model, a free one once per
-        objective evaluation (the IRLS solve and the ratios share it).
+        objective evaluation (the IRLS solve and the ratios share it).  The
+        hierarchy fit passes its grid of germ shifts, which a candidate that
+        moves only the d-coefficients leaves as it is.
         """
-        a = np.array(a, dtype=complex)
-        if self._shift is None or not np.array_equal(a, self._shift):
-            self._basis_a = _BasisJets(self.ev, self.points + a, orders=(1, 2))
-            self._shift = a
-        return self._basis_a
+        shifts = np.array(shifts, dtype=complex)
+        if self._shifts is None or not np.array_equal(shifts, self._shifts):
+            self._bases = [_BasisJets(self.ev, self.points + a, orders=(1, 2)) for a in shifts]
+            self._shifts = shifts
+        return self._bases
 
     def sources(self, p):
         """Empty derivative sources at z and at z + a for the candidate p."""
-        return _Contractions(self.basis_z), _Contractions(self.basis_at(p["a"]))
+        return _Contractions(self.basis_z), _Contractions(self.basis_at([p["a"]])[0])
 
     def ratios(self, sources, p):
         return _term_ratios(_one_point_terms(*sources, p["U"], p["V"], p["c"]))
@@ -329,17 +335,33 @@ class _OnePointModel(_Model):
 _MODELS = {"hirota": _HirotaModel, "one_point": _OnePointModel}
 
 
+def _scalar(name):
+    """Whether a field is one complex number; a germ coefficient (zeta2, d3, ..) by its letters."""
+    return name.rstrip("0123456789") in ("c", "d")
+
+
 def _field_size(name, g):
-    size = _FIELD_SIZES[name]
-    return g if size is None else size
+    return 1 if _scalar(name) else g
 
 
-def _pack(values, names, g):
-    parts = []
+def _real_parameters(names, g, gauge=True):
+    """The real parameters of the fields ``names``.
+
+    With ``gauge``, a U left out of ``names`` stays on the gauge slice |U| = 1
+    (first nonzero component real positive), which leaves 2(g-1) real
+    degrees of freedom; at g = 1 the slice is the single point (1).
+    """
+    n = sum(2 * _field_size(name, g) for name in names)
+    return n + 2 * (g - 1) if gauge and "U" not in names else n
+
+
+def _pack(values, names):
+    """Real vector of the fields ``names``: re then im of each, in order."""
+    parts = [np.zeros(0)]
     for name in names:
         v = np.atleast_1d(np.asarray(values[name], dtype=complex))
         parts.extend([v.real, v.imag])
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate(parts)
 
 
 def _unpack(x, names, g):
@@ -347,16 +369,14 @@ def _unpack(x, names, g):
     pos = 0
     for name in names:
         n = _field_size(name, g)
-        re = x[pos:pos + n]
-        im = x[pos + n:pos + 2 * n]
-        val = re + 1j * im
-        out[name] = val[0] if _FIELD_SIZES[name] == 1 else val
+        val = x[pos:pos + n] + 1j * x[pos + n:pos + 2 * n]
+        out[name] = val[0] if _scalar(name) else val
         pos += 2 * n
     return out
 
 
 def _validate_problem(problem, rm):
-    """The model class of the problem's target, after checking the problem."""
+    """The model class of the problem's target and its real parameter count."""
     if problem.target not in TARGETS:
         raise InvalidInputError(f"unknown search target {problem.target!r}")
     model_cls = _MODELS[problem.target]
@@ -367,25 +387,87 @@ def _validate_problem(problem, rm):
                 f"{problem.target} target (allowed: {model_cls.fields})")
     if len(set(problem.free_vars)) != len(problem.free_vars):
         raise InvalidInputError("free_vars contains duplicates")
-    n_real = sum(2 * _field_size(name, rm.g) for name in problem.free_vars)
-    if "U" not in problem.free_vars:
-        # U stays on the gauge slice |U| = 1 (first nonzero component real
-        # positive), which leaves 2(g-1) real degrees of freedom; at g = 1
-        # the slice is the single point (1) and U is genuinely pinned.
-        n_real += 2 * (rm.g - 1)
+    n_real = _real_parameters(problem.free_vars, rm.g)
     if n_real == 0:
         raise InvalidInputError("no free variables to fit")
-    if problem.sample_count < 10 * n_real:
-        raise InvalidInputError(
-            f"sample_count {problem.sample_count} is below 10x the "
-            f"{n_real} real free parameters")
-    _check_budget(problem)
-    return model_cls
+    return model_cls, n_real
 
 
-def _check_budget(problem):
-    if problem.restarts < 1 or problem.iterations < 1:
-        raise InvalidInputError("budget must be positive")
+class _Multistart:
+    """The restart loop of both searches.
+
+    It checks the sample floor (10 samples per real parameter) and the
+    budget, and spawns the problem's seed into the training cloud
+    ``z_train``, the holdout cloud ``z_hold`` and one stream per restart, so
+    the holdout is disjoint from training by construction.  ``run`` then
+    runs the restarts in order; ``history``, ``evaluations`` and
+    ``collapsed`` record them.
+    """
+
+    def __init__(self, problem, rm, n_real):
+        if problem.sample_count < 10 * n_real:
+            raise InvalidInputError(
+                f"sample_count {problem.sample_count} is below 10x the "
+                f"{n_real} real free parameters")
+        if problem.restarts < 1 or problem.iterations < 1:
+            raise InvalidInputError("budget must be positive")
+        self.problem = problem
+        train_ss, hold_ss, *self.streams = np.random.SeedSequence(problem.seed).spawn(
+            2 + problem.restarts)
+        self.z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
+        self.z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
+        self.history, self.evaluations, self.collapsed = [], [], 0
+
+    def run(self, start, resvec, objective=None, finish=lambda x: x):
+        """The polished x of the best restart, ties broken by restart index.
+
+        Restart k starts at ``start(k, rng)``, rng drawn from its own stream.
+        With an ``objective``, a Nelder-Mead stage minimizes it from there.
+        ``finish`` maps the point reached to the start of the polish, one
+        Levenberg-Marquardt call on ``resvec`` with ``max_nfev`` =
+        ``problem.iterations``.  On scipy >= 1.16 that budget leaves out the
+        finite-difference Jacobian columns, and "lm" scales the parameters
+        by the Jacobian's column norms (``x_scale="jac"``).  The restart
+        scores 2 mean(polish.fun^2), the mean squared modulus of the complex
+        residuals, and ``evaluations`` counts its calls of the objective and
+        of ``resvec``, the difference columns included.  A restart that
+        collapses the gauge (``_GaugeCollapse``) scores inf; when every
+        restart does, the search fails with ``DegenerateJetError``.
+        """
+        problem, calls, xs = self.problem, 0, []
+
+        def counted(f):
+            def call(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+            return call
+
+        resvec = counted(resvec)
+        objective = objective and counted(objective)
+        for k, stream in enumerate(self.streams):
+            first = calls
+            try:
+                x = start(k, np.random.default_rng(stream))
+                if objective:
+                    x = minimize(objective, x, method="Nelder-Mead",
+                                 options={"maxiter": problem.iterations,
+                                          "maxfev": 4 * problem.iterations,
+                                          "xatol": 1e-12, "fatol": 1e-16,
+                                          "adaptive": True}).x
+                polish = least_squares(resvec, finish(x), method="lm",
+                                       max_nfev=problem.iterations)
+                self.history.append(float(np.mean(polish.fun ** 2) * 2.0))
+                xs.append(polish.x)
+            except _GaugeCollapse:
+                self.history.append(math.inf)
+                xs.append(None)
+                self.collapsed += 1
+            self.evaluations.append(calls - first)
+        best = min(range(len(xs)), key=self.history.__getitem__)
+        if xs[best] is None:
+            raise DegenerateJetError("every restart collapsed the gauge")
+        return xs[best]
 
 
 def _initial_values(problem, rm, rng, restart, nonlinear):
@@ -413,14 +495,17 @@ def _initial_values(problem, rm, rng, restart, nonlinear):
 def fit(problem: SearchProblem) -> SearchResult:
     """Minimize the chosen residual over the freed jet parameters.
 
-    Deterministic for a fixed problem: restarts run in order on independent
-    seeded streams, and the best one is chosen with ties broken by restart
-    index.
+    Deterministic for a fixed problem (see ``_Multistart``).  Each restart
+    runs Nelder-Mead over U's chart and the nonlinear fields, if there are
+    any, with the linear fields solved by IRLS inside the objective, then
+    polishes every free field; the best restart is scored on the holdout
+    cloud.
     """
     rm = as_riemann_matrix(problem.tau)
     if problem.target == "hierarchy":
         return fit_hierarchy(problem)
-    model_cls = _validate_problem(problem, rm)
+    model_cls, n_real = _validate_problem(problem, rm)
+    driver = _Multistart(problem, rm, n_real)
     g = rm.g
     jet = problem.jet
 
@@ -434,11 +519,6 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     fixed = {n: fixed_value(n) for n in model_cls.fields
              if n != "U" and n not in problem.free_vars}
-
-    root = np.random.SeedSequence(problem.seed)
-    train_ss, hold_ss, *restart_ss = root.spawn(2 + problem.restarts)
-    z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
-    z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
 
     linear = tuple(n for n in problem.free_vars if n in model_cls.linear_fields)
     nl_named = tuple(n for n in problem.free_vars
@@ -480,7 +560,7 @@ def fit(problem: SearchProblem) -> SearchResult:
         w = np.delete(np.asarray(U, dtype=complex) / U[pivot], pivot)
         return [np.real(w), np.imag(w)]
 
-    model = model_cls(rm, z_train)
+    model = model_cls(rm, driver.z_train)
 
     def with_linear_solved(vals):
         """The candidate's field values, its linear fields solved by IRLS.
@@ -495,29 +575,23 @@ def fit(problem: SearchProblem) -> SearchResult:
         return p, sources
 
     def decode_nonlinear(x):
-        vals = {"U": decode_u(x)}
-        vals.update(_unpack(x[2 * u_len:], nl_named, g))
-        return vals
+        return {"U": decode_u(x), **_unpack(x[2 * u_len:], nl_named, g)}
 
     def decode_full(x):
         return {**fixed, "U": decode_u(x), **_unpack(x[2 * u_len:], others, g)}
 
-    calls = 0  # objective and residual-vector evaluations, all restarts
-
     def objective_nonlinear(x):
-        nonlocal calls
-        calls += 1
         p, sources = with_linear_solved(decode_nonlinear(x))
         return float(np.mean(np.abs(model.ratios(sources, p)) ** 2))
 
     def resvec_full(x):
-        nonlocal calls
-        calls += 1
         p = model.canonical(decode_full(x), problem.free_vars)
         r = model.ratios(model.sources(p), p)
         return np.concatenate([r.real, r.imag])
 
-    n_nl = 2 * u_len + sum(2 * _field_size(n, g) for n in nl_named)
+    def polish_start(x):
+        p, _ = with_linear_solved(decode_nonlinear(x))
+        return np.concatenate(encode_u(p["U"]) + [_pack(p, others)])
 
     def initial_x(k, rng):
         parts = []
@@ -542,47 +616,14 @@ def fit(problem: SearchProblem) -> SearchResult:
                 w = np.delete(raw / piv, pivot)
             parts.extend([np.real(w), np.imag(w)])
         vals0 = _initial_values(problem, rm, rng, k, nl_named)
-        if nl_named:
-            parts.append(_pack(vals0, nl_named, g))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts + [_pack(vals0, nl_named)])
 
-    def run_restart(k):
-        rng = np.random.default_rng(restart_ss[k])
-        start = calls
-        try:
-            if n_nl:
-                x0 = initial_x(k, rng)
-                nm = minimize(objective_nonlinear, x0, method="Nelder-Mead",
-                              options={"maxiter": problem.iterations,
-                                       "maxfev": 4 * problem.iterations,
-                                       "xatol": 1e-12, "fatol": 1e-16,
-                                       "adaptive": True})
-                p, _ = with_linear_solved(decode_nonlinear(nm.x))
-            else:
-                p, _ = with_linear_solved({"U": base_U})
-            parts = encode_u(p["U"])
-            if others:
-                parts.append(_pack(p, others, g))
-            polish = least_squares(resvec_full, np.concatenate(parts), method="lm",
-                                   max_nfev=problem.iterations)
-            best_obj = float(np.mean(polish.fun ** 2) * 2.0)
-            return best_obj, polish.x, False, calls - start
-        except _GaugeCollapse:
-            return math.inf, None, True, calls - start
-
-    outcomes = [run_restart(k) for k in range(problem.restarts)]
-
-    history = [obj for obj, _, _, _ in outcomes]
-    evaluations = [n for _, _, _, n in outcomes]
-    gauge_failures = sum(1 for _, _, collapsed, _ in outcomes if collapsed)
-    best_idx = min(range(len(outcomes)),
-                   key=lambda k: (outcomes[k][0], k))
-    best_obj, best_x, _, _ = outcomes[best_idx]
-    if best_x is None:
-        raise DegenerateJetError("every restart collapsed the gauge")
+    n_nl = 2 * u_len + sum(2 * _field_size(n, g) for n in nl_named)
+    best_x = driver.run(initial_x, resvec_full, objective_nonlinear if n_nl else None,
+                        polish_start)
 
     final = model.canonical(decode_full(best_x), problem.free_vars)
-    hold_model = model_cls(rm, z_hold)
+    hold_model = model_cls(rm, driver.z_hold)
     hold = hold_model.ratios(hold_model.sources(final), final)
     best_jet = replace(jet, **{n: v for n, v in final.items() if n != "a"})
     note = model_cls.note
@@ -598,17 +639,17 @@ def fit(problem: SearchProblem) -> SearchResult:
     return SearchResult(
         best_jet=best_jet,
         best_residual=best_residual,
-        history=history,
+        history=driver.history,
         converged=converged,
         a=final.get("a"),
-        gauge_degenerate_restarts=gauge_failures,
-        evaluations=evaluations,
+        gauge_degenerate_restarts=driver.collapsed,
+        evaluations=driver.evaluations,
         note=note,
     )
 
 
-def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult:
-    """Fit germ coefficients zeta_2..zeta_K and d_3..d_(K+1).
+def fit_hierarchy(problem: SearchProblem) -> SearchResult:
+    """Fit germ coefficients zeta_2..zeta_K and d_3..d_(K+1), K = ``problem.jet_order``.
 
     The first germ coefficient is pinned to U from the supplied jet; the
     residual is minimized jointly over a log-spaced epsilon grid, each grid
@@ -618,7 +659,7 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
     """
     rm = as_riemann_matrix(problem.tau)
     g = rm.g
-    K = problem.jet_order if jet_order is None else jet_order
+    K = problem.jet_order
     if not 1 <= K <= 4:
         raise InvalidInputError("hierarchy jet_order must lie in 1..4")
     jet = problem.jet
@@ -628,52 +669,28 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
             "zero leading germ coefficient: the shift collapses to a = 0")
     U, V = jet.U, jet.V
 
-    n_zeta = K - 1
-    n_d = K - 1  # d_3 .. d_(K+1)
-    n_real = 2 * g * n_zeta + 2 * n_d
-    if n_real and problem.sample_count < 10 * n_real:
-        raise InvalidInputError(
-            f"sample_count {problem.sample_count} is below 10x the "
-            f"{n_real} real free parameters")
-    _check_budget(problem)
-
-    root = np.random.SeedSequence(problem.seed)
-    train_ss, hold_ss, *restart_ss = root.spawn(2 + problem.restarts)
-    z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
-    z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
-    model = _OnePointModel(rm, z_train)
+    zeta_names = [f"zeta{k}" for k in range(2, K + 1)]
+    d_names = [f"d{j}" for j in range(3, K + 2)]
+    names = zeta_names + d_names
+    driver = _Multistart(problem, rm, _real_parameters(names, g, gauge=False))
+    model = _OnePointModel(rm, driver.z_train)
     eps_grid = np.asarray(EPSILON_GRID)
     # a germ truncated at order K leaves residual O(eps^(K+1)); dividing
     # each grid row by that a-priori scale balances the rows at the true
     # germ, so misfit at ANY lower order dominates from the small-eps side
     weights = eps_grid ** (-(K + 1.0))
 
-    def germ_jet(zetas, dvals):
-        return replace(jet, zeta_coeffs=[U] + list(zetas), d_coeffs=list(dvals))
-
-    def zeta_of(zetas, eps):
-        total = np.zeros(g, dtype=complex)
-        power = eps
-        for coeff in [U] + list(zetas):
-            total = total + power * coeff
-            power *= eps
-        return total
-
-    last_zetas, last_bases = None, None
-
-    def sources_for(zetas):
-        """Derivative sources of one candidate: at z, and at z + 2 zeta(eps) per eps.
-
-        The last germ's shifted bases are kept, keyed by its zeta values, so a
-        candidate that moves only the d-coefficients binds nothing.
-        """
-        nonlocal last_zetas, last_bases
-        key = np.array(zetas, dtype=complex)
-        if last_zetas is None or not np.array_equal(key, last_zetas):
-            last_bases = [model.basis_at(2.0 * zeta_of(zetas, eps)) for eps in eps_grid]
-            last_zetas = key
+    def sources_for(p):
+        """Derivative sources of one candidate: at z, and at z + 2 zeta(eps) per eps."""
+        shifts = []
+        for eps in eps_grid:
+            total, power = np.zeros(g, dtype=complex), eps
+            for coeff in [U] + [p[n] for n in zeta_names]:
+                total = total + power * coeff
+                power *= eps
+            shifts.append(2.0 * total)
         Dz = _Contractions(model.basis_z)
-        return [(Dz, _Contractions(basis_a)) for basis_a in last_bases]
+        return [(Dz, _Contractions(basis_a)) for basis_a in model.basis_at(shifts)]
 
     # each grid row is the one-point form with the second direction folded
     # to V + U/eps and the constant d(eps)/eps (see hierarchy_residual)
@@ -683,90 +700,49 @@ def fit_hierarchy(problem: SearchProblem, jet_order: int = None) -> SearchResult
         return [{"U": U, "V": v, "c": sum(dv * eps ** (j + 3) for j, dv in enumerate(dvals)) / eps}
                 for eps, v in zip(eps_grid, grid_V)]
 
-    def ratios_grid(sources, dvals):
-        return np.concatenate([model.ratios(src, p) * w
-                               for src, p, w in zip(sources, grid_fields(dvals), weights)])
-
     def solve_d(sources):
         """The d-coefficients enter every row's constant linearly; IRLS solve."""
-        if n_d == 0:
-            return ()
         base = np.concatenate([model.base(src, {"U": U}) for src in sources], axis=1)
 
         def linear(x):
             return np.concatenate([model.linear(src, p)
                                    for src, p in zip(sources, grid_fields(x))], axis=1)
 
-        return tuple(_solve_affine(base, linear, n_d, np.repeat(weights, model.basis_z.count)))
+        return dict(zip(d_names, _solve_affine(base, linear, len(d_names),
+                                               np.repeat(weights, model.basis_z.count))))
 
-    def split(x):
-        zetas = [x[2 * g * k:2 * g * (k + 1)][:g]
-                 + 1j * x[2 * g * k + g:2 * g * (k + 1)][:g]
-                 for k in range(n_zeta)]
-        off = 2 * g * n_zeta
-        dvals = [x[off + 2 * j] + 1j * x[off + 2 * j + 1] for j in range(n_d)]
-        return zetas, dvals
-
-    def join(zetas, dvals):
-        parts = []
-        for z in zetas:
-            parts.extend([np.real(z), np.imag(z)])
-        for dv in dvals:
-            parts.extend([[np.real(dv)], [np.imag(dv)]])
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    calls = 0  # residual-vector evaluations, all restarts
+    def start(k, rng):
+        # the order-2 germ coefficient is generically close to the opposite
+        # of the second flow direction; seed the first restart there and
+        # jitter the rest around it
+        zetas = [-V] + [np.zeros(g, dtype=complex)] * (K - 2)
+        if k > 0:
+            zetas = [z + 0.5 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+                     for z in zetas]
+        p = dict(zip(zeta_names, zetas))
+        return _pack({**p, **solve_d(sources_for(p))}, names)
 
     def resvec(x):
-        nonlocal calls
-        calls += 1
-        zetas, dvals = split(x)
-        r = ratios_grid(sources_for(zetas), dvals)
+        p = _unpack(x, names, g)
+        r = np.concatenate([model.ratios(src, q) * w for src, q, w in
+                            zip(sources_for(p), grid_fields([p[n] for n in d_names]), weights)])
         return np.concatenate([r.real, r.imag])
 
     # Near the optimum the weighted residual is almost linear in every germ
     # coefficient (the shift enters analytically and the d-terms exactly
-    # linearly), so each restart goes straight to autoscaled
-    # Levenberg-Marquardt; a simplex stage would crawl on the strongly
-    # anisotropic epsilon weighting.
-    history = []
-    evaluations = []
-    best = (math.inf, None)
-    if n_zeta:
-        for k in range(problem.restarts):
-            rng = np.random.default_rng(restart_ss[k])
-            # the order-2 germ coefficient is generically close to the
-            # opposite of the second flow direction; seed the first restart
-            # there and jitter the rest around it
-            zetas0 = [-V] + [np.zeros(g, dtype=complex)] * (n_zeta - 1)
-            if k > 0:
-                zetas0 = [z + 0.5 * (rng.standard_normal(g)
-                                     + 1j * rng.standard_normal(g))
-                          for z in zetas0]
-            dvals0 = solve_d(sources_for(zetas0))
-            start = calls
-            polish = least_squares(resvec, join(zetas0, dvals0), method="lm",
-                                   max_nfev=problem.iterations)
-            obj = float(np.mean(polish.fun ** 2) * 2.0)
-            history.append(obj)
-            evaluations.append(calls - start)
-            if obj < best[0]:
-                best = (obj, polish.x)
-        zetas, dvals = split(best[1])
-    else:
-        zetas, dvals = [], []
-
-    fitted = germ_jet(zetas, dvals)
-    scan_eps = list(eps_grid)
-    scan, exponent = hierarchy_scan(rm, fitted, scan_eps, list(z_hold))
+    # linearly), so the restarts polish with no simplex stage, which would
+    # crawl on the strongly anisotropic epsilon weighting.
+    p = _unpack(driver.run(start, resvec), names, g) if names else {}
+    fitted = replace(jet, zeta_coeffs=[U] + [p[n] for n in zeta_names],
+                     d_coeffs=[p[n] for n in d_names])
+    scan, exponent = hierarchy_scan(rm, fitted, list(eps_grid), list(driver.z_hold))
     best_residual = float(max(r for _, r in scan))
-    converged = best_residual <= problem.tolerance
     return SearchResult(
         best_jet=fitted,
         best_residual=best_residual,
-        history=history,
-        converged=converged,
+        history=driver.history,
+        converged=best_residual <= problem.tolerance,
         scaling_exponent=float(exponent),
-        evaluations=evaluations,
+        evaluations=driver.evaluations,
         note=f"germ fitted to order {K}; leading coefficient pinned to U",
     )

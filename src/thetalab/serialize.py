@@ -66,10 +66,6 @@ def decode_vector(obj) -> np.ndarray:
     return np.array([decode_complex(v) for v in obj], dtype=complex)
 
 
-def encode_matrix(mat) -> list:
-    return [encode_vector(row) for row in np.asarray(mat, dtype=complex)]
-
-
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise InvalidInputError("expected a non-empty list of matrix rows")

@@ -260,7 +260,7 @@ def test_criterion_07_hierarchy_scaling(rm_g1, g1_kp):
         tau=rm_g1, target="hierarchy", jet=result.best_jet, free_vars=(),
         sample_count=80, seed=7, restarts=2, iterations=400, tolerance=1e-8,
     )
-    germ = fit_hierarchy(problem, jet_order=3)
+    germ = fit_hierarchy(problem)
     points = random_points(1, 12, seed=13)
     per_eps, exponent = hierarchy_scan(rm_g1, germ.best_jet, [1e-3, 1e-2], points)
     residuals = {abs(e): r for e, r in per_eps}

@@ -92,7 +92,7 @@ def germ_env(g1_env, tmp_path_factory):
     problem = SearchProblem(tau=rm, target="hierarchy", jet=jet, free_vars=(),
                             sample_count=80, seed=7, restarts=2, iterations=400,
                             tolerance=1e-8)
-    result = fit_hierarchy(problem, jet_order=3)
+    result = fit_hierarchy(problem)
     germ = d / "germ.json"
     germ.write_text(json.dumps(serialize.jet_to_dict(result.best_jet)))
     return {"dir": d, "tau": g1_env["tau"], "germ": germ}
@@ -268,6 +268,12 @@ class TestSearchCommands:
         code = main(["kp-search", "--tau", str(g1_env["tau"]), "--samples", "10"])
         err = json.loads(capsys.readouterr().err)
         assert code == 2 and err["error"] == "INVALID_INPUT"
+
+    def test_unknown_free_name_is_input_error(self, g1_env, capsys):
+        code = main(["kp-search", "--tau", str(g1_env["tau"]), "--free", "V,zeta"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["error"] == "INVALID_INPUT"
+        assert "'zeta'" in err["message"]
 
     def test_one_point_report_carries_shift_and_note(self, g2_env):
         doc = g2_env["op_fit"]

@@ -1,4 +1,6 @@
+import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -156,15 +158,24 @@ class TestBasisComposition:
             assert np.array_equal(D(U, U), want)
 
     def test_one_point_model_keeps_the_last_shift(self, rm_g2):
+        # the cache is keyed on the whole stack of shifts: one shift for the
+        # one-point search, the epsilon grid's for the hierarchy fit
         model = _OnePointModel(rm_g2, box_points(rm_g2, np.random.default_rng(10), 4))
         a = np.array([0.21 - 0.34j, -0.17 + 0.25j])
-        first = model.basis_at(a)
-        assert model.basis_at(a.copy()) is first
-        other = model.basis_at(a + 0.1)
-        assert other is not first
-        again = model.basis_at(a)
-        assert np.array_equal(again.value, first.value)
-        assert np.array_equal(again.tensor[2], first.tensor[2])
+        for stack in ([a], [a, a + 0.2, a - 0.3j]):
+            first = model.basis_at(stack)
+            assert len(first) == len(stack)
+            assert model.basis_at([s.copy() for s in stack]) is first
+            other = model.basis_at([s + 0.1 for s in stack])
+            assert other is not first
+            again = model.basis_at(stack)
+            assert again is not first
+            for b, want in zip(again, first):
+                assert np.array_equal(b.value, want.value)
+                assert np.array_equal(b.tensor[2], want.tensor[2])
+        # a stack that differs in one shift only is a miss
+        grid = model.basis_at([a, a + 0.2])
+        assert model.basis_at([a, a + 0.25]) is not grid
 
 
 class TestSharedSolve:
@@ -230,6 +241,44 @@ class TestEvaluations:
             jet_order=2))
         assert len(calls) == 2
         assert res.evaluations == calls
+
+
+class TestGaugeCollapse:
+    """A restart whose Nelder-Mead stage ends at U = 0 scores inf and is skipped."""
+
+    @staticmethod
+    def collapsing(monkeypatch, collapsed):
+        # the simplex stages numbered in ``collapsed`` (from 1) end at U = 0;
+        # in a U-free genus-1 fit the raw chart's first two coordinates are re U, im U
+        minimize = search.minimize
+        calls = []
+
+        def nm(fun, x0, *args, **kwargs):
+            calls.append(1)
+            if len(calls) not in collapsed:
+                return minimize(fun, x0, *args, **kwargs)
+            x = np.array(x0, dtype=float)
+            x[:2] = 0.0
+            return SimpleNamespace(x=x)
+
+        monkeypatch.setattr(search, "minimize", nm)
+
+    def problem(self):
+        return g1_problem(free_vars=("U", "V", "W", "d"), restarts=2, iterations=120)
+
+    def test_every_restart_collapses(self, monkeypatch):
+        self.collapsing(monkeypatch, {1, 2})
+        with pytest.raises(DegenerateJetError, match="every restart collapsed"):
+            fit(self.problem())
+
+    def test_one_restart_collapses(self, monkeypatch):
+        self.collapsing(monkeypatch, {1})
+        res = fit(self.problem())
+        assert res.gauge_degenerate_restarts == 1
+        assert res.history[0] == math.inf and math.isfinite(res.history[1])
+        assert res.evaluations[0] == 0 and res.evaluations[1] > 0
+        assert res.converged
+        assert np.linalg.norm(res.best_jet.U) > 0.5
 
 
 class TestFitHirota:
