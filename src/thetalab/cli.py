@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -73,7 +74,7 @@ def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -428,15 +429,11 @@ def cmd_grid(args):
     rows = [[x, y, t, "pole", "pole"] if pole else [x, y, t, u.real, u.imag]
             for (x, y, t), u, pole in zip(xyt, field.tolist(), poles)]
 
-    if args.out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["x", "y", "t", "re_u", "im_u"])
-        writer.writerows(rows)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "t", "re_u", "im_u"])
-            writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["x", "y", "t", "re_u", "im_u"])
+    writer.writerows(rows)
+    _emit(text.getvalue(), args.out)
     return 0
 
 

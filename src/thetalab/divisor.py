@@ -1,20 +1,23 @@
 """Sampling points on theta divisors and checking Weil-type containments.
 
-Three loci are sampled with seeded, budgeted Newton iterations, all driven
-by the batched evaluator so every start advances in lockstep:
+Three loci are sampled by one seeded, budgeted Newton driver on the batched
+evaluator, every start advancing in lockstep on k complex unknowns s with
+points origin + frame s:
 
-* the divisor {theta = 0} (1-D Newton along random complex lines),
-* the locus {theta = 0, D_U theta = 0} (2-unknown Newton; the full space
-  for genus 2, a random 2-plane slice above that),
-* the intersection {theta(z) = 0} cap {theta(z + a) = 0} (same machinery).
+* the divisor {theta = 0} (k = 1, each start on its own random complex line),
+* the locus {theta = 0, D_U theta = 0} (k = 2; the full space for genus 2,
+  a random 2-plane slice shared by all starts above that),
+* the intersection {theta(z) = 0} cap {theta(z + a) = 0} (k = 2, same plane).
 
-Accepted roots are lattice-reduced, re-verified against their defining
-constraints, deduplicated modulo the lattice and sorted, so results are
-deterministic for a fixed plan.  ``weil_check`` then evaluates the
-pointwise alternative-vanishing relations on such point lists: at each
-point the two candidate factors are term-normalized (a combination
+One root pass then lattice-reduces the converged points, re-verifies the
+defining constraints at the reduced points it returns, keeps those within
+``KEEP_TOL``, sorts them and drops lattice duplicates, so results are
+deterministic for a fixed plan.  ``weil_check`` evaluates the pointwise
+alternative-vanishing relations on such point lists: at each point the two
+candidate factors are term-normalized (a combination
 sum_k coef_k * D^(alpha_k) theta is divided by sum_k |coef_k| * abs_sum)
-and the smaller magnitude is the point's residual.
+and the smaller magnitude is the point's residual.  Wherever theta is read
+at z and at z + a, both rows share one bind.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from enum import Enum
 
 import numpy as np
 
-from .bilinear import NORMALIZER_FLOOR, ResidualReport, as_riemann_matrix, build_report
+from .bilinear import NORMALIZER_FLOOR, ResidualReport, _vec, as_riemann_matrix, build_report
 from .engine import (
     AbelianPoint,
     BatchThetaEvaluator,
     DEFAULT_TARGET_ABS_ERR,
+    _reduce_coords,
     box_points,
     canonical_request,
-    reduce_point,
 )
 from .errors import DegenerateSampleError, InvalidInputError
 
@@ -88,11 +91,97 @@ class DivisorPoint:
     kind: DivisorKind
 
 
-def _check_direction(rm, vec, name):
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.shape != (rm.g,):
-        raise InvalidInputError(f"{name} must be a complex vector of length {rm.g}")
-    return vec
+def _newton(plan, origin, frame, s, evaluate):
+    """Lockstep Newton on k = 1 or 2 complex unknowns per start.
+
+    Start p sits at origin + frame s[p], where ``origin`` is (P, g) or (g,)
+    and ``frame`` (P, g, k) or (g, k): a line or plane per start, or one
+    shared by all.  ``s`` (P, k) holds the starting coordinates and is
+    advanced in place.  ``evaluate(points, idx)`` returns, at the points of
+    the starts ``idx``, the k stored residuals F (n, k), their Jacobian
+    J (n, k, k) with respect to s and the per-equation normalizers (n, k);
+    row scales may differ, they cancel within each equation.  A start stops
+    once every |F| is at most ``plan.tol`` times its normalizer, and is
+    dropped on a singular or non-finite step or one above MAX_NEWTON_STEP.
+    Returns the converged points and their start indices.
+    """
+    count, k = s.shape
+    frame = np.broadcast_to(frame, (count, *frame.shape[-2:]))
+    origin = np.broadcast_to(origin, frame.shape[:2])
+
+    def at(idx):
+        return origin[idx] + np.einsum("pgk,pk->pg", frame[idx], s[idx])
+
+    active = np.ones(count, dtype=bool)
+    done = np.zeros(count, dtype=bool)
+    for _ in range(plan.max_iterations):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        F, J, norms = evaluate(at(idx), idx)
+        converged = (np.abs(F) <= plan.tol * norms).all(axis=1)
+        done[idx[converged]] = True
+        active[idx[converged]] = False
+        live = ~converged
+        F, J, idx = F[live], J[live], idx[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if k == 1:
+                step = F / J[:, 0]
+            else:
+                det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+                step = np.column_stack([F[:, 0] * J[:, 1, 1] - F[:, 1] * J[:, 0, 1],
+                                        J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]]) / det[:, None]
+        size = np.abs(step).max(axis=1)
+        bad = ~np.isfinite(size) | (size > MAX_NEWTON_STEP)
+        active[idx[bad]] = False
+        s[idx[~bad]] -= step[~bad]
+    hits = np.flatnonzero(done)
+    return at(hits), hits
+
+
+def _roots(rm, plan, found, evaluate, names, kind, what):
+    """The sampler's result from Newton's converged points and start indices.
+
+    The points are lattice-reduced, re-verified at the reduced points (one
+    ``evaluate``), kept when every normalized magnitude is at most KEEP_TOL
+    and, for a distinct plan, cleared of lattice duplicates (``_distinct``);
+    otherwise the first ``plan.count`` are returned in arrival order.
+    """
+    pts, hits = found
+    z0 = _reduce_coords(pts, rm)[0]
+    F, _, norms = evaluate(z0, hits)
+    mags = np.abs(F) / norms
+    keep = (mags <= KEEP_TOL).all(axis=1)
+    z0, mags = z0[keep], mags[keep]
+    chosen = _distinct(rm, z0, plan.count) if plan.distinct \
+        else np.arange(min(len(z0), plan.count))
+    if len(chosen) < plan.count:
+        warnings.warn(
+            f"under-sampled: found {len(chosen)} of {plan.count} requested "
+            f"{what} points within the budget (partial list returned)",
+            UnderSampledWarning,
+        )
+    return [DivisorPoint(z=AbelianPoint(z0[i], reduced=True),
+                         constraints_met=[(n, float(m)) for n, m in zip(names, mags[i])],
+                         kind=kind)
+            for i in chosen]
+
+
+def _distinct(rm, z0, count):
+    """Indices of at most ``count`` rows of z0 that differ modulo the lattice.
+
+    Rows are taken in the order of (Re z_1, Im z_1, Re z_2, ...); each is
+    compared with the rows kept so far by one reduction of the differences,
+    so memory stays O(count g).  Rows within DEDUP_DISTANCE are duplicates.
+    """
+    chosen = []
+    for i in np.lexsort(np.stack([z0.real, z0.imag], axis=2).reshape(len(z0), -1).T[::-1]):
+        if len(chosen) == count:
+            break
+        diff = _reduce_coords(z0[i] - z0[chosen], rm)[0]
+        if not (np.abs(diff).max(axis=1) <= DEDUP_DISTANCE).any():
+            chosen.append(i)
+    return chosen
 
 
 def _unit_directions(rng, count, g):
@@ -100,40 +189,9 @@ def _unit_directions(rng, count, g):
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-def _sort_key(z):
-    return tuple(v for c in z for v in (c.real, c.imag))
-
-
-def _dedup_and_trim(rm, roots, count):
-    """Deterministic post-pass: sort reduced roots, drop lattice-duplicates."""
-    roots = sorted(roots, key=lambda r: _sort_key(r[0].z))
-    kept = []
-    for item in roots:
-        dup = False
-        for other in kept:
-            diff, _, _ = reduce_point(item[0].z - other[0].z, rm)
-            if np.abs(diff.z).max() <= DEDUP_DISTANCE:
-                dup = True
-                break
-        if not dup:
-            kept.append(item)
-        if len(kept) == count:
-            break
-    return kept
-
-
-def _finish(rm, roots, plan, kind, what):
-    if plan.distinct:
-        kept = _dedup_and_trim(rm, roots, plan.count)
-    else:
-        kept = roots[: plan.count]
-    if len(kept) < plan.count:
-        warnings.warn(
-            f"under-sampled: found {len(kept)} of {plan.count} requested "
-            f"{what} points within the budget (partial list returned)",
-            UnderSampledWarning,
-        )
-    return [DivisorPoint(z=pt, constraints_met=cons, kind=kind) for pt, cons in kept]
+def _pair(res, key):
+    """Rows (value at z, value at z + a) of ``key`` in a jets result bound at [z; z + a]."""
+    return res[key].reshape(2, -1)
 
 
 def sample_theta_divisor(tau, jet, plan: SamplePlan,
@@ -148,99 +206,37 @@ def sample_theta_divisor(tau, jet, plan: SamplePlan,
     rng = np.random.default_rng(plan.seed)
     base = box_points(rm, rng, plan.starts)
     lines = _unit_directions(rng, plan.starts, rm.g)
-    grads = [canonical_request((np.eye(rm.g)[i],)) for i in range(rm.g)]
+    grads = [canonical_request((e,)) for e in np.eye(rm.g)]
     ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=1.0,
                              target_abs_err=target_abs_err)
 
-    t = np.zeros(plan.starts, dtype=complex)
-    active = np.ones(plan.starts, dtype=bool)
-    done = np.zeros(plan.starts, dtype=bool)
-    for _ in range(plan.max_iterations):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        pts = base[idx] + t[idx, None] * lines[idx]
+    def evaluate(pts, idx):
         res = ev.jets(pts, grads)
-        f = res[()]
-        norm = res[("abs", ())]
         grad = np.column_stack([res[key] for key in grads])
         fp = np.einsum("pg,pg->p", lines[idx], grad)
-        converged = np.abs(f) <= plan.tol * norm
-        done[idx[converged]] = True
-        active[idx[converged]] = False
-        live = ~converged
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -f[live] / fp[live]
-        bad = ~np.isfinite(step) | (np.abs(step) > MAX_NEWTON_STEP)
-        live_idx = idx[live]
-        active[live_idx[bad]] = False
-        good = live_idx[~bad]
-        t[good] += step[~bad]
+        return res[()][:, None], fp[:, None, None], res[("abs", ())][:, None]
 
-    roots = []
-    hits = np.flatnonzero(done)
-    if hits.size:
-        pts = base[hits] + t[hits, None] * lines[hits]
-        res = ev.jets(pts, [])
-        mags = np.abs(res[()]) / res[("abs", ())]
-        for i, p in enumerate(hits):
-            if mags[i] <= KEEP_TOL:
-                reduced, _, _ = reduce_point(pts[i], rm)
-                roots.append((reduced, [("theta", float(mags[i]))]))
-    return _finish(rm, roots, plan, DivisorKind.THETA, "theta-divisor")
+    found = _newton(plan, base, lines[:, :, None],
+                    np.zeros((plan.starts, 1), dtype=complex), evaluate)
+    return _roots(rm, plan, found, evaluate, ["theta"], DivisorKind.THETA, "theta-divisor")
 
 
-def _slice_frame(rm, rng):
-    """The 2-plane used by the 2-unknown samplers; full space when g = 2."""
+def _slice_starts(rm, rng, plan):
+    """The 2-plane of the 2-unknown samplers (full space when g = 2) and the starts in it."""
     if rm.g == 2:
-        return np.zeros(rm.g, dtype=complex), np.eye(rm.g, dtype=complex)
-    warnings.warn(
-        f"genus {rm.g}: sampling on a random 2-plane slice; the locus is "
-        "not exhausted and results are slice-relative",
-        SamplingNote,
-    )
-    frame = rng.standard_normal((rm.g, 2)) + 1j * rng.standard_normal((rm.g, 2))
-    frame, _ = np.linalg.qr(frame)
-    return box_points(rm, rng, 1)[0], frame
-
-
-def _newton_2d(rm, rng, plan, evaluate):
-    """Shared 2-complex-unknown Newton loop in the slice frame.
-
-    ``evaluate(points, frame)`` returns (F, J, norms): per-point 2-vector of
-    stored residuals, 2x2 Jacobian with respect to the two slice coordinates
-    (derivatives along the columns of ``frame``), and per-equation
-    normalizers.  Row scales may differ; they cancel within each equation.
-    """
-    origin, frame = _slice_frame(rm, rng)
+        origin, frame = np.zeros(rm.g, dtype=complex), np.eye(rm.g, dtype=complex)
+    else:
+        warnings.warn(
+            f"genus {rm.g}: sampling on a random 2-plane slice; the locus is "
+            "not exhausted and results are slice-relative",
+            SamplingNote,
+        )
+        frame = rng.standard_normal((rm.g, 2)) + 1j * rng.standard_normal((rm.g, 2))
+        frame, _ = np.linalg.qr(frame)
+        origin = box_points(rm, rng, 1)[0]
     s = rng.uniform(-0.5, 0.5, size=(plan.starts, 2)) \
         + 1j * rng.uniform(-0.5, 0.5, size=(plan.starts, 2))
-    active = np.ones(plan.starts, dtype=bool)
-    done = np.zeros(plan.starts, dtype=bool)
-    for _ in range(plan.max_iterations):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        pts = origin + s[idx] @ frame.T
-        F, J, norms = evaluate(pts, frame)
-        converged = (np.abs(F[:, 0]) <= plan.tol * norms[:, 0]) \
-            & (np.abs(F[:, 1]) <= plan.tol * norms[:, 1])
-        done[idx[converged]] = True
-        active[idx[converged]] = False
-        live = ~converged
-        det = J[live, 0, 0] * J[live, 1, 1] - J[live, 0, 1] * J[live, 1, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d0 = (F[live, 0] * J[live, 1, 1] - F[live, 1] * J[live, 0, 1]) / det
-            d1 = (J[live, 0, 0] * F[live, 1] - J[live, 1, 0] * F[live, 0]) / det
-        step = np.column_stack([d0, d1])
-        size = np.abs(step).max(axis=1)
-        bad = ~np.isfinite(size) | (size > MAX_NEWTON_STEP)
-        live_idx = idx[live]
-        active[live_idx[bad]] = False
-        good = live_idx[~bad]
-        s[good] -= step[~bad]
-    hits = np.flatnonzero(done)
-    return origin + s[hits] @ frame.T if hits.size else np.zeros((0, rm.g), complex)
+    return origin, frame, s
 
 
 def sample_D1_theta(tau, jet, plan: SamplePlan,
@@ -248,7 +244,7 @@ def sample_D1_theta(tau, jet, plan: SamplePlan,
     """Locate points with theta = 0 and D_U theta = 0 simultaneously."""
     rm = as_riemann_matrix(tau)
     jet.require("U")
-    U = _check_direction(rm, jet.U, "U")
+    U = _vec(jet.U, rm.g, "U")
     if float(np.linalg.norm(U)) == 0.0:
         raise InvalidInputError("sampling the D1 locus requires U != 0")
     if rm.g == 1:
@@ -259,43 +255,30 @@ def sample_D1_theta(tau, jet, plan: SamplePlan,
         )
         return []
     rng = np.random.default_rng(plan.seed)
-    k_u = canonical_request((U,))
     ev = BatchThetaEvaluator(rm, max_order=2,
                              max_direction_norm=max(1.0, float(np.linalg.norm(U))),
                              target_abs_err=target_abs_err)
+    origin, frame, s = _slice_starts(rm, rng, plan)
+    k_u = canonical_request((U,))
+    k_b = [canonical_request((f,)) for f in frame.T]
+    k_ub = [canonical_request((U, f)) for f in frame.T]
 
-    def evaluate(pts, frame):
-        k_b = [canonical_request((f,)) for f in frame.T]
-        k_ub = [canonical_request((U, f)) for f in frame.T]
+    def evaluate(pts, idx):
         res = ev.jets(pts, [*k_b, k_u, *k_ub])
-        F = np.column_stack([res[()], res[k_u]])
-        J = np.empty((len(pts), 2, 2), dtype=complex)
-        J[:, 0, 0], J[:, 0, 1] = res[k_b[0]], res[k_b[1]]
-        J[:, 1, 0], J[:, 1, 1] = res[k_ub[0]], res[k_ub[1]]
-        norms = np.column_stack([res[("abs", ())], res[("abs", k_u)]])
-        return F, J, norms
+        J = np.moveaxis(np.array([[res[key] for key in row] for row in (k_b, k_ub)]), -1, 0)
+        return (np.column_stack([res[()], res[k_u]]), J,
+                np.column_stack([res[("abs", ())], res[("abs", k_u)]]))
 
-    pts = _newton_2d(rm, rng, plan, evaluate)
-    roots = []
-    if len(pts):
-        res = ev.jets(pts, [k_u])
-        m0 = np.abs(res[()]) / res[("abs", ())]
-        m1 = np.abs(res[k_u]) / res[("abs", k_u)]
-        for i in range(len(pts)):
-            if m0[i] <= KEEP_TOL and m1[i] <= KEEP_TOL:
-                reduced, _, _ = reduce_point(pts[i], rm)
-                roots.append((reduced, [("theta", float(m0[i])),
-                                        ("D1-theta", float(m1[i]))]))
-    return _finish(rm, roots, plan, DivisorKind.D1_THETA, "D1-locus")
+    found = _newton(plan, origin, frame, s, evaluate)
+    return _roots(rm, plan, found, evaluate, ["theta", "D1-theta"],
+                  DivisorKind.D1_THETA, "D1-locus")
 
 
 def sample_theta_intersection(tau, jet, a, plan: SamplePlan,
                               target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> list:
     """Locate points with theta(z) = 0 and theta(z + a) = 0."""
     rm = as_riemann_matrix(tau)
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    if a.shape != (rm.g,):
-        raise InvalidInputError(f"a must be a complex vector of length {rm.g}")
+    a = _vec(a, rm.g, "a")
     if rm.g == 1:
         warnings.warn(
             "genus 1: theta(z) and theta(z + a) share no zero for generic "
@@ -306,31 +289,17 @@ def sample_theta_intersection(tau, jet, a, plan: SamplePlan,
     rng = np.random.default_rng(plan.seed)
     ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=1.0,
                              target_abs_err=target_abs_err)
+    origin, frame, s = _slice_starts(rm, rng, plan)
+    k_b = [canonical_request((f,)) for f in frame.T]
 
-    def evaluate(pts, frame):
-        k_b = [canonical_request((f,)) for f in frame.T]
-        r0 = ev.jets(pts, k_b)
-        r1 = ev.jets(pts + a, k_b)
-        F = np.column_stack([r0[()], r1[()]])
-        J = np.empty((len(pts), 2, 2), dtype=complex)
-        J[:, 0, 0], J[:, 0, 1] = r0[k_b[0]], r0[k_b[1]]
-        J[:, 1, 0], J[:, 1, 1] = r1[k_b[0]], r1[k_b[1]]
-        norms = np.column_stack([r0[("abs", ())], r1[("abs", ())]])
-        return F, J, norms
+    def evaluate(pts, idx):
+        res = ev.jets(np.concatenate([pts, pts + a]), k_b)
+        J = np.stack([_pair(res, key) for key in k_b], axis=-1).transpose(1, 0, 2)
+        return _pair(res, ()).T, J, _pair(res, ("abs", ())).T
 
-    pts = _newton_2d(rm, rng, plan, evaluate)
-    roots = []
-    if len(pts):
-        r0 = ev.jets(pts, [])
-        r1 = ev.jets(pts + a, [])
-        m0 = np.abs(r0[()]) / r0[("abs", ())]
-        m1 = np.abs(r1[()]) / r1[("abs", ())]
-        for i in range(len(pts)):
-            if m0[i] <= KEEP_TOL and m1[i] <= KEEP_TOL:
-                reduced, _, _ = reduce_point(pts[i], rm)
-                roots.append((reduced, [("theta", float(m0[i])),
-                                        ("theta-shifted", float(m1[i]))]))
-    return _finish(rm, roots, plan, DivisorKind.THETA_CAP_THETA_A, "intersection")
+    found = _newton(plan, origin, frame, s, evaluate)
+    return _roots(rm, plan, found, evaluate, ["theta", "theta-shifted"],
+                  DivisorKind.THETA_CAP_THETA_A, "intersection")
 
 
 _WEIL_KIND = {
@@ -360,53 +329,45 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
             raise InvalidInputError(
                 f"{which} expects points of kind {required.value}, got {p.kind.value}"
             )
-    if which == "weil":
-        jet.require("U", "V")
-    elif which == "weil1":
-        jet.require("U")
-    else:
-        jet.require("U", "V")
+    jet.require(*(("U",) if which == "weil1" else ("U", "V")))
     if which in ("weil1", "weil2"):
         if a is None:
             raise InvalidInputError(f"{which} requires the shift a")
-        a = np.asarray(a, dtype=complex).reshape(-1)
-        if a.shape != (rm.g,):
-            raise InvalidInputError(f"a must be a complex vector of length {rm.g}")
+        a = _vec(a, rm.g, "a")
     if not points:
         return build_report([], [], tolerance)
 
     zs = np.array([p.z.z for p in points])
-    U = _check_direction(rm, jet.U, "U")
+    U = _vec(jet.U, rm.g, "U")
     max_norm = max(1.0, float(np.linalg.norm(U)))
     if which == "weil1":
         ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=max_norm,
                                  target_abs_err=target_abs_err)
         ku = canonical_request((U,))
-        r0 = ev.jets(zs, [ku])
-        r1 = ev.jets(zs + a, [ku])
-        n0, n1 = r0[("abs", ku)], r1[("abs", ku)]
-        if min(n0.min(), n1.min()) < NORMALIZER_FLOOR:
+        r = ev.jets(np.concatenate([zs, zs + a]), [ku])
+        norms = _pair(r, ("abs", ku))
+        if norms.min() < NORMALIZER_FLOOR:
             raise DegenerateSampleError("Weil factor normalizer underflowed")
-        res = np.minimum(np.abs(r0[ku]) / n0, np.abs(r1[ku]) / n1)
+        res = (np.abs(_pair(r, ku)) / norms).min(axis=0)
     else:
-        V = _check_direction(rm, jet.V, "V")
+        V = _vec(jet.V, rm.g, "V")
         max_norm = max(max_norm, float(np.linalg.norm(V)))
         ev = BatchThetaEvaluator(rm, max_order=2, max_direction_norm=max_norm,
                                  target_abs_err=target_abs_err)
         kuu = canonical_request((U, U))
         kv = canonical_request((V,))
-        r0 = ev.jets(zs, [kuu, kv])
-        norm = r0[("abs", kuu)] + r0[("abs", kv)]
+        n = len(zs)
+        r = ev.jets(zs if which == "weil" else np.concatenate([zs, zs + a]), [kuu, kv])
+        norm = (r[("abs", kuu)] + r[("abs", kv)])[:n]
         if norm.min() < NORMALIZER_FLOOR:
             raise DegenerateSampleError("Weil factor normalizer underflowed")
-        first = np.abs(r0[kuu] + r0[kv]) / norm
+        first = np.abs(r[kuu] + r[kv])[:n] / norm
         if which == "weil":
-            second = np.abs(r0[kuu] - r0[kv]) / norm
+            second = np.abs(r[kuu] - r[kv]) / norm
         else:
-            r1 = ev.jets(zs + a, [])
-            n1 = r1[("abs", ())]
+            n1 = r[("abs", ())][n:]
             if n1.min() < NORMALIZER_FLOOR:
                 raise DegenerateSampleError("Weil factor normalizer underflowed")
-            second = np.abs(r1[()]) / n1
+            second = np.abs(r[()][n:]) / n1
         res = np.minimum(first, second)
     return build_report([p.z for p in points], [float(r) for r in res], tolerance)

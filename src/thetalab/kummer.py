@@ -34,9 +34,9 @@ from .engine import (
     _check_points,
     _evaluator_for,
     _normalize_requests,
+    _reduce_coords,
     as_point,
     canonical_request,
-    reduce_point,
 )
 from .errors import DegenerateJetError, InvalidInputError, UnsupportedGenusError
 
@@ -225,12 +225,10 @@ def half_points(a, tau) -> list:
     av = as_point(a).z
     if av.shape != (rm.g,):
         raise InvalidInputError(f"a must be a complex vector of length {rm.g}")
-    out = []
-    for m in product((0, 1), repeat=rm.g):
-        for n in product((0, 1), repeat=rm.g):
-            pt = av / 2.0 + (np.asarray(m, dtype=float) + rm.tau @ np.asarray(n, dtype=float)) / 2.0
-            out.append(reduce_point(pt, rm)[0])
-    return out
+    mn = np.array([m + n for m, n in product(second_order_sigmas(rm.g), repeat=2)], dtype=float)
+    m, n = mn[:, :rm.g], mn[:, rm.g:]
+    z0 = _reduce_coords(av / 2.0 + (m + n @ rm.tau) / 2.0, rm)[0]
+    return [AbelianPoint(z, reduced=True) for z in z0]
 
 
 def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
@@ -245,7 +243,7 @@ def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
     germ = _flex_germ(rm, U, V, order, W)
     halves = half_points(a, rm)
     ratios = _flex_ratios(rm, np.array([b.z for b in halves]), germ, target_abs_err)
-    labels = product(product((0, 1), repeat=rm.g), repeat=2)
+    labels = product(second_order_sigmas(rm.g), repeat=2)
     candidates = [HalfCandidate(b=b, m=m, n=n, sigma_ratios=row,
                                 passed=_deciding(row) <= tolerance)
                   for b, (m, n), row in zip(halves, labels, ratios.tolist())]

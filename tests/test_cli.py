@@ -378,6 +378,16 @@ class TestGrid:
         assert code == 0
         assert out.read_text().strip() == "x,y,t,re_u,im_u"
 
+    def test_stdout_matches_out_file(self, g1_env, tmp_path):
+        out = tmp_path / "g.csv"
+        argv = ["grid", "--tau", str(g1_env["tau"]), "--jet", str(g1_env["jet"]),
+                "--shape", "2,2,2"]
+        assert main([*argv, "--out", str(out)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *argv],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == out.read_bytes()
+
     def test_zero_direction_gives_constant_field(self, g1_env, tmp_path):
         jet = tmp_path / "jet.json"
         jet.write_text(json.dumps({"U": [0.0], "V": [[0.2, 0.0]],

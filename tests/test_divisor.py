@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thetalab import engine
 from thetalab.bilinear import DirectionJet, gauge_rescale
 from thetalab.divisor import (
     DivisorKind,
@@ -14,6 +16,7 @@ from thetalab.divisor import (
     sample_D1_theta,
     sample_theta_divisor,
     sample_theta_intersection,
+    _distinct,
     weil_check,
 )
 from thetalab.engine import RiemannMatrix, reduce_point, theta_eval
@@ -189,6 +192,22 @@ class TestIntersection:
             assert abs(j0.value) / j0.abs_sum() <= 1e-10
             assert abs(j1.value) / j1.abs_sum() <= 1e-10
 
+    def test_one_bind_per_newton_step(self, rm_g2, cap_points, monkeypatch):
+        # theta(z) and theta(z + a) share one bind in every Newton step and
+        # in the re-verification of the converged points
+        binds = []
+
+        class CountedBatch(engine.BoundBatch):
+            def __init__(self, *args):
+                binds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "BoundBatch", CountedBatch)
+        a, _ = cap_points
+        plan = SamplePlan(count=20, seed=2, distinct=False)
+        assert len(sample_theta_intersection(rm_g2, None, a, plan)) == 20
+        assert len(binds) <= plan.max_iterations + 1
+
     def test_g1_empty_with_note(self, rm_g1):
         with pytest.warns(SamplingNote):
             pts = sample_theta_intersection(rm_g1, None, np.array([0.3 + 0.2j]),
@@ -209,6 +228,27 @@ class TestIntersection:
                 diff, _, _ = reduce_point(p.z.z - q.z.z, rm_g2)
                 diffs.append(np.abs(diff.z).max())
             assert min(diffs) <= 1e-6  # every sample sits on a known class
+
+
+_lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_coord = st.floats(-0.5, 0.5, exclude_max=True)
+_unit = st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 0.5)
+
+
+@settings(max_examples=30)
+@given(alpha=st.tuples(_coord, _coord), beta=st.tuples(_coord, _coord),
+       n=_lattice, m=_lattice, w=st.tuples(_unit, _unit))
+def test_distinct_collapses_lattice_translates_and_near_copies(rm_g2, alpha, beta, n, m, w):
+    # a point, its translates by n and tau m, and a copy 1e-9 away are one
+    # point modulo the lattice; a copy 1e-3 away is another
+    z = np.array(alpha) + rm_g2.tau @ np.array(beta)
+    w = np.array([w[0], 1j * w[1]])
+    far = z + 1e-3 * w
+    stack = np.array([z + np.array(n), z + rm_g2.tau @ np.array(m), z, z + 1e-9 * w, far])
+    kept = [stack[i] for i in _distinct(rm_g2, stack, len(stack))]
+    assert len(kept) == 2
+    for target in (z, far):
+        assert min(np.abs(reduce_point(k - target, rm_g2)[0].z).max() for k in kept) <= 1e-8
 
 
 class TestWeilCheck:
