@@ -110,7 +110,7 @@ def _newton(plan, origin, frame, s, evaluate):
     origin = np.broadcast_to(origin, frame.shape[:2])
 
     def at(idx):
-        return origin[idx] + np.einsum("pgk,pk->pg", frame[idx], s[idx])
+        return origin[idx] + (frame[idx] @ s[idx, :, None])[..., 0]
 
     active = np.ones(count, dtype=bool)
     done = np.zeros(count, dtype=bool)
@@ -174,8 +174,9 @@ def _distinct(rm, z0, count):
     compared with the rows kept so far by one reduction of the differences,
     so memory stays O(count g).  Rows within DEDUP_DISTANCE are duplicates.
     """
+    keys = np.stack([z0.real, z0.imag], axis=2).reshape(len(z0), 2 * z0.shape[1]).tolist()
     chosen = []
-    for i in np.lexsort(np.stack([z0.real, z0.imag], axis=2).reshape(len(z0), -1).T[::-1]):
+    for i in sorted(range(len(z0)), key=keys.__getitem__):
         if len(chosen) == count:
             break
         diff = _reduce_coords(z0[i] - z0[chosen], rm)[0]
@@ -356,18 +357,25 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
                                  target_abs_err=target_abs_err)
         kuu = canonical_request((U, U))
         kv = canonical_request((V,))
-        n = len(zs)
-        r = ev.jets(zs if which == "weil" else np.concatenate([zs, zs + a]), [kuu, kv])
-        norm = (r[("abs", kuu)] + r[("abs", kv)])[:n]
+        keys = (kuu, kv, ("abs", kuu), ("abs", kv))
+        if which == "weil":
+            r = ev.jets(zs, [kuu, kv])
+            uu, v, abs_uu, abs_v = (r[key] for key in keys)
+        else:
+            # One bind of [z; z + a]: the second-order rows at z + a are
+            # evaluated too and go unread, the price of sharing the bind.
+            r = ev.jets(np.concatenate([zs, zs + a]), [kuu, kv])
+            uu, v, abs_uu, abs_v = (_pair(r, key)[0] for key in keys)
+        norm = abs_uu + abs_v
         if norm.min() < NORMALIZER_FLOOR:
             raise DegenerateSampleError("Weil factor normalizer underflowed")
-        first = np.abs(r[kuu] + r[kv])[:n] / norm
+        first = np.abs(uu + v) / norm
         if which == "weil":
-            second = np.abs(r[kuu] - r[kv]) / norm
+            second = np.abs(uu - v) / norm
         else:
-            n1 = r[("abs", ())][n:]
+            n1 = _pair(r, ("abs", ()))[1]
             if n1.min() < NORMALIZER_FLOOR:
                 raise DegenerateSampleError("Weil factor normalizer underflowed")
-            second = np.abs(r[()][n:]) / n1
+            second = np.abs(_pair(r, ())[1]) / n1
         res = np.minimum(first, second)
     return build_report([p.z for p in points], [float(r) for r in res], tolerance)

@@ -251,6 +251,20 @@ def test_distinct_collapses_lattice_translates_and_near_copies(rm_g2, alpha, bet
         assert min(np.abs(reduce_point(k - target, rm_g2)[0].z).max() for k in kept) <= 1e-8
 
 
+
+@pytest.mark.parametrize("sample", [
+    lambda rm, plan: sample_theta_divisor(rm, None, plan),
+    lambda rm, plan: sample_D1_theta(rm, DirectionJet(U=U2), plan),
+    lambda rm, plan: sample_theta_intersection(rm, None, np.array([0.27 - 0.11j, -0.13 + 0.21j]),
+                                               plan),
+], ids=["theta", "D1", "intersection"])
+def test_no_root_found_returns_empty_and_warns(rm_g2, sample):
+    # one start and one Newton step converge nowhere: the partial list is empty
+    with pytest.warns(UnderSampledWarning):
+        pts = sample(rm_g2, SamplePlan(count=1, starts=1, max_iterations=1))
+    assert pts == []
+
+
 class TestWeilCheck:
     def test_vacuous_pass_on_empty(self, rm_g2):
         rep = weil_check([], rm_g2, DirectionJet(U=U2, V=V2), which="weil")
