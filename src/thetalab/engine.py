@@ -36,6 +36,14 @@ whose gradient is 2*pi*i*(eps - m), m the reduction's tau-shift, and its
 derivatives are applied exactly by one subset-sum pass
 (``_linear_correction``).
 
+A bind builds its terms without a complex exponential of the term matrix:
+each term's modulus exp(-pi (n + c).Im(tau).(n + c)) is one real matrix
+product and one real exponential (a negative exponent, so it cannot
+overflow), and its phase is the lattice's cached exp(pi*i n.Re(tau).n)
+times per-coordinate tables exp(2*pi*i j Re(z0)_k) gathered by the
+lattice's integer coordinates.  The matrix is filled in row blocks, so a
+bind's peak memory is about the matrix it keeps (see ``BoundBatch``).
+
 Truncation: lattice points with |n + c| <= R are summed (c the imaginary
 lattice coordinate of the reduced argument), with R chosen so that a Gaussian
 tail bound -- using the smallest eigenvalue of Im tau and a polynomial margin
@@ -74,6 +82,9 @@ DEFAULT_TARGET_ABS_ERR = 1e-12
 # is bound in blocks.  2^20 is about a genus-4 search model's bind (240
 # points x 3457 lattice points, 13 MiB of terms).
 MAX_BIND_TERMS = 2**20
+# Terms of the term matrix written per block of a bind: a block's
+# temporaries stay small next to the matrix and in cache
+_BLOCK_TERMS = 2**14
 
 
 class RiemannMatrix:
@@ -480,8 +491,15 @@ class BatchThetaEvaluator:
         self.rm = rm
         weight_scale = 2.0 * PI * max(max_direction_norm, 1e-300)
         radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, weight_scale, max_order)
-        self.lattice = _lattice_points(rm.g, radius)
-        self._quad_exp = 1j * PI * ((self.lattice @ rm.tau) * self.lattice).sum(axis=1)
+        lattice = self.lattice = _lattice_points(rm.g, radius)
+        # per lattice row n: the phase exp(pi*i n.X.n), the rows of the
+        # real-exponent product [n, -pi n.Y.n, 1] (see BoundBatch) and the
+        # table row n_k + reach of each coordinate
+        self._quad_phase = np.exp(1j * PI * ((lattice @ rm.X) * lattice).sum(axis=1))
+        self._modulus_rows = np.column_stack(
+            [lattice, -PI * ((lattice @ rm.Y) * lattice).sum(axis=1), np.ones(len(lattice))])
+        self._reach = int(np.abs(lattice).max())
+        self._table_rows = (lattice + self._reach).astype(np.intp)
 
     def bind(self, points) -> "BoundBatch":
         """Cache the term matrix at fixed points for repeated jet requests."""
@@ -490,19 +508,15 @@ class BatchThetaEvaluator:
     def bind_characteristic(self, points, eps, delta) -> "BoundBatch":
         """Bind theta[eps_p, delta_p] at points z_p (rows of each argument).
 
-        The plain series is bound at z + delta + tau eps; the characteristic
-        prefactor's real exponent joins the scales, its phase the terms and
-        its gradient eps the linear correction of ``BoundBatch.jets``.
+        The plain series is bound at z + delta + tau eps with the
+        characteristic prefactor exp(pi*i eps.tau.eps + 2*pi*i eps.(z + delta))
+        (see ``BoundBatch``).
         """
         eps, delta = np.atleast_2d(eps), np.atleast_2d(delta)
         shifted = np.asarray(points, dtype=complex).reshape(-1, self.rm.g) + delta
-        bound = BoundBatch(self, shifted + eps @ self.rm.tau)
         pref = 1j * PI * ((eps @ self.rm.tau) * eps).sum(axis=1) \
             + TWO_PI_I * (eps * shifted).sum(axis=1)
-        bound.scales = bound.scales + pref.real
-        bound.terms = bound.terms * np.exp(1j * pref.imag)
-        bound.gradient = bound.gradient + eps
-        return bound
+        return BoundBatch(self, shifted + eps @ self.rm.tau, (pref, eps))
 
     def jets(self, points, keys):
         """Evaluate value + requested derivatives at arbitrary points.
@@ -546,24 +560,71 @@ class BoundBatch:
     each bound series: -m from reduction, plus eps for a characteristic.
     When it vanishes at every bound point (the common case for samples
     drawn inside the fundamental box), jets skip the correction pass.
+
+    ``prefactor``, when given, is a pair (exponent (P,), eps (P, g)): the
+    series at point p is multiplied by exp(exponent[p]), a linear function
+    of z with gradient 2*pi*i eps[p] (``bind_characteristic``).
+
+    The term of lattice row n at reduced point z0 = x0 + i y0 is
+
+        exp(pi*i n.tau.n + 2*pi*i n.z0 - g0)
+            = exp(-pi (n + c).Y.(n + c)) * exp(pi*i n.X.n) * prod_k exp(2*pi*i n_k x0_k)
+
+    with c = Y^-1 y0 and g0 = pi y0.Y^-1.y0.  The modulus is one real matrix
+    product (the evaluator's rows [n, -pi n.Y.n, 1] against the columns
+    [-2*pi y0, 1, -g0]) and one real exponential; its exponent is a
+    negative quadratic form, so it cannot overflow and every term has
+    modulus at most 1 (up to rounding).  The phase is the lattice's cached
+    exp(pi*i n.X.n) times, per coordinate k, a gather from the table
+    exp(2*pi*i j x0_k), j = -reach..reach, by the lattice's integer
+    coordinates; the per-point phase of the reduction multiplier and of the
+    prefactor is folded into the k = 0 table.  The terms are written into
+    one preallocated (L, P) matrix in row blocks of about ``_BLOCK_TERMS``
+    terms, so a bind's temporaries are a few blocks, not full matrices.
     """
 
-    def __init__(self, evaluator: BatchThetaEvaluator, points):
+    def __init__(self, evaluator: BatchThetaEvaluator, points, prefactor=None):
         self.ev = evaluator
         rm = evaluator.rm
         pts = np.asarray(points, dtype=complex).reshape(-1, rm.g)
         self.count = pts.shape[0]
         z0s, ms, _ = _reduce_coords(pts, rm)
-        # g0 = pi * Im(z0).Im(tau)^-1.Im(z0) bounds the log-modulus of every
-        # term, so stored terms have modulus at most 1
         g0s = PI * ((z0s.imag @ rm.Yinv) * z0s.imag).sum(axis=1)
         red = _reduction_exponent(z0s, ms, rm)
         # exp(scales[p]) * terms[:, p] are the series terms at point p; the
-        # multiplier's phase is folded into the terms, its real part into scales
-        self.terms = np.exp(evaluator._quad_exp[:, None]
-                            + TWO_PI_I * (evaluator.lattice @ z0s.T) + (1j * red.imag - g0s))
+        # multipliers' phases are folded into the terms, their real parts
+        # into scales
         self.scales = g0s + red.real
         self.gradient = -ms
+        phase = np.exp(1j * red.imag)
+        if prefactor is not None:
+            exponent, eps = prefactor
+            self.scales = self.scales + exponent.real
+            phase = phase * np.exp(1j * exponent.imag)
+            self.gradient = self.gradient + eps
+        columns = np.vstack([-2.0 * PI * z0s.imag.T, np.ones(self.count), -g0s])
+        steps = 2.0 * PI * np.arange(-evaluator._reach, evaluator._reach + 1)
+        tables = np.zeros((rm.g, len(steps), self.count), dtype=complex)
+        np.multiply(steps[None, :, None], z0s.real.T[:, None, :], out=tables.imag)
+        np.exp(tables, out=tables)
+        tables[0] *= phase
+        lattice_size = len(evaluator.lattice)
+        step = max(1, _BLOCK_TERMS // max(self.count, 1))
+        self.terms = np.empty((lattice_size, self.count), dtype=complex)
+        gathered = np.empty((min(lattice_size, step), self.count), dtype=complex)
+        for start in range(0, lattice_size, step):
+            rows = slice(start, start + step)
+            block, index = self.terms[rows], evaluator._table_rows[rows]
+            modulus = evaluator._modulus_rows[rows] @ columns
+            np.exp(modulus, out=modulus)
+            # mode="clip" (every index is in range) lets take write to out unbuffered
+            np.take(tables[0], index[:, 0], axis=0, out=block, mode="clip")
+            for k in range(1, rm.g):
+                part = gathered[:len(block)]
+                np.take(tables[k], index[:, k], axis=0, out=part, mode="clip")
+                block *= part
+            block *= evaluator._quad_phase[rows, None]
+            block *= modulus
 
     def jets(self, keys):
         """Value and derivatives for the bound points.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,6 +19,8 @@ from thetalab import (
     theta_char_eval,
     theta_eval,
 )
+from thetalab import engine
+from thetalab.engine import box_points
 from thetalab.errors import (
     InvalidInputError,
     PrecisionUnreachableError,
@@ -320,11 +323,15 @@ def test_error_bound_covers_mpmath_oracle_at_tau_shifted_points(g):
 
 
 @pytest.mark.parametrize("g", [2, 3])
-def test_batch_error_covers_mpmath_oracle_per_point(g):
+def test_batch_error_covers_mpmath_oracle_per_point(g, monkeypatch):
     rm, points, requests, _ = _oracle_case(g)
     points = points + [reduce_point(points[0], rm)[0].z]  # one point needing no shift
     keys = [canonical_request(r) for r in requests]
     ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0)
+    # blocks of 16 lattice rows: the bind writes its terms in many row
+    # blocks, the last one partial
+    monkeypatch.setattr(engine, "_BLOCK_TERMS", 16 * len(points))
+    assert len(ev.lattice) % 16
     res = ev.jets(points, keys)
     assert res["error"].shape == (len(points),)
     for p, z in enumerate(points):
@@ -334,6 +341,50 @@ def test_batch_error_covers_mpmath_oracle_per_point(g):
         assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
     # correction growth is charged only where the linear correction applies
     assert res["error"][-1] < res["error"][0]
+
+
+def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners():
+    # lambda_min(Im tau) ~ 0.25 puts lattice coordinates 10 and more in the
+    # sum; at the corners of the fundamental box Im z0 = +-Y/2 componentwise,
+    # where exp(2*pi*i n.z0) alone would reach exp(pi * 10 * Y_kk) per
+    # coordinate
+    tau = np.array([[0.3 + 0.25j, 0.1 + 0.05j], [0.1 + 0.05j, -0.2 + 0.7j]])
+    rm = RiemannMatrix(tau)
+    assert 0.2 < rm.lambda_min < 0.3
+    ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0)
+    assert np.abs(ev.lattice).max() >= 10
+    corners = np.array([[sx, sy] for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)])
+    points = [c + rm.tau @ s for c in corners for s in corners]
+    terms = ev.bind(points).terms
+    assert np.isfinite(terms).all()
+    assert np.abs(terms).max() <= 1.0
+    u, v = np.array([0.6 - 0.3j, 0.2 + 0.5j]), np.array([-0.1 + 0.4j, 0.7 + 0.1j])
+    requests = [(u,), (u, v), (u, v, v), (u, u, v, v), (v, v, v, v)]
+    keys = [canonical_request(r) for r in requests]
+    res = ev.jets(points, keys)
+    for p, z in enumerate(points):
+        oracle = mp_theta_jet(z, rm.tau, requests)
+        errs = _stored_errors([res[()][p]] + [res[k][p] for k in keys],
+                              res["scales"][p], oracle)
+        assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
+
+
+def test_genus4_bind_peak_memory_is_about_its_term_matrix():
+    # the terms are written block by block into the one matrix the bind
+    # keeps, so its transient memory is a few row blocks
+    tau = 0.1 * np.ones((4, 4)) + 1j * (1.1 * np.eye(4) + 0.1 * np.ones((4, 4)))
+    rm = RiemannMatrix(tau)
+    ev = BatchThetaEvaluator(rm, max_order=4)
+    assert len(ev.lattice) == 3457
+    points = box_points(rm, np.random.default_rng(3), 240)
+    tracemalloc.start()
+    try:
+        bound = ev.bind(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / bound.terms.nbytes
+    assert ratio <= 1.25
 
 
 def test_char_zero_equals_plain(rm_g2):
