@@ -20,7 +20,6 @@ from thetalab import (
     theta_eval,
 )
 from thetalab import engine
-from thetalab.engine import box_points
 from thetalab.errors import (
     InvalidInputError,
     PrecisionUnreachableError,
@@ -346,8 +345,8 @@ def test_batch_error_covers_mpmath_oracle_per_point(g, monkeypatch):
 def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners():
     # lambda_min(Im tau) ~ 0.25 puts lattice coordinates 10 and more in the
     # sum; at the corners of the fundamental box Im z0 = +-Y/2 componentwise,
-    # where exp(2*pi*i n.z0) alone would reach exp(pi * 10 * Y_kk) per
-    # coordinate
+    # where a table exp(2*pi*i j z0_k) that carried Im z0 would grow like
+    # exp(2*pi |j Im z0_k|)
     tau = np.array([[0.3 + 0.25j, 0.1 + 0.05j], [0.1 + 0.05j, -0.2 + 0.7j]])
     rm = RiemannMatrix(tau)
     assert 0.2 < rm.lambda_min < 0.3
@@ -376,7 +375,7 @@ def test_genus4_bind_peak_memory_is_about_its_term_matrix():
     rm = RiemannMatrix(tau)
     ev = BatchThetaEvaluator(rm, max_order=4)
     assert len(ev.lattice) == 3457
-    points = box_points(rm, np.random.default_rng(3), 240)
+    points = engine.box_points(rm, np.random.default_rng(3), 240)
     tracemalloc.start()
     try:
         bound = ev.bind(points)
