@@ -11,10 +11,12 @@ is never materialized; normalized residuals always lie in [0, 1].
 Substituted directions are folded: the second-direction change D2 -> D2 +
 const * D1 is applied to the direction vector itself before any theta
 evaluation, so the substituted and unsubstituted forms agree bit-for-bit,
-not merely algebraically.  If every monomial of a combination is exactly
-zero (zero directions and zero constants), the residual is 0 by convention;
-a normalizer that underflows while the terms are not all exactly zero is a
-degenerate sample and raises.
+not merely algebraically.  The hierarchy form is folded into the one-point
+form by ``_hierarchy_fold``, with the germ series zeta(eps) and d(eps)
+summed by ``_series``; the hierarchy fit reads both.  If every monomial of
+a combination is exactly zero (zero directions and zero constants), the
+residual is 0 by convention; a normalizer that underflows while the terms
+are not all exactly zero is a degenerate sample and raises.
 
 Each form has one vectorized term stack over a derivative source
 (``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
@@ -32,10 +34,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import (
-    DEFAULT_TARGET_ABS_ERR,
     AbelianPoint,
     RiemannMatrix,
     _check_points,
+    _check_scalar,
     _check_vector,
     _evaluator_for,
     _normalize_requests,
@@ -63,13 +65,6 @@ def as_riemann_matrix(tau) -> RiemannMatrix:
     return RiemannMatrix(tau)
 
 
-def _vec(x, g: int, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=complex).reshape(-1)
-    if arr.shape != (g,):
-        raise InvalidInputError(f"{what} must be a complex vector of length {g}")
-    return arr
-
-
 @dataclass
 class DirectionJet:
     """Directions and constants defining the KP-type forms.
@@ -94,20 +89,18 @@ class DirectionJet:
     normalized: bool = False
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=complex).reshape(-1)
-        g = len(self.U)
-        if self.V is not None:
-            self.V = _vec(self.V, g, "V")
-        if self.W is not None:
-            self.W = _vec(self.W, g, "W")
+        self.U = _check_vector(self.U, np.size(self.U), "U")
+        for name in ("V", "W"):
+            if getattr(self, name) is not None:
+                setattr(self, name, _check_vector(getattr(self, name), self.g, name))
         for name in ("c", "d", "A", "B"):
-            val = getattr(self, name)
-            if val is not None:
-                setattr(self, name, complex(val))
+            if getattr(self, name) is not None:
+                setattr(self, name, _check_scalar(getattr(self, name), name))
         if self.zeta_coeffs is not None:
-            self.zeta_coeffs = [_vec(zc, g, "zeta coefficient") for zc in self.zeta_coeffs]
+            self.zeta_coeffs = [_check_vector(zc, self.g, "zeta coefficient")
+                                for zc in self.zeta_coeffs]
         if self.d_coeffs is not None:
-            self.d_coeffs = [complex(x) for x in self.d_coeffs]
+            self.d_coeffs = [_check_scalar(x, "d coefficient") for x in self.d_coeffs]
 
     @property
     def g(self) -> int:
@@ -123,23 +116,26 @@ class DirectionJet:
         self.require("zeta_coeffs")
         if not self.zeta_coeffs:
             raise InvalidInputError("zeta_coeffs must have at least one entry")
-        total = np.zeros(self.g, dtype=complex)
-        power = 1.0 + 0.0j
-        for coeff in self.zeta_coeffs:
-            power *= epsilon
-            total = total + power * coeff
-        return total
+        return _series(self.zeta_coeffs, epsilon, 1)
 
     def d_of(self, epsilon: complex) -> complex:
         """d(eps) = d_3 eps^3 + d_4 eps^4 + ... (zero when no coefficients)."""
-        if not self.d_coeffs:
-            return 0.0 + 0.0j
-        total = 0.0 + 0.0j
-        power = epsilon**2
-        for coeff in self.d_coeffs:
-            power *= epsilon
-            total += coeff * power
-        return total
+        return _series(self.d_coeffs or (), epsilon, 3)
+
+
+def _series(coeffs, epsilon, lowest):
+    """sum_k coeffs[k] * eps^(lowest + k) at complex eps: zeta(eps) from 1, d(eps) from 3."""
+    epsilon = complex(epsilon)
+    total, power = 0j, epsilon**lowest
+    for coeff in coeffs:
+        total, power = total + power * coeff, power * epsilon
+    return total
+
+
+def _hierarchy_fold(U, V, epsilon, zeta, d):
+    """The one-point V, c, a = V + U/eps, d/eps, 2 zeta of the hierarchy form at eps."""
+    epsilon = complex(epsilon)
+    return V + U / epsilon, d / epsilon, 2.0 * zeta
 
 
 def gauge_rescale(jet: DirectionJet, lam: complex) -> DirectionJet:
@@ -271,7 +267,7 @@ def _longeq_terms(D, U, V):
 def _jets(rm, points, requests):
     """Jets at all points (rows) through one evaluator sized for the requests."""
     keys = _normalize_requests(requests, rm.g)
-    return _evaluator_for(rm, keys, DEFAULT_TARGET_ABS_ERR).jets(points, keys)
+    return _evaluator_for(rm, keys).jets(points, keys)
 
 
 def _source(res, cols=slice(None)):
@@ -288,7 +284,7 @@ def _hirota_residuals(rm, jet, pts):
 
 def _one_point_residuals(rm, pts, U, V, c, a):
     """One-point residuals at the rows of pts: z and z + a share one bind."""
-    av = _vec(a, rm.g, "a")
+    av = _check_vector(a, rm.g, "a")
     res = _jets(rm, np.concatenate([pts, pts + av]), [(U, U), (U,), (V,)])
     count = len(pts)
     terms = _one_point_terms(_source(res, slice(None, count)), _source(res, slice(count, None)),
@@ -316,8 +312,8 @@ def _hierarchy_residuals(rm, jet, pts, epsilon):
         raise InvalidInputError("hierarchy parameter must satisfy |epsilon| < 1")
     if epsilon == 0.0:
         return np.zeros(len(pts))
-    return _one_point_residuals(rm, pts, jet.U, jet.V + jet.U / epsilon,
-                                jet.d_of(epsilon) / epsilon, 2.0 * jet.zeta(epsilon))
+    return _one_point_residuals(rm, pts, jet.U, *_hierarchy_fold(
+        jet.U, jet.V, epsilon, jet.zeta(epsilon), jet.d_of(epsilon)))
 
 
 def _longeq_residuals(rm, jet, pts):
@@ -439,7 +435,7 @@ def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> co
     """exp(Ax + By) * T(xU + yV + a + z) / T(xU + yV + z)."""
     rm = as_riemann_matrix(tau)
     jet.require("U", "V")
-    av = _vec(a, rm.g, "a")
+    av = _check_vector(a, rm.g, "a")
     base = x * jet.U + y * jet.V + as_point(z).z
     num = theta_eval(base + av, rm)
     den = theta_eval(base, rm)

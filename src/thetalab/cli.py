@@ -46,7 +46,7 @@ from .divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from .engine import box_points, theta_eval
+from .engine import _check_points, _normalize_requests, box_points, theta_eval
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,
@@ -156,16 +156,9 @@ def _parse_points_doc(doc, g):
         points, requests = doc, []
     else:
         raise InvalidInputError("points file must be a JSON list or object")
-    pts = [serialize.decode_vector(p) for p in points]
-    for p in pts:
-        if p.shape != (g,):
-            raise InvalidInputError(f"point {p.tolist()!r} does not have length {g}")
-    reqs = []
-    for req in requests:
-        dirs = [serialize.decode_vector(h) for h in req]
-        if any(h.shape != (g,) for h in dirs):
-            raise InvalidInputError("derivative directions must have the tau genus length")
-        reqs.append(tuple(dirs))
+    pts = list(_check_points([serialize.decode_vector(p) for p in points], g))
+    reqs = [tuple(serialize.decode_vector(h) for h in req) for req in requests]
+    _normalize_requests(reqs, g)  # refuses a bad length, entry or order
     return pts, reqs
 
 

@@ -16,8 +16,10 @@ deterministic for a fixed plan.  ``weil_check`` evaluates the pointwise
 alternative-vanishing relations on such point lists: at each point the two
 candidate factors are term-normalized (a combination
 sum_k coef_k * D^(alpha_k) theta is divided by sum_k |coef_k| * abs_sum)
-and the smaller magnitude is the point's residual.  Wherever theta is read
-at z and at z + a, both rows share one bind.
+and the smaller magnitude is the point's residual (``_normalized``).
+Wherever theta is read at z and at z + a, both rows share one bind.  Every
+sampler and check reads theta on an evaluator that the engine sizes for its
+derivative requests at the default target error; none takes a target.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from enum import Enum
 
 import numpy as np
 
-from .bilinear import NORMALIZER_FLOOR, ResidualReport, _vec, as_riemann_matrix, build_report
+from .bilinear import NORMALIZER_FLOOR, ResidualReport, as_riemann_matrix, build_report
 from .engine import (
     AbelianPoint,
-    BatchThetaEvaluator,
-    DEFAULT_TARGET_ABS_ERR,
+    _check_vector,
+    _evaluator_for,
     _reduce_coords,
     box_points,
     canonical_request,
@@ -195,8 +197,14 @@ def _pair(res, key):
     return res[key].reshape(2, -1)
 
 
-def sample_theta_divisor(tau, jet, plan: SamplePlan,
-                         target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> list:
+def _normalized(value, norm):
+    """The factor magnitudes |value| / norm; a normalizer below NORMALIZER_FLOOR raises."""
+    if norm.min() < NORMALIZER_FLOOR:
+        raise DegenerateSampleError("Weil factor normalizer underflowed")
+    return np.abs(value) / norm
+
+
+def sample_theta_divisor(tau, jet, plan: SamplePlan) -> list:
     """Locate points with theta = 0 by 1-D Newton along random lines.
 
     ``jet`` is unused (the locus involves no directions); it is accepted so
@@ -208,8 +216,7 @@ def sample_theta_divisor(tau, jet, plan: SamplePlan,
     base = box_points(rm, rng, plan.starts)
     lines = _unit_directions(rng, plan.starts, rm.g)
     grads = [canonical_request((e,)) for e in np.eye(rm.g)]
-    ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=1.0,
-                             target_abs_err=target_abs_err)
+    ev = _evaluator_for(rm, grads)
 
     def evaluate(pts, idx):
         res = ev.jets(pts, grads)
@@ -240,12 +247,11 @@ def _slice_starts(rm, rng, plan):
     return origin, frame, s
 
 
-def sample_D1_theta(tau, jet, plan: SamplePlan,
-                    target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> list:
+def sample_D1_theta(tau, jet, plan: SamplePlan) -> list:
     """Locate points with theta = 0 and D_U theta = 0 simultaneously."""
     rm = as_riemann_matrix(tau)
     jet.require("U")
-    U = _vec(jet.U, rm.g, "U")
+    U = _check_vector(jet.U, rm.g, "U")
     if float(np.linalg.norm(U)) == 0.0:
         raise InvalidInputError("sampling the D1 locus requires U != 0")
     if rm.g == 1:
@@ -255,14 +261,11 @@ def sample_D1_theta(tau, jet, plan: SamplePlan,
             SamplingNote,
         )
         return []
-    rng = np.random.default_rng(plan.seed)
-    ev = BatchThetaEvaluator(rm, max_order=2,
-                             max_direction_norm=max(1.0, float(np.linalg.norm(U))),
-                             target_abs_err=target_abs_err)
-    origin, frame, s = _slice_starts(rm, rng, plan)
+    origin, frame, s = _slice_starts(rm, np.random.default_rng(plan.seed), plan)
     k_u = canonical_request((U,))
     k_b = [canonical_request((f,)) for f in frame.T]
     k_ub = [canonical_request((U, f)) for f in frame.T]
+    ev = _evaluator_for(rm, [*k_b, k_u, *k_ub])
 
     def evaluate(pts, idx):
         res = ev.jets(pts, [*k_b, k_u, *k_ub])
@@ -275,11 +278,10 @@ def sample_D1_theta(tau, jet, plan: SamplePlan,
                   DivisorKind.D1_THETA, "D1-locus")
 
 
-def sample_theta_intersection(tau, jet, a, plan: SamplePlan,
-                              target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> list:
+def sample_theta_intersection(tau, jet, a, plan: SamplePlan) -> list:
     """Locate points with theta(z) = 0 and theta(z + a) = 0."""
     rm = as_riemann_matrix(tau)
-    a = _vec(a, rm.g, "a")
+    a = _check_vector(a, rm.g, "a")
     if rm.g == 1:
         warnings.warn(
             "genus 1: theta(z) and theta(z + a) share no zero for generic "
@@ -287,11 +289,9 @@ def sample_theta_intersection(tau, jet, a, plan: SamplePlan,
             SamplingNote,
         )
         return []
-    rng = np.random.default_rng(plan.seed)
-    ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=1.0,
-                             target_abs_err=target_abs_err)
-    origin, frame, s = _slice_starts(rm, rng, plan)
+    origin, frame, s = _slice_starts(rm, np.random.default_rng(plan.seed), plan)
     k_b = [canonical_request((f,)) for f in frame.T]
+    ev = _evaluator_for(rm, k_b)
 
     def evaluate(pts, idx):
         res = ev.jets(np.concatenate([pts, pts + a]), k_b)
@@ -311,8 +311,7 @@ _WEIL_KIND = {
 
 
 def weil_check(points, tau, jet, a=None, which: str = "weil",
-               tolerance: float = 1e-6,
-               target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> ResidualReport:
+               tolerance: float = 1e-6) -> ResidualReport:
     """Evaluate a Weil-type alternative-vanishing relation on sampled points.
 
     Per point the residual is the smaller of the two term-normalized factor
@@ -334,29 +333,20 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
     if which in ("weil1", "weil2"):
         if a is None:
             raise InvalidInputError(f"{which} requires the shift a")
-        a = _vec(a, rm.g, "a")
+        a = _check_vector(a, rm.g, "a")
     if not points:
         return build_report([], [], tolerance)
 
     zs = np.array([p.z.z for p in points])
-    U = _vec(jet.U, rm.g, "U")
-    max_norm = max(1.0, float(np.linalg.norm(U)))
+    U = _check_vector(jet.U, rm.g, "U")
     if which == "weil1":
-        ev = BatchThetaEvaluator(rm, max_order=1, max_direction_norm=max_norm,
-                                 target_abs_err=target_abs_err)
         ku = canonical_request((U,))
-        r = ev.jets(np.concatenate([zs, zs + a]), [ku])
-        norms = _pair(r, ("abs", ku))
-        if norms.min() < NORMALIZER_FLOOR:
-            raise DegenerateSampleError("Weil factor normalizer underflowed")
-        res = (np.abs(_pair(r, ku)) / norms).min(axis=0)
+        r = _evaluator_for(rm, [ku]).jets(np.concatenate([zs, zs + a]), [ku])
+        res = _normalized(_pair(r, ku), _pair(r, ("abs", ku))).min(axis=0)
     else:
-        V = _vec(jet.V, rm.g, "V")
-        max_norm = max(max_norm, float(np.linalg.norm(V)))
-        ev = BatchThetaEvaluator(rm, max_order=2, max_direction_norm=max_norm,
-                                 target_abs_err=target_abs_err)
         kuu = canonical_request((U, U))
-        kv = canonical_request((V,))
+        kv = canonical_request((_check_vector(jet.V, rm.g, "V"),))
+        ev = _evaluator_for(rm, [kuu, kv])
         keys = (kuu, kv, ("abs", kuu), ("abs", kv))
         if which == "weil":
             r = ev.jets(zs, [kuu, kv])
@@ -366,16 +356,10 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
             # evaluated too and go unread, the price of sharing the bind.
             r = ev.jets(np.concatenate([zs, zs + a]), [kuu, kv])
             uu, v, abs_uu, abs_v = (_pair(r, key)[0] for key in keys)
-        norm = abs_uu + abs_v
-        if norm.min() < NORMALIZER_FLOOR:
-            raise DegenerateSampleError("Weil factor normalizer underflowed")
-        first = np.abs(uu + v) / norm
+        first = _normalized(uu + v, abs_uu + abs_v)
         if which == "weil":
-            second = np.abs(uu - v) / norm
+            second = _normalized(uu - v, abs_uu + abs_v)
         else:
-            n1 = _pair(r, ("abs", ()))[1]
-            if n1.min() < NORMALIZER_FLOOR:
-                raise DegenerateSampleError("Weil factor normalizer underflowed")
-            second = np.abs(_pair(r, ())[1]) / n1
+            second = _normalized(_pair(r, ())[1], _pair(r, ("abs", ()))[1])
         res = np.minimum(first, second)
     return build_report([p.z for p in points], [float(r) for r in res], tolerance)

@@ -21,6 +21,11 @@ sweeps, the hierarchy scan, the u-field grid, the flex scan) binds all of
 its points through one evaluator; ``theta_eval`` and ``theta_char_eval``
 are batches of one point sized from their own requests.
 
+Input checks and lattice sizing have one owner each: ``_check_vector``
+(and ``_check_scalar``, ``_check_points``) refuses wrong-length or
+non-finite input with ``InvalidInputError``, and ``_evaluator_for`` sizes
+every library evaluator from the derivative requests it will serve.
+
 Every point is first reduced modulo the lattice Z^g + tau Z^g and the
 exponential growth is factored into a real ``scale_exponent``:
 
@@ -200,7 +205,8 @@ class ThetaJet:
 
 
 def _check_vector(z, g, what="z"):
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    """A vector or AbelianPoint as a finite complex (g,) array, else InvalidInputError."""
+    z = np.asarray(z.z if isinstance(z, AbelianPoint) else z, dtype=complex).reshape(-1)
     if z.shape != (g,):
         raise InvalidInputError(f"{what} must be a complex vector of length {g}")
     if not np.isfinite(z).all():
@@ -208,9 +214,14 @@ def _check_vector(z, g, what="z"):
     return z
 
 
+def _check_scalar(x, what):
+    """x as a finite complex number, else InvalidInputError."""
+    return complex(_check_vector(x, 1, what)[0])
+
+
 def _check_points(points, g):
     """Points (AbelianPoints or vectors) as validated rows of a (P, g) array."""
-    rows = [_check_vector(p.z if isinstance(p, AbelianPoint) else p, g) for p in points]
+    rows = [_check_vector(p, g) for p in points]
     return np.array(rows, dtype=complex).reshape(len(rows), g)
 
 
@@ -248,7 +259,7 @@ def reduce_point(z, tau: RiemannMatrix):
     and ``|quasiperiod_factor| = 1``.
     """
     rm = tau
-    zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
+    zv = _check_vector(z, rm.g)
     z0, m, _ = _reduce_coords(zv, rm)
     exponent = _reduction_exponent(z0, m, rm)
     return (
@@ -260,7 +271,7 @@ def reduce_point(z, tau: RiemannMatrix):
 
 def lattice_coords(z, rm: RiemannMatrix):
     """Real lattice coordinates (alpha, beta) with z = alpha + tau beta."""
-    return _lattice_coords(_check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g), rm)
+    return _lattice_coords(_check_vector(z, rm.g), rm)
 
 
 def box_points(rm: RiemannMatrix, rng, count: int) -> np.ndarray:
@@ -422,8 +433,8 @@ def _linear_correction(keys, gradient, rows, sums, abs_sums):
     return vals, absv, growth
 
 
-def _evaluator_for(rm, keys, target_abs_err):
-    """The evaluator sized for exactly these requests."""
+def _evaluator_for(rm, keys, target_abs_err=DEFAULT_TARGET_ABS_ERR):
+    """The evaluator sized for these canonical requests: their largest order and direction norm."""
     h_max, k_max = _request_weight_scale(keys)
     return BatchThetaEvaluator(rm, max_order=k_max, max_direction_norm=h_max,
                                target_abs_err=target_abs_err)
@@ -450,13 +461,12 @@ def theta_eval(z, tau: RiemannMatrix, requests=(),
     batch of one point on an evaluator sized from the requests.
     """
     rm = tau
-    zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
+    zv = _check_vector(z, rm.g)
     keys = _normalize_requests(requests, rm.g)
     return _single_jet(_evaluator_for(rm, keys, target_abs_err).jets(zv, keys), keys)
 
 
-def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=(),
-                    target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> ThetaJet:
+def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=()) -> ThetaJet:
     """Evaluate theta[eps, delta](z, tau) with directional derivatives.
 
     Uses the shift identity from the module docstring: the plain series is
@@ -465,11 +475,11 @@ def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=(),
     2*pi*i*eps -- joins the reduction multiplier in one linear correction.
     """
     rm = tau
-    zv = _check_vector(z.z if isinstance(z, AbelianPoint) else z, rm.g)
+    zv = _check_vector(z, rm.g)
     if ch.eps.shape != (rm.g,):
         raise InvalidInputError("characteristic length does not match genus")
     keys = _normalize_requests(requests, rm.g)
-    ev = _evaluator_for(rm, keys, target_abs_err)
+    ev = _evaluator_for(rm, keys)
     return _single_jet(ev.characteristic_jets(zv, ch.eps, ch.delta, keys), keys)
 
 

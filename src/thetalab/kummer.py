@@ -32,6 +32,7 @@ from .engine import (
     DEFAULT_TARGET_ABS_ERR,
     RiemannMatrix,
     _check_points,
+    _check_vector,
     _evaluator_for,
     _normalize_requests,
     _reduce_coords,
@@ -83,7 +84,7 @@ def _kummer_coords(rm, zs, keys, target_abs_err):
     return coords, derivs, log_scale
 
 
-def kummer_map(z, tau, requests=(), target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> KummerPoint:
+def kummer_map(z, tau, requests=()) -> KummerPoint:
     """Evaluate the second-order theta coordinates and their derivatives.
 
     Each coordinate is theta[sigma/2, 0](2z, 2 tau); a z-derivative of order
@@ -95,7 +96,7 @@ def kummer_map(z, tau, requests=(), target_abs_err: float = DEFAULT_TARGET_ABS_E
     point = as_point(z)
     keys = _normalize_requests(requests, rm.g)
     coords, derivs, log_scale = _kummer_coords(
-        rm, _check_points([point], rm.g), keys, target_abs_err)
+        rm, _check_points([point], rm.g), keys, DEFAULT_TARGET_ABS_ERR)
     return KummerPoint(coords=coords[0], base=point, sigmas=second_order_sigmas(rm.g),
                        derivs={key: d[0] for key, d in derivs.items()},
                        log_scale=float(log_scale[0]))
@@ -150,10 +151,7 @@ class FlexReport:
 
 def _flex_germ(rm, U, V, order, W):
     """Checked germ directions (U, V, W) and the derivative requests of the flex rows."""
-    U = np.asarray(U, dtype=complex).reshape(-1)
-    V = np.asarray(V, dtype=complex).reshape(-1)
-    if U.shape != (rm.g,) or V.shape != (rm.g,):
-        raise InvalidInputError(f"U and V must be complex vectors of length {rm.g}")
+    U, V = _check_vector(U, rm.g, "U"), _check_vector(V, rm.g, "V")
     if float(np.linalg.norm(U)) == 0.0:
         raise InvalidInputError("flex germ requires U != 0")
     if order not in (2, 3):
@@ -162,9 +160,7 @@ def _flex_germ(rm, U, V, order, W):
         return U, V, None, [(U,), (U, U), (V,)]
     if W is None:
         raise InvalidInputError("order-3 germ requires W")
-    W = np.asarray(W, dtype=complex).reshape(-1)
-    if W.shape != (rm.g,):
-        raise InvalidInputError(f"W must be a complex vector of length {rm.g}")
+    W = _check_vector(W, rm.g, "W")
     return U, V, W, [(U,), (U, U), (V,), (U, U, U), (U, V), (W,)]
 
 
@@ -222,17 +218,14 @@ def half_points(a, tau) -> list:
     (m + tau n)/2 added to a/2, lexicographically.
     """
     rm = as_riemann_matrix(tau)
-    av = as_point(a).z
-    if av.shape != (rm.g,):
-        raise InvalidInputError(f"a must be a complex vector of length {rm.g}")
+    av = _check_vector(a, rm.g, "a")
     mn = np.array([m + n for m, n in product(second_order_sigmas(rm.g), repeat=2)], dtype=float)
     m, n = mn[:, :rm.g], mn[:, rm.g:]
     z0 = _reduce_coords(av / 2.0 + (m + n @ rm.tau) / 2.0, rm)[0]
     return [AbelianPoint(z, reduced=True) for z in z0]
 
 
-def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
-              target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> FlexReport:
+def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6) -> FlexReport:
     """Run flex_test at every half point of a; pass when any candidate does.
 
     The report's b and ratios are those of the best candidate; per-candidate
@@ -242,7 +235,7 @@ def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
     rm = as_riemann_matrix(tau)
     germ = _flex_germ(rm, U, V, order, W)
     halves = half_points(a, rm)
-    ratios = _flex_ratios(rm, np.array([b.z for b in halves]), germ, target_abs_err)
+    ratios = _flex_ratios(rm, np.array([b.z for b in halves]), germ, DEFAULT_TARGET_ABS_ERR)
     labels = product(second_order_sigmas(rm.g), repeat=2)
     candidates = [HalfCandidate(b=b, m=m, n=n, sigma_ratios=row,
                                 passed=_deciding(row) <= tolerance)

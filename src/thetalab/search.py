@@ -8,10 +8,11 @@ ties broken by restart index.  ``fit`` runs the simplex over the parameters
 that enter the residual nonlinearly; the hierarchy fit polishes only.  Two
 structural tricks keep the objective cheap and well-conditioned:
 
-* all theta jets at the (fixed) training points are precomputed once as
-  symmetric basis-derivative tensors, flattened so that contracting one
-  direction is one matrix product; changing direction vectors costs a few
-  such products, not a lattice sum.  Each candidate (one objective or
+* all theta jets at the (fixed) training points are precomputed once, on an
+  evaluator sized for the basis requests at the engine's default target
+  error, as symmetric basis-derivative tensors flattened so that contracting
+  one direction is one matrix product; changing direction vectors costs a
+  few such products, not a lattice sum.  Each candidate (one objective or
   residual-vector evaluation) reads them through its own derivative source,
   which keeps its prefix contractions, so the IRLS rounds and the final
   ratios contract U and V once;
@@ -55,18 +56,20 @@ from scipy.optimize import least_squares, minimize
 from .bilinear import (
     DirectionJet,
     NORMALIZER_FLOOR,
+    _hierarchy_fold,
     _hirota_base,
     _hirota_linear,
     _hirota_terms,
     _one_point_base,
     _one_point_linear,
     _one_point_terms,
+    _series,
     _term_ratios,
     as_riemann_matrix,
     gauge_normalize,
     hierarchy_scan,
 )
-from .engine import BatchThetaEvaluator, box_points, canonical_request
+from .engine import _check_vector, _evaluator_for, box_points, canonical_request
 from .errors import DegenerateJetError, InvalidInputError
 
 TARGETS = ("hirota", "one_point", "hierarchy")
@@ -116,6 +119,18 @@ class _GaugeCollapse(Exception):
     pass
 
 
+def _basis_keys(g, orders):
+    """Basis requests: (k, idx) -> D along e_i for i in idx, per order k and sorted tuple idx."""
+    eye = np.eye(g)
+    return {(k, idx): canonical_request(tuple(eye[i] for i in idx))
+            for k in orders for idx in combinations_with_replacement(range(g), k)}
+
+
+def _basis_evaluator(rm, orders):
+    """The evaluator of a ``_BasisJets`` of these orders."""
+    return _evaluator_for(rm, list(_basis_keys(rm.g, orders).values()))
+
+
 class _BasisJets:
     """Symmetric directional-derivative tensors at a point cloud.
 
@@ -131,24 +146,15 @@ class _BasisJets:
 
     def __init__(self, ev, points, orders):
         g = self.g = ev.rm.g
-        eye = np.eye(g)
-        combos = {k: list(combinations_with_replacement(range(g), k))
-                  for k in orders}
-        keys = {}
-        for k, idxs in combos.items():
-            for idx in idxs:
-                keys[(k, idx)] = canonical_request(tuple(eye[i] for i in idx))
+        keys = _basis_keys(g, orders)
         res = ev.jets(points, list(keys.values()))
         self.value = res[()]
         self.count = len(self.value)
-        self.tensor = {}
-        for k, idxs in combos.items():
-            T = np.empty((g,) * k + (self.count,), dtype=complex)
-            for idx in idxs:
-                arr = res[keys[(k, idx)]]
-                for perm in set(permutations(idx)):
-                    T[perm] = arr
-            self.tensor[k] = T.reshape(g, -1)
+        tensors = {k: np.empty((g,) * k + (self.count,), dtype=complex) for k in orders}
+        for (k, idx), key in keys.items():
+            for perm in set(permutations(idx)):
+                tensors[k][perm] = res[key]
+        self.tensor = {k: T.reshape(g, -1) for k, T in tensors.items()}
 
     def deriv(self, *directions):
         return _Contractions(self)(*directions)
@@ -252,10 +258,8 @@ class _HirotaModel(_Model):
     linear_fields = ("W", "d")
     note = None
 
-    def __init__(self, rm, points, target_abs_err=1e-12):
-        ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0,
-                                 target_abs_err=target_abs_err)
-        self.basis = _BasisJets(ev, points, orders=(1, 2, 3, 4))
+    def __init__(self, rm, points):
+        self.basis = _BasisJets(_basis_evaluator(rm, (1, 2, 3, 4)), points, orders=(1, 2, 3, 4))
         self.g = rm.g
 
     def sources(self, p):
@@ -295,9 +299,8 @@ class _OnePointModel(_Model):
     linear_fields = ("V", "c")
     note = "irreducibility of the subgroup generated by a is assumed, not verified"
 
-    def __init__(self, rm, points, target_abs_err=1e-12):
-        self.ev = BatchThetaEvaluator(rm, max_order=2, max_direction_norm=1.0,
-                                      target_abs_err=target_abs_err)
+    def __init__(self, rm, points):
+        self.ev = _basis_evaluator(rm, (1, 2))
         self.points = np.asarray(points, dtype=complex)
         self.basis_z = _BasisJets(self.ev, self.points, orders=(1, 2))
         self.g = rm.g
@@ -390,6 +393,8 @@ def _validate_problem(problem, rm):
     n_real = _real_parameters(problem.free_vars, rm.g)
     if n_real == 0:
         raise InvalidInputError("no free variables to fit")
+    if problem.a is not None:
+        _check_vector(problem.a, rm.g, "a")
     return model_cls, n_real
 
 
@@ -471,22 +476,17 @@ class _Multistart:
 
 
 def _initial_values(problem, rm, rng, restart, nonlinear):
+    """Restart starts of the nonlinear fields: V (KP target) or a (one-point target)."""
     vals = {}
     for name in nonlinear:
         g = rm.g
-        if name == "a":
-            base = problem.a
-        else:
-            base = getattr(problem.jet, name)
+        base = problem.a if name == "a" else getattr(problem.jet, name)
         if restart == 0 and base is not None:
-            vals[name] = np.asarray(base, dtype=complex) if name != "c" else complex(base)
-            continue
-        if name == "a":
+            vals[name] = np.asarray(base, dtype=complex)
+        elif name == "a":
             x = rng.uniform(-0.5, 0.5, g)
             y = rng.uniform(-0.5, 0.5, g)
             vals[name] = x + y @ rm.tau
-        elif name in ("c", "d"):
-            vals[name] = complex(rng.normal(scale=0.6) + 1j * rng.normal(scale=0.6))
         else:
             vals[name] = 0.6 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
     return vals
@@ -680,33 +680,25 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
     # germ, so misfit at ANY lower order dominates from the small-eps side
     weights = eps_grid ** (-(K + 1.0))
 
-    def sources_for(p):
-        """Derivative sources of one candidate: at z, and at z + 2 zeta(eps) per eps."""
-        shifts = []
-        for eps in eps_grid:
-            total, power = np.zeros(g, dtype=complex), eps
-            for coeff in [U] + [p[n] for n in zeta_names]:
-                total = total + power * coeff
-                power *= eps
-            shifts.append(2.0 * total)
+    def grid(zetas, dvals):
+        """Per grid eps, the one-point fields and shift of the folded form (zeta_1 = U)."""
+        folds = [_hierarchy_fold(U, V, eps, _series([U, *zetas], eps, 1), _series(dvals, eps, 3))
+                 for eps in eps_grid]
+        return [{"U": U, "V": v, "c": c} for v, c, _ in folds], [a for _, _, a in folds]
+
+    def sources_for(shifts):
+        """Derivative sources of one candidate: at z, and at z + a per grid shift a."""
         Dz = _Contractions(model.basis_z)
         return [(Dz, _Contractions(basis_a)) for basis_a in model.basis_at(shifts)]
 
-    # each grid row is the one-point form with the second direction folded
-    # to V + U/eps and the constant d(eps)/eps (see hierarchy_residual)
-    grid_V = [V + U / eps for eps in eps_grid]
-
-    def grid_fields(dvals):
-        return [{"U": U, "V": v, "c": sum(dv * eps ** (j + 3) for j, dv in enumerate(dvals)) / eps}
-                for eps, v in zip(eps_grid, grid_V)]
-
-    def solve_d(sources):
+    def solve_d(zetas):
         """The d-coefficients enter every row's constant linearly; IRLS solve."""
+        sources = sources_for(grid(zetas, ())[1])
         base = np.concatenate([model.base(src, {"U": U}) for src in sources], axis=1)
 
         def linear(x):
             return np.concatenate([model.linear(src, p)
-                                   for src, p in zip(sources, grid_fields(x))], axis=1)
+                                   for src, p in zip(sources, grid(zetas, x)[0])], axis=1)
 
         return dict(zip(d_names, _solve_affine(base, linear, len(d_names),
                                                np.repeat(weights, model.basis_z.count))))
@@ -719,13 +711,13 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         if k > 0:
             zetas = [z + 0.5 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
                      for z in zetas]
-        p = dict(zip(zeta_names, zetas))
-        return _pack({**p, **solve_d(sources_for(p))}, names)
+        return _pack({**dict(zip(zeta_names, zetas)), **solve_d(zetas)}, names)
 
     def resvec(x):
         p = _unpack(x, names, g)
+        fields, shifts = grid([p[n] for n in zeta_names], [p[n] for n in d_names])
         r = np.concatenate([model.ratios(src, q) * w for src, q, w in
-                            zip(sources_for(p), grid_fields([p[n] for n in d_names]), weights)])
+                            zip(sources_for(shifts), fields, weights)])
         return np.concatenate([r.real, r.imag])
 
     # Near the optimum the weighted residual is almost linear in every germ
