@@ -496,8 +496,8 @@ class BatchThetaEvaluator:
     def __init__(self, rm: RiemannMatrix, max_order: int = MAX_DERIVATIVE_ORDER,
                  max_direction_norm: float = 1.0,
                  target_abs_err: float = DEFAULT_TARGET_ABS_ERR):
-        if target_abs_err <= 0.0:
-            raise InvalidInputError("target_abs_err must be positive")
+        if not 0.0 < target_abs_err < math.inf:
+            raise InvalidInputError("target_abs_err must be positive and finite")
         self.rm = rm
         weight_scale = 2.0 * PI * max(max_direction_norm, 1e-300)
         radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, weight_scale, max_order)

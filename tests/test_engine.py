@@ -480,8 +480,9 @@ def test_request_and_input_validation(rm_g1):
         theta_eval([0.1], rm_g1, [(u, u, u, u, u)])
     with pytest.raises(InvalidInputError):
         theta_eval([complex("inf")], rm_g1)
-    with pytest.raises(InvalidInputError):
-        theta_eval([0.1], rm_g1, target_abs_err=0.0)
+    for target in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            theta_eval([0.1], rm_g1, target_abs_err=target)
     with pytest.raises(InvalidInputError):
         theta_eval([0.1, 0.2], rm_g1)
 
