@@ -265,10 +265,11 @@ def sample_D1_theta(tau, jet, plan: SamplePlan) -> list:
     k_u = canonical_request((U,))
     k_b = [canonical_request((f,)) for f in frame.T]
     k_ub = [canonical_request((U, f)) for f in frame.T]
-    ev = _evaluator_for(rm, [*k_b, k_u, *k_ub])
+    keys = [*k_b, k_u, *k_ub]
+    ev = _evaluator_for(rm, keys)
 
     def evaluate(pts, idx):
-        res = ev.jets(pts, [*k_b, k_u, *k_ub])
+        res = ev.jets(pts, keys)
         J = np.moveaxis(np.array([[res[key] for key in row] for row in (k_b, k_ub)]), -1, 0)
         return (np.column_stack([res[()], res[k_u]]), J,
                 np.column_stack([res[("abs", ())], res[("abs", k_u)]]))
