@@ -13,10 +13,20 @@ const * D1 is applied to the direction vector itself before any theta
 evaluation, so the substituted and unsubstituted forms agree bit-for-bit,
 not merely algebraically.  The hierarchy form is folded into the one-point
 form by ``_hierarchy_fold``, with the germ series zeta(eps) and d(eps)
-summed by ``_series``; the hierarchy fit reads both.  If every monomial of
+summed by ``_series``; the hierarchy fit reads both.  The fold is balanced
+by lam = sqrt(eps) (``gauge_rescale``), to directions sqrt(eps) U and
+eps V + U, so its lattices stay bounded as eps -> 0.  If every monomial of
 a combination is exactly zero (zero directions and zero constants), the
 residual is 0 by convention; a normalizer that underflows while the terms
 are not all exactly zero is a degenerate sample and raises.
+
+The Galilean rule: the KP form, the on-divisor identity, the Weil relations
+and the flex property are unchanged by (V, W) -> (V + nu U, W + 2 nu V +
+nu^2 U), but their term-sum normalizers are not, so every verdict they give
+(the "kp" and "longeq" sweeps, ``weil_check``, the flex tests, the KP
+search) reads the representative with V orthogonal to U (``_galilean``).
+The other forms, and the single-point ``hirota_residual`` and
+``longeq_residual``, read the jet as given.
 
 Each form has one vectorized term stack over a derivative source
 (``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
@@ -133,9 +143,20 @@ def _series(coeffs, epsilon, lowest):
 
 
 def _hierarchy_fold(U, V, epsilon, zeta, d):
-    """The one-point V, c, a = V + U/eps, d/eps, 2 zeta of the hierarchy form at eps."""
+    """The one-point U, V, c, a = sqrt(eps) U, eps V + U, d, 2 zeta of the hierarchy form at eps.
+
+    It is the fold (U, V + U/eps, d/eps, 2 zeta) rescaled by lam = sqrt(eps)
+    (``gauge_rescale``), which leaves every one-point residual as it is.
+    """
     epsilon = complex(epsilon)
-    return V + U / epsilon, d / epsilon, 2.0 * zeta
+    return cmath.sqrt(epsilon) * U, epsilon * V + U, d, 2.0 * zeta
+
+
+def _galilean(U, V, W=None):
+    """(V, W) moved by nu = -<U, V>/<U, U> (0 when U = 0) to V orthogonal to U; W may be None."""
+    norm = np.vdot(U, U)
+    mu = np.vdot(U, V) / norm if norm else 0.0
+    return V - mu * U, None if W is None else W - 2.0 * mu * V + mu * mu * U
 
 
 def gauge_rescale(jet: DirectionJet, lam: complex) -> DirectionJet:
@@ -180,13 +201,8 @@ def gauge_normalize(jet: DirectionJet) -> DirectionJet:
     norm = float(np.linalg.norm(jet.U))
     if norm < GAUGE_DEGENERATE_TOL:
         raise DegenerateJetError(f"direction U has norm {norm:.3e}; gauge undefined")
-    lead = 0.0 + 0.0j
-    for x in jet.U:
-        if abs(x) > 1e-12 * norm:
-            lead = complex(x)
-            break
-    phase = lead / abs(lead) if lead != 0 else 1.0 + 0.0j
-    out = gauge_rescale(jet, 1.0 / (norm * phase))
+    lead = next(complex(x) for x in jet.U if abs(x) > 1e-12 * norm)
+    out = gauge_rescale(jet, 1.0 / (norm * (lead / abs(lead))))
     out.normalized = True
     return out
 
@@ -312,7 +328,7 @@ def _hierarchy_residuals(rm, jet, pts, epsilon):
         raise InvalidInputError("hierarchy parameter must satisfy |epsilon| < 1")
     if epsilon == 0.0:
         return np.zeros(len(pts))
-    return _one_point_residuals(rm, pts, jet.U, *_hierarchy_fold(
+    return _one_point_residuals(rm, pts, *_hierarchy_fold(
         jet.U, jet.V, epsilon, jet.zeta(epsilon), jet.d_of(epsilon)))
 
 
@@ -373,8 +389,8 @@ def hierarchy_residual(z, tau, jet: DirectionJet, epsilon: complex) -> float:
 
     equals eps times the one-point form with second direction V + U/eps and
     constant d(eps)/eps; the eps factor cancels in the normalized ratio, so
-    the residual is computed through that folded form.  At eps = 0 the
-    combination collapses to D1 T*T - T*D1 T = 0 and the residual is 0.
+    the residual is computed through that folded form (``_hierarchy_fold``).
+    At eps = 0 the combination collapses to D1 T*T - T*D1 T = 0.
     """
     rm = as_riemann_matrix(tau)
     return float(_hierarchy_residuals(rm, jet, _check_points([z], rm.g), epsilon)[0])
@@ -509,8 +525,13 @@ def sweep_residual(kind: str, tau, jet: DirectionJet, points, tolerance: float,
     kind is one of "kp" (four-term bilinear form), "one-point", "dressed"
     (exponential-dressed one-point form), "longeq", "hierarchy".  Every
     point is bound at once (z and z + a together for the shifted forms).
+    The "kp" and "longeq" sweeps read the jet's Galilean representative
+    (see the module docstring).
     """
     rm = as_riemann_matrix(tau)
+    if kind in ("kp", "longeq") and jet.V is not None:
+        V, W = _galilean(jet.U, jet.V, jet.W)
+        jet = replace(jet, V=V, W=W)
     if kind == "kp":
         fn = lambda pts: _hirota_residuals(rm, jet, pts)
     elif kind == "one-point":
@@ -539,8 +560,8 @@ def hierarchy_scan(tau, jet: DirectionJet, epsilons, points):
     Returns (per_eps, exponent): per_eps is a list of (epsilon, max residual)
     pairs; exponent is the least-squares slope of log(residual) against
     log(epsilon) (0.0 when fewer than two usable epsilon values).  Each
-    epsilon binds every point once, on its own evaluator (the second
-    direction V + U/eps, hence the lattice, changes with epsilon).
+    epsilon binds every point once, on its own evaluator, sized for the
+    balanced fold's directions sqrt(eps) U and eps V + U.
     """
     rm = as_riemann_matrix(tau)
     pts = _check_points(points, rm.g)

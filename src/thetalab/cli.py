@@ -46,7 +46,7 @@ from .divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from .engine import _check_points, _normalize_requests, box_points, theta_eval
+from .engine import _check_points, _evaluator_for, _normalize_requests, box_points, canonical_request
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,
@@ -90,9 +90,7 @@ def _load_jet(args, default_unit_u=False, genus=None):
     """Jet plus extras from --jet; optionally a bare unit-U jet when absent."""
     if args.jet is None:
         if default_unit_u:
-            u = np.zeros(genus, dtype=complex)
-            u[0] = 1.0
-            return DirectionJet(U=u), {}
+            return DirectionJet(U=np.eye(genus)[0]), {}
         raise InvalidInputError("this command requires --jet")
     return serialize.load_jet(args.jet)
 
@@ -156,36 +154,36 @@ def _parse_points_doc(doc, g):
         points, requests = doc, []
     else:
         raise InvalidInputError("points file must be a JSON list or object")
-    pts = list(_check_points([serialize.decode_vector(p) for p in points], g))
-    reqs = [tuple(serialize.decode_vector(h) for h in req) for req in requests]
-    _normalize_requests(reqs, g)  # refuses a bad length, entry or order
-    return pts, reqs
+    pts = _check_points([serialize.decode_vector(p) for p in points], g)
+    return pts, [tuple(serialize.decode_vector(h) for h in req) for req in requests]
 
 
 def cmd_theta_eval(args):
+    """Every point bound at once, on one evaluator sized for the requests."""
     rm = _load_tau(args)
     if args.points is None:
-        pts, reqs = [np.zeros(rm.g, dtype=complex)], []
+        pts, reqs = np.zeros((1, rm.g), dtype=complex), []
     else:
         with open(args.points) as fh:
             doc = json.load(fh)
         pts, reqs = _parse_points_doc(doc, rm.g)
+    keys = _normalize_requests(reqs, rm.g)  # refuses a bad length, entry or order
+    res = _evaluator_for(rm, keys, args.tol).jets(pts, keys)
     reports = []
-    for z in pts:
-        jet = theta_eval(z, rm, reqs, target_abs_err=args.tol)
-        scale = math.exp(jet.scale_exponent)
+    for p, z in enumerate(pts):
+        scale = math.exp(res["scales"][p])
         derivs = [
             {
                 "directions": [serialize.encode_vector(h) for h in req],
-                "value": serialize.encode_complex(scale * jet.d(req)),
+                "value": serialize.encode_complex(scale * res[canonical_request(req)][p]),
             }
             for req in reqs
         ]
         reports.append({
             "point": serialize.encode_vector(z),
-            "value": serialize.encode_complex(scale * jet.value),
+            "value": serialize.encode_complex(scale * res[()][p]),
             "derivs": derivs,
-            "error_bound": scale * jet.error_bound,
+            "error_bound": float(scale * res["error"][p]),
         })
     _emit_json({
         "schema": SCHEMA_ID,

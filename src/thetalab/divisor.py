@@ -16,7 +16,10 @@ deterministic for a fixed plan.  ``weil_check`` evaluates the pointwise
 alternative-vanishing relations on such point lists: at each point the two
 candidate factors are term-normalized (a combination
 sum_k coef_k * D^(alpha_k) theta is divided by sum_k |coef_k| * abs_sum)
-and the smaller magnitude is the point's residual (``_normalized``).
+and the smaller magnitude is the point's residual (``_normalized``).  On
+the D1 locus D_U theta = 0, so weil and weil2 are unchanged by the Galilean
+move V -> V + nu U while their normalizers are not; both read V at the
+representative orthogonal to U (``bilinear``'s Galilean rule).
 Wherever theta is read at z and at z + a, both rows share one bind.  Every
 sampler and check reads theta on an evaluator that the engine sizes for its
 derivative requests at the default target error; none takes a target.
@@ -30,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bilinear import NORMALIZER_FLOOR, ResidualReport, as_riemann_matrix, build_report
+from .bilinear import NORMALIZER_FLOOR, ResidualReport, _galilean, as_riemann_matrix, build_report
 from .engine import (
     AbelianPoint,
     _check_vector,
@@ -346,7 +349,7 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
         res = _normalized(_pair(r, ku), _pair(r, ("abs", ku))).min(axis=0)
     else:
         kuu = canonical_request((U, U))
-        kv = canonical_request((_check_vector(jet.V, rm.g, "V"),))
+        kv = canonical_request((_galilean(U, _check_vector(jet.V, rm.g, "V"))[0],))
         ev = _evaluator_for(rm, [kuu, kv])
         keys = (kuu, kv, ("abs", kuu), ("abs", kv))
         if which == "weil":

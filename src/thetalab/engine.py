@@ -23,8 +23,9 @@ are batches of one point sized from their own requests.
 
 Input checks and lattice sizing have one owner each: ``_check_vector``
 (and ``_check_scalar``, ``_check_points``) refuses wrong-length or
-non-finite input with ``InvalidInputError``, and ``_evaluator_for`` sizes
-every library evaluator from the derivative requests it will serve.
+non-finite input with ``InvalidInputError``, as ``BoundBatch`` does for any
+non-finite point it is asked to bind, and ``_evaluator_for`` sizes every
+library evaluator from the derivative requests it will serve.
 
 Every point is first reduced modulo the lattice Z^g + tau Z^g and the
 exponential growth is factored into a real ``scale_exponent``:
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -349,10 +349,9 @@ def _lattice_points(g: int, radius: float) -> np.ndarray:
     if cached is not None:
         return cached
     bound = int(math.floor(reach)) + 1
-    axis = range(-bound, bound + 1)
-    pts = [n for n in product(axis, repeat=g) if sum(x * x for x in n) <= reach * reach]
-    pts.sort(key=lambda n: (max(abs(x) for x in n) if n else 0, n))
-    arr = np.array(pts, dtype=float).reshape(len(pts), g)
+    grid = np.indices((2 * bound + 1,) * g).reshape(g, -1).T - bound
+    pts = grid[(grid * grid).sum(axis=1) <= reach * reach]
+    arr = pts[np.lexsort([*pts.T[::-1], np.abs(pts).max(axis=1)])].astype(float)
     if len(_LATTICE_CACHE) > 64:
         _LATTICE_CACHE.clear()
     _LATTICE_CACHE[key] = arr
@@ -360,8 +359,7 @@ def _lattice_points(g: int, radius: float) -> np.ndarray:
 
 
 def _normalize_requests(requests, g):
-    keys = []
-    seen = set()
+    keys = {}  # an ordered set
     for req in requests:
         key = canonical_request(req)
         if len(key) > MAX_DERIVATIVE_ORDER:
@@ -373,10 +371,9 @@ def _normalize_requests(requests, g):
                 raise InvalidInputError("derivative direction has wrong length")
             if not all(math.isfinite(x.real) and math.isfinite(x.imag) for x in h):
                 raise InvalidInputError("derivative direction has non-finite components")
-        if key and key not in seen:
-            seen.add(key)
-            keys.append(key)
-    return keys
+        if key:
+            keys[key] = None
+    return list(keys)
 
 
 # _REST_INDICES[k][mask]: the indices j < k whose bit is clear in mask
@@ -392,13 +389,8 @@ def _subset_closure(keys):
 
 def _request_weight_scale(keys) -> tuple[float, int]:
     """Largest direction norm and largest order among the requests."""
-    h_max = 0.0
-    k_max = 0
-    for key in keys:
-        k_max = max(k_max, len(key))
-        for h in key:
-            h_max = max(h_max, math.hypot(*(abs(x) for x in h)))
-    return h_max, k_max
+    h_max = max((math.hypot(*(abs(x) for x in h)) for key in keys for h in key), default=0.0)
+    return h_max, max((len(key) for key in keys), default=0)
 
 
 def _linear_correction(keys, gradient, rows, sums, abs_sums):
@@ -597,6 +589,8 @@ class BoundBatch:
         self.ev = evaluator
         rm = evaluator.rm
         pts = np.asarray(points, dtype=complex).reshape(-1, rm.g)
+        if not np.isfinite(pts).all():
+            raise InvalidInputError("bound points have non-finite components")
         self.count = pts.shape[0]
         z0s, ms, _ = _reduce_coords(pts, rm)
         g0s = PI * ((z0s.imag @ rm.Yinv) * z0s.imag).sum(axis=1)

@@ -10,7 +10,10 @@ eps^3]): the germ lies over a line in projective space exactly when the
 stacked jet rows have rank <= 2, measured by the singular-value ratio
 sigma_3/sigma_1 after row normalization.  Coordinates are materialized on a
 common exponential scale per point (one global factor, projectively
-irrelevant), so rank and ratios refer to the true homogeneous values.
+irrelevant), so rank and ratios refer to the true homogeneous values.  The
+reparametrization eps -> eps + nu eps^2 + nu^2 eps^3 moves (V, W) to (V + nu U,
+W + 2 nu V + nu^2 U) and the ratios, not the germ, so every flex test reads
+the representative with V orthogonal to U (``bilinear``'s Galilean rule).
 
 All coordinates go through one evaluator at 2 tau: ``flex_scan`` binds the
 2^g characteristic points of all 2^(2g) half-points together and decides
@@ -25,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .bilinear import as_riemann_matrix
+from .bilinear import _galilean, as_riemann_matrix
 from .engine import (
     AbelianPoint,
     Characteristic,
@@ -150,18 +153,17 @@ class FlexReport:
 
 
 def _flex_germ(rm, U, V, order, W):
-    """Checked germ directions (U, V, W) and the derivative requests of the flex rows."""
+    """Checked germ directions (U, V, W) at V orthogonal to U, and the flex rows' requests."""
     U, V = _check_vector(U, rm.g, "U"), _check_vector(V, rm.g, "V")
     if float(np.linalg.norm(U)) == 0.0:
         raise InvalidInputError("flex germ requires U != 0")
     if order not in (2, 3):
         raise InvalidInputError("order must be 2 or 3")
-    if order == 2:
-        return U, V, None, [(U,), (U, U), (V,)]
-    if W is None:
+    if order == 3 and W is None:
         raise InvalidInputError("order-3 germ requires W")
-    W = _check_vector(W, rm.g, "W")
-    return U, V, W, [(U,), (U, U), (V,), (U, U, U), (U, V), (W,)]
+    V, W = _galilean(U, V, _check_vector(W, rm.g, "W") if order == 3 else None)
+    third = [] if W is None else [(U, U, U), (U, V), (W,)]
+    return U, V, W, [(U,), (U, U), (V,), *third]
 
 
 def _flex_ratios(rm, bs, germ, target_abs_err):
@@ -253,13 +255,9 @@ def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6) -> 
 
 def even_characteristics(g: int) -> list:
     """All characteristics with entries in {0, 1/2} whose theta is even."""
-    out = []
-    for eps in product((0.0, 0.5), repeat=g):
-        for delta in product((0.0, 0.5), repeat=g):
-            ch = Characteristic(eps, delta)
-            if ch.is_even():
-                out.append(ch)
-    return out
+    halves = list(product((0.0, 0.5), repeat=g))
+    chars = (Characteristic(eps, delta) for eps in halves for delta in halves)
+    return [ch for ch in chars if ch.is_even()]
 
 
 def decomposability_indicator(tau, target_abs_err: float = DEFAULT_TARGET_ABS_ERR) -> float:

@@ -26,14 +26,12 @@ structural tricks keep the objective cheap and well-conditioned:
   and weights each sample by the inverse of its term-sum normalizer.
 
 The four-direction form is invariant under the Galilean move (V, W) ->
-(V + nu U, W + 2 nu V + nu^2 U), but its monomials are not: along that
-orbit the term-sum normalizer grows like |nu|^2, so the normalized residual
-falls while the identity stays as it is, and a search that frees V and W
-would slide out along it.  Such a search therefore reads every candidate,
-the holdout and the reported jet at the orbit's representative with V
-orthogonal to U (``_HirotaModel.canonical``).  ``sweep_residual("kp")``
-evaluates the monomials at the jet as given, so it reads lower for a jet
-moved far along the orbit.
+(V + nu U, W + 2 nu V + nu^2 U) and its term-sum normalizer is not, so a
+search that frees V and W would slide out along the orbit.  By the rule
+every Galilean-invariant verdict follows (``bilinear._galilean``), such a
+search reads every candidate, the holdout and the reported jet at the
+representative with V orthogonal to U (``_HirotaModel.canonical``); a KP
+fit that holds V or W keeps them as given.
 
 Objectives are means of squared term-normalized residuals over seeded
 training samples; reported residuals always come from a fresh holdout set
@@ -56,6 +54,7 @@ from scipy.optimize import least_squares, minimize
 from .bilinear import (
     DirectionJet,
     NORMALIZER_FLOOR,
+    _galilean,
     _hierarchy_fold,
     _hirota_base,
     _hirota_linear,
@@ -267,20 +266,15 @@ class _HirotaModel(_Model):
         return (_Contractions(self.basis),)
 
     def canonical(self, p, free):
-        """The point of p's Galilean orbit with V orthogonal to U.
+        """The point of p's Galilean orbit with V orthogonal to U (``bilinear._galilean``).
 
-        It is the move by nu = -<U, V>/<U, U> (see the module docstring).  The
-        orbit lies in the search only when V and W are both free; otherwise p
-        is kept.  W is absent while it waits for the IRLS solve.
+        The orbit lies in the search only when V and W are both free; otherwise
+        p is kept.  W is absent while it waits for the IRLS solve.
         """
         if "V" not in free or "W" not in free:
             return p
-        U, V = p["U"], p["V"]
-        mu = np.vdot(U, V) / np.vdot(U, U)
-        out = {**p, "V": V - mu * U}
-        if "W" in p:
-            out["W"] = p["W"] - 2.0 * mu * V + mu * mu * U
-        return out
+        V, W = _galilean(p["U"], p["V"], p.get("W"))
+        return {**p, "V": V} if W is None else {**p, "V": V, "W": W}
 
     def ratios(self, sources, p):
         return _term_ratios(_hirota_terms(*sources, p["U"], p["V"], p["W"], p["d"]))
@@ -684,7 +678,7 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         """Per grid eps, the one-point fields and shift of the folded form (zeta_1 = U)."""
         folds = [_hierarchy_fold(U, V, eps, _series([U, *zetas], eps, 1), _series(dvals, eps, 3))
                  for eps in eps_grid]
-        return [{"U": U, "V": v, "c": c} for v, c, _ in folds], [a for _, _, a in folds]
+        return [{"U": u, "V": v, "c": c} for u, v, c, _ in folds], [a for *_, a in folds]
 
     def sources_for(shifts):
         """Derivative sources of one candidate: at z, and at z + a per grid shift a."""
@@ -693,8 +687,9 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
 
     def solve_d(zetas):
         """The d-coefficients enter every row's constant linearly; IRLS solve."""
-        sources = sources_for(grid(zetas, ())[1])
-        base = np.concatenate([model.base(src, {"U": U}) for src in sources], axis=1)
+        fields, shifts = grid(zetas, ())
+        sources = sources_for(shifts)
+        base = np.concatenate([model.base(src, p) for src, p in zip(sources, fields)], axis=1)
 
         def linear(x):
             return np.concatenate([model.linear(src, p)

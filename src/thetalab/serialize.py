@@ -105,14 +105,9 @@ _JET_SCALARS = ("c", "d", "A", "B")
 
 def jet_to_dict(jet: DirectionJet) -> dict:
     out = {}
-    for name in _JET_VECTORS:
-        value = getattr(jet, name)
-        if value is not None:
-            out[name] = encode_vector(value)
-    for name in _JET_SCALARS:
-        value = getattr(jet, name)
-        if value is not None:
-            out[name] = encode_complex(value)
+    for names, encode in ((_JET_VECTORS, encode_vector), (_JET_SCALARS, encode_complex)):
+        out.update({name: encode(getattr(jet, name)) for name in names
+                    if getattr(jet, name) is not None})
     if jet.zeta_coeffs is not None:
         out["zeta_coeffs"] = [encode_vector(v) for v in jet.zeta_coeffs]
     if jet.d_coeffs is not None:
@@ -126,12 +121,8 @@ def jet_from_dict(doc: dict) -> DirectionJet:
     if "U" not in doc:
         raise InvalidInputError("jet document must define at least U")
     kwargs = {}
-    for name in _JET_VECTORS:
-        if doc.get(name) is not None:
-            kwargs[name] = decode_vector(doc[name])
-    for name in _JET_SCALARS:
-        if doc.get(name) is not None:
-            kwargs[name] = decode_complex(doc[name])
+    for names, decode in ((_JET_VECTORS, decode_vector), (_JET_SCALARS, decode_complex)):
+        kwargs.update({name: decode(doc[name]) for name in names if doc.get(name) is not None})
     if doc.get("zeta_coeffs") is not None:
         kwargs["zeta_coeffs"] = [decode_vector(v) for v in doc["zeta_coeffs"]]
     if doc.get("d_coeffs") is not None:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from thetalab import RiemannMatrix, bilinear, theta_eval
 from thetalab.bilinear import (
     DirectionJet,
+    _galilean,
     _hirota_base,
     _hirota_linear,
     _jets,
@@ -268,20 +269,21 @@ def test_hierarchy_zero_epsilon_is_zero(rm_kdv, one_point_jet):
 def test_hierarchy_equals_folded_one_point_form(rm_kdv, one_point_jet):
     # At fixed epsilon the hierarchy combination is epsilon times the
     # one-point combination with direction V + U/eps, shift 2*zeta(eps)
-    # and constant d(eps)/eps; the residuals agree exactly.
+    # and constant d(eps)/eps.  The residual reads that fold rescaled by
+    # lam = sqrt(eps) (directions sqrt(eps) U and eps V + U, constant
+    # d(eps)) and agrees with it exactly; the unscaled fold agrees to roundoff.
     eps = 1e-2
-    zeta = [one_point_jet.U, -one_point_jet.V]
-    jet = DirectionJet(
-        U=one_point_jet.U, V=one_point_jet.V, zeta_coeffs=zeta, d_coeffs=[0.3 - 0.1j],
-    )
+    U, V = one_point_jet.U, one_point_jet.V
+    zeta = [U, -V]
+    jet = DirectionJet(U=U, V=V, zeta_coeffs=zeta, d_coeffs=[0.3 - 0.1j])
     z = [0.13 - 0.21j]
     a = 2.0 * (eps * zeta[0] + eps**2 * zeta[1])
-    folded = DirectionJet(
-        U=one_point_jet.U,
-        V=one_point_jet.V + one_point_jet.U / eps,
-        c=(0.3 - 0.1j) * eps**3 / eps,
-    )
-    assert hierarchy_residual(z, rm_kdv, jet, eps) == p_residual(z, rm_kdv, folded, a)
+    d = (0.3 - 0.1j) * eps**3
+    balanced = DirectionJet(U=math.sqrt(eps) * U, V=eps * V + U, c=d)
+    unbalanced = DirectionJet(U=U, V=V + U / eps, c=d / eps)
+    got = hierarchy_residual(z, rm_kdv, jet, eps)
+    assert got == p_residual(z, rm_kdv, balanced, a)
+    assert abs(got - p_residual(z, rm_kdv, unbalanced, a)) <= 1e-12
 
 
 def test_hierarchy_decay_on_fitted_data(rm_kdv, one_point_jet):
@@ -584,8 +586,9 @@ def test_kp_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, W, d, a
     jet = DirectionJet(U=U, V=V, W=W[0], d=d[0])
     res, terms = _swept_stack(lambda: sweep_residual("kp", rm_g2, jet, _PTS_G2, 1.0))
     D = _source(res)
-    assert np.array_equal(terms, np.concatenate([_hirota_base(D, U, V),
-                                                 _hirota_linear(D, U, W[0], d[0])]))
+    V0, W0 = _galilean(U, V, W[0])  # the sweep reads the Galilean representative
+    assert np.array_equal(terms, np.concatenate([_hirota_base(D, U, V0),
+                                                 _hirota_linear(D, U, W0, d[0])]))
     # every W on one evaluator, so the jets are linear in W up to roundoff
     mixed = alpha * W[0] + (1.0 - alpha) * W[1]
     D = _source(_jets(rm_g2, _PTS_G2, [(U,)] + [r for w in (*W, mixed) for r in ((w,), (U, w))]))
@@ -609,7 +612,10 @@ def test_one_point_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, 
 
 
 def _mp_hirota_terms(z, tau, jet):
-    U, V, W = jet.U, jet.V, jet.W
+    # the monomials at the Galilean representative, V orthogonal to U
+    U = jet.U
+    mu = np.vdot(U, jet.V) / np.vdot(U, U)
+    V, W = jet.V - mu * U, jet.W - 2.0 * mu * jet.V + mu * mu * U
     t, d4, d3, d2, d1, dvv, dv, duw, dw = mp_theta_jet(
         z, tau, [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,), (U, W), (W,)])
     return [d4 * t, -4 * d3 * d1, 3 * d2 * d2, 3 * dvv * t, -3 * dv * dv,

@@ -461,3 +461,131 @@ class TestRoundTrip:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["kind"] == "theta-report" and doc["schema"] == serialize.SCHEMA_ID
+
+
+def _input_error(capsys, argv):
+    """Run argv and return the message of its INVALID_INPUT error (exit 2)."""
+    code = main([str(a) for a in argv])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2 and err["error"] == "INVALID_INPUT", (code, err)
+    return err["message"]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("flag, value", [
+        ("--origin", "nan,0,0"), ("--step", "nan,0.01,0.01"),
+        ("--shape", "1,2"), ("--shape", "a,1,1"), ("--shape", "-1,1,1"),
+        ("--step", "0.1,0.1"),
+    ])
+    def test_bad_grid_arguments(self, g1_env, tmp_path, capsys, flag, value):
+        # a NaN origin or step reaches the bind, which refuses the points
+        out = tmp_path / "g.csv"
+        _input_error(capsys, ["grid", "--tau", g1_env["tau"], "--jet", g1_env["jet"],
+                              "--shape", "2,1,1", f"{flag}={value}", "--out", out])
+        assert not out.exists()
+
+    def test_bad_scan_grid(self, germ_env, capsys):
+        message = _input_error(capsys, ["hierarchy", "--tau", germ_env["tau"],
+                                        "--jet", germ_env["germ"], "--samples", 4,
+                                        "--scan", "a"])
+        assert "--scan" in message
+
+    @pytest.mark.parametrize("doc", ["a string", 3, None])
+    def test_points_file_neither_list_nor_object(self, g1_env, tmp_path, capsys, doc):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps(doc))
+        message = _input_error(capsys, ["theta-eval", "--tau", g1_env["tau"], "--points", pts])
+        assert "list or object" in message
+
+    def test_weil2_needs_the_shift(self, g2_env, tmp_path, capsys):
+        message = _input_error(capsys, ["weil", "--which", "weil2", "--tau", g2_env["tau"],
+                                        "--jet", g2_env["kp_jet"], "--samples", 2])
+        assert "'a'" in message
+        code, doc = run(["weil", "--which", "weil2", "--tau", g2_env["tau"],
+                         "--jet", g2_env["op_jet"], "--samples", 2, "--seed", 1],
+                        out=tmp_path / "w.json")
+        assert code in (0, 1) and doc["which"] == "weil2" and doc["pass"] is (code == 0)
+        assert doc["count"] >= 1 and all(0.0 <= r <= 1.0 for r in doc["residuals"])
+        assert all(p["kind"] == "D1Theta" for p in doc["points"])
+
+
+class TestResample:
+    def test_degenerate_draws_are_redrawn_then_fail(self, g1_env, tmp_path, capsys, monkeypatch):
+        from thetalab import cli
+        from thetalab.errors import DegenerateSampleError
+
+        sweep, calls = cli.sweep_residual, []
+
+        def flaky(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) < 2 or fail_always:
+                raise DegenerateSampleError("normalizer underflowed")
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sweep_residual", flaky)
+        argv = ["kp-residual", "--tau", g1_env["tau"], "--jet", g1_env["jet"],
+                "--samples", 5, "--tol", "1e-9"]
+        fail_always = False
+        code, doc = run(argv, out=tmp_path / "r.json")
+        assert code == 0 and calls == [0, 1]
+        assert "resampled 1 time(s)" in doc["note"]
+        fail_always, calls[:] = True, []
+        code = main([str(a) for a in argv])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3 and err["error"] == "DEGENERATE_SAMPLE"
+        assert len(calls) == 4
+
+
+class TestMultiPointThetaEval:
+    def test_each_value_within_its_bound_of_the_single_point_one(self, g2_env, tmp_path):
+        from thetalab.engine import theta_eval
+
+        rng = np.random.default_rng(41)
+        zs = rng.uniform(-0.6, 0.6, (5, 2)) + 1j * rng.uniform(-0.6, 0.6, (5, 2))
+        u = np.array([0.8 - 0.2j, 0.3 + 0.5j])
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"points": [serialize.encode_vector(z) for z in zs],
+                                   "derivatives": [[serialize.encode_vector(u)] * 2]}))
+        code, doc = run(["theta-eval", "--tau", g2_env["tau"], "--points", pts],
+                        out=tmp_path / "t.json")
+        assert code == 0 and doc["count"] == 5
+        rm = as_riemann_matrix(load_tau(g2_env["tau"]))
+        for z, rep in zip(zs, doc["reports"]):
+            jet = theta_eval(z, rm, [(u, u)], target_abs_err=1e-14)
+            scale = math.exp(jet.scale_exponent)
+            bound = rep["error_bound"]
+            assert 0.0 < bound and abs(bound - scale * jet.error_bound) <= 1e-3 * bound
+            for got, want in ((rep["value"], jet.value), (rep["derivs"][0]["value"],
+                                                          jet.d((u, u)))):
+                assert abs(serialize.decode_complex(got) - scale * want) <= bound
+
+
+class TestDecodeErrors:
+    @pytest.mark.parametrize("call", [
+        lambda: serialize.decode_complex({"re": "x"}),
+        lambda: serialize.decode_complex([1.0, 2.0, 3.0]),
+        lambda: serialize.decode_complex("1+2j"),
+        lambda: serialize.decode_vector({"re": 1.0}),
+        lambda: serialize.decode_matrix([]),
+        lambda: serialize.jet_from_dict({"V": [1.0]}),
+        lambda: serialize.parse_report([1, 2]),
+        lambda: serialize.parse_report({"schema": serialize.SCHEMA_ID, "kind": "no-such-report"}),
+    ])
+    def test_malformed_documents(self, call):
+        from thetalab.errors import InvalidInputError
+
+        with pytest.raises(InvalidInputError):
+            call()
+
+    @pytest.mark.parametrize("name, text, words", [
+        ("tau", '{"rows": [[1.0]]}', "no 'tau' key"),
+        ("jet", '[{"re": 1.0}]', "JSON object"),
+        ("jet", '{"V": [1.0]}', "at least U"),
+    ])
+    def test_malformed_input_files(self, g1_env, tmp_path, capsys, name, text, words):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        files = {"tau": g1_env["tau"], "jet": g1_env["jet"], name: path}
+        message = _input_error(capsys, ["kp-residual", "--tau", files["tau"],
+                                        "--jet", files["jet"], "--samples", 2])
+        assert words in message

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -485,6 +486,42 @@ def test_request_and_input_validation(rm_g1):
             theta_eval([0.1], rm_g1, target_abs_err=target)
     with pytest.raises(InvalidInputError):
         theta_eval([0.1, 0.2], rm_g1)
+    with pytest.raises(InvalidInputError, match="wrong length"):
+        theta_eval([0.1], rm_g1, [(np.array([1.0, 0.0]),)])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        theta_eval([0.1], rm_g1, [(np.array([complex("nan")]),)])
+
+
+def test_binds_refuse_non_finite_points(rm_g2):
+    # every path that binds (plain or characteristic) checks its points once
+    ev = BatchThetaEvaluator(rm_g2, max_order=1)
+    points = np.array([[0.1, 0.2], [complex("nan"), 0.0]])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        ev.jets(points, [])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        ev.characteristic_jets(points, [0.5, 0.0], [0.0, 0.5], [])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        ev.bind([[complex("inf"), 0.0]])
+
+
+def _listed_lattice(g, radius):
+    """The lattice of ``engine._lattice_points`` by a Python list and sort (the reference)."""
+    reach = radius + math.sqrt(g) / 2.0
+    bound = int(math.floor(reach)) + 1
+    axis = range(-bound, bound + 1)
+    pts = [n for n in itertools.product(axis, repeat=g) if sum(x * x for x in n) <= reach * reach]
+    pts.sort(key=lambda n: (max(abs(x) for x in n), n))
+    return np.array(pts, dtype=float).reshape(len(pts), g)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_lattice_enumeration_matches_the_listed_reference(g, monkeypatch):
+    monkeypatch.setattr(engine, "_LATTICE_CACHE", {})
+    for radius in (0.0, 1.5, 2.2, 2.9, 3.6, 4.4, 5.3):
+        got = engine._lattice_points(g, radius)
+        want = _listed_lattice(g, radius)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (g, radius)
+        assert engine._lattice_points(g, radius) is got  # cached
 
 
 def test_precision_unreachable_for_ill_conditioned_im_tau():
