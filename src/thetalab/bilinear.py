@@ -53,7 +53,6 @@ from .engine import (
     _normalize_requests,
     as_point,
     canonical_request,
-    theta_eval,
 )
 from .errors import (
     DegenerateJetError,
@@ -452,14 +451,13 @@ def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> co
     rm = as_riemann_matrix(tau)
     jet.require("U", "V")
     av = _check_vector(a, rm.g, "a")
-    base = x * jet.U + y * jet.V + as_point(z).z
-    num = theta_eval(base + av, rm)
-    den = theta_eval(base, rm)
-    if abs(den.value) <= POLE_REL_TOL * den.abs_sum(()):
-        raise PoleError(
-            f"theta vanishes at the denominator argument (|T| = {abs(den.value):.3e})"
-        )
-    ratio = math.exp(num.scale_exponent - den.scale_exponent) * (num.value / den.value)
+    base = x * jet.U + y * jet.V + _check_vector(z, rm.g)
+    res = _evaluator_for(rm, []).jets([base, base + av], [])  # one bind for both rows
+    den, num = res[()].tolist()
+    den_scale, num_scale = res["scales"].tolist()
+    if abs(den) <= POLE_REL_TOL * res[("abs", ())][0]:
+        raise PoleError(f"theta vanishes at the denominator argument (|T| = {abs(den):.3e})")
+    ratio = math.exp(num_scale - den_scale) * (num / den)
     return cmath.exp(complex(A) * x + complex(B) * y) * ratio
 
 

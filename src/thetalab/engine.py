@@ -12,14 +12,14 @@ with eps, delta having entries in {0, 1/2}.
 
 There is one evaluation path.  ``BatchThetaEvaluator`` sizes a lattice for
 a declared worst case (derivative order, direction norm, target error);
-``BoundBatch`` holds the exponential term matrix at a fixed set of points;
-``BoundBatch.jets`` contracts it with the derivative weights of every
-requested direction list in one matrix product.  The evaluator's ``jets``
-and ``characteristic_jets`` bind a whole point set at once, in blocks of at
-most ``MAX_BIND_TERMS`` lattice terms.  Every pointwise caller (the residual
-sweeps, the hierarchy scan, the u-field grid, the flex scan) binds all of
-its points through one evaluator; ``theta_eval`` and ``theta_char_eval``
-are batches of one point sized from their own requests.
+``BoundBatch`` prepares a fixed set of points (reduction, scales, phase
+tables); ``BoundBatch.jets`` builds the lattice terms one row block at a
+time and adds each block into the sums of every requested direction list
+at once.  The evaluator's ``jets`` and ``characteristic_jets`` bind a whole
+point set at once.  Every pointwise caller (the residual sweeps, the
+hierarchy scan, the u-field grid, the flex scan) binds all of its points
+through one evaluator; ``theta_eval`` and ``theta_char_eval`` are batches
+of one point sized from their own requests.
 
 Input checks and lattice sizing have one owner each: ``_check_vector``
 (and ``_check_scalar``, ``_check_points``) refuses wrong-length or
@@ -42,13 +42,14 @@ whose gradient is 2*pi*i*(eps - m), m the reduction's tau-shift, and its
 derivatives are applied exactly by one subset-sum pass
 (``_linear_correction``).
 
-A bind builds its terms without a complex exponential of the term matrix:
-each term's modulus exp(-pi (n + c).Im(tau).(n + c)) is one real matrix
-product and one real exponential (a negative exponent, so it cannot
-overflow), and its phase is the lattice's cached exp(pi*i n.Re(tau).n)
-times per-coordinate tables exp(2*pi*i j Re(z0)_k) gathered by the
-lattice's integer coordinates.  The matrix is filled in row blocks, so a
-bind's peak memory is about the matrix it keeps (see ``BoundBatch``).
+Terms are built without a complex exponential of the term matrix: each
+term's modulus exp(-pi (n + c).Im(tau).(n + c)) is one real matrix product
+and one real exponential (a negative exponent, so it cannot overflow), and
+its phase is the lattice's cached exp(pi*i n.Re(tau).n) times
+per-coordinate tables exp(2*pi*i j Re(z0)_k) gathered by the lattice's
+integer coordinates.  The (L, P) term matrix is never held: a ``jets``
+call keeps O(P * (R + g * reach)) numbers (R requested rows, reach the
+largest lattice coordinate) plus one block (see ``BoundBatch``).
 
 Truncation: lattice points with |n + c| <= R are summed (c the imaginary
 lattice coordinate of the reduced argument), with R chosen so that a Gaussian
@@ -83,12 +84,8 @@ TWO_PI_I = 2j * math.pi
 MAX_DERIVATIVE_ORDER = 4
 RADIUS_CAP_FACTOR = 40.0
 DEFAULT_TARGET_ABS_ERR = 1e-12
-# Lattice terms (points x lattice size) held by one bind: a larger point set
-# is bound in blocks.  2^20 is about a genus-4 search model's bind (240
-# points x 3457 lattice points, 13 MiB of terms).
-MAX_BIND_TERMS = 2**20
-# Terms of the term matrix written per block of a bind: a block's
-# temporaries stay small next to the matrix and in cache
+# Terms (lattice rows x points) built and contracted per block of a jets
+# call: a block and its temporaries stay small and in cache
 _BLOCK_TERMS = 2**14
 
 
@@ -114,14 +111,11 @@ class RiemannMatrix:
         self.X = np.ascontiguousarray(self.tau.real)
         self.Y = np.ascontiguousarray(self.tau.imag)
         try:
-            chol = np.linalg.cholesky(self.Y)
+            np.linalg.cholesky(self.Y)  # the positive-definiteness check
         except np.linalg.LinAlgError as exc:
             raise TauNotPositiveDefiniteError("Im(tau) is not positive definite") from exc
-        self._chol = chol
         self.Yinv = np.linalg.inv(self.Y)
-        eigs = np.linalg.eigvalsh(self.Y)
-        self.lambda_min = float(eigs[0])
-        self.lambda_max = float(eigs[-1])
+        self.lambda_min = float(np.linalg.eigvalsh(self.Y)[0])
         if self.lambda_min <= 0.0:
             raise TauNotPositiveDefiniteError("Im(tau) is not positive definite")
 
@@ -299,7 +293,13 @@ def _tail_bound(rm: RiemannMatrix, radius: float, weight_scale: float, weight_or
     for t in range(t0, t0 + 800):
         r_out = t + 1.0 + math.sqrt(rm.g)
         count = vg * r_out ** rm.g
-        weight = max(1.0, weight_scale * r_out) ** weight_order
+        try:
+            weight = max(1.0, weight_scale * r_out) ** weight_order
+        except OverflowError:
+            raise PrecisionUnreachableError(
+                f"derivative weight overflows (direction scale {weight_scale:.2e}, "
+                f"order {weight_order}); no truncation radius bounds it"
+            ) from None
         term = count * weight * math.exp(-PI * lam * t * t)
         total += term
         if term <= 1e-9 * total:
@@ -482,7 +482,7 @@ class BatchThetaEvaluator:
     derivative order, maximum direction norm, target error), then reused for
     every point bound to it, which keeps repeated sweeps (residual sampling,
     Newton iterations, search objectives) cheap.  Accumulation order is
-    fixed by the lattice ordering.
+    fixed by the lattice ordering and the row blocks of ``BoundBatch.jets``.
     """
 
     def __init__(self, rm: RiemannMatrix, max_order: int = MAX_DERIVATIVE_ORDER,
@@ -504,12 +504,13 @@ class BatchThetaEvaluator:
         self._table_rows = (lattice + self._reach).astype(np.intp)
 
     def bind(self, points) -> "BoundBatch":
-        """Cache the term matrix at fixed points for repeated jet requests."""
+        """Prepare fixed points for jet requests."""
         return BoundBatch(self, points)
 
     def bind_characteristic(self, points, eps, delta) -> "BoundBatch":
         """Bind theta[eps_p, delta_p] at points z_p (rows of each argument).
 
+        ``eps`` and ``delta`` are one characteristic or one row per point.
         The plain series is bound at z + delta + tau eps with the
         characteristic prefactor exp(pi*i eps.tau.eps + 2*pi*i eps.(z + delta))
         (see ``BoundBatch``).
@@ -521,47 +522,27 @@ class BatchThetaEvaluator:
         return BoundBatch(self, shifted + eps @ self.rm.tau, (pref, eps))
 
     def jets(self, points, keys):
-        """Evaluate value + requested derivatives at arbitrary points.
-
-        The result of ``self.bind(points).jets(keys)`` (see
-        ``BoundBatch.jets``), computed in binds of at most ``MAX_BIND_TERMS``
-        lattice terms.
-        """
-        pts = np.asarray(points, dtype=complex).reshape(-1, self.rm.g)
-        return self._in_blocks(self.bind, keys, pts)
+        """Value + requested derivatives at arbitrary points: ``self.bind(points).jets(keys)``."""
+        return self.bind(points).jets(keys)
 
     def characteristic_jets(self, points, eps, delta, keys):
-        """``self.bind_characteristic(points, eps, delta).jets(keys)``, in blocks.
-
-        ``eps`` and ``delta`` are one characteristic or one row per point.
-        """
-        pts = np.asarray(points, dtype=complex).reshape(-1, self.rm.g)
-        return self._in_blocks(self.bind_characteristic, keys, pts,
-                               np.broadcast_to(eps, pts.shape), np.broadcast_to(delta, pts.shape))
-
-    def _in_blocks(self, bind, keys, *rows):
-        """``bind(*rows).jets(keys)`` over row blocks of at most MAX_BIND_TERMS terms, joined.
-
-        An empty point set still makes one (zero-point) bind.
-        """
-        step = max(1, MAX_BIND_TERMS // len(self.lattice))
-        parts = [bind(*(r[start:start + step] for r in rows)).jets(keys)
-                 for start in range(0, max(len(rows[0]), 1), step)]
-        if len(parts) == 1:
-            return parts[0]
-        return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+        """``self.bind_characteristic(points, eps, delta).jets(keys)``."""
+        return self.bind_characteristic(points, eps, delta).jets(keys)
 
 
 class BoundBatch:
     """A batch evaluator bound to a fixed point cloud.
 
-    Search loops ask for many different direction sets at an unchanging set
-    of sample points; with the exponential term matrix cached here, each
-    request set costs one matrix product over the lattice.  ``gradient``
-    (P, g) is the gradient, over 2*pi*i, of the linear exponent multiplying
-    each bound series: -m from reduction, plus eps for a characteristic.
-    When it vanishes at every bound point (the common case for samples
-    drawn inside the fundamental box), jets skip the correction pass.
+    A bind prepares its points: their reduction, scale exponents, linear
+    gradients and phase tables.  ``jets`` then builds the lattice terms one
+    row block at a time and adds each block into the sums of every
+    requested row, so a call holds O(P * (R + g * reach)) numbers plus one
+    block of about ``_BLOCK_TERMS`` terms, never the (L, P) term matrix.
+    ``gradient`` (P, g) is the gradient, over 2*pi*i, of the linear
+    exponent multiplying each bound series: -m from reduction, plus eps for
+    a characteristic.  When it vanishes at every bound point (the common
+    case for samples drawn inside the fundamental box), jets skip the
+    correction pass.
 
     ``prefactor``, when given, is a pair (exponent (P,), eps (P, g)): the
     series at point p is multiplied by exp(exponent[p]), a linear function
@@ -580,9 +561,8 @@ class BoundBatch:
     exp(pi*i n.X.n) times, per coordinate k, a gather from the table
     exp(2*pi*i j x0_k), j = -reach..reach, by the lattice's integer
     coordinates; the per-point phase of the reduction multiplier and of the
-    prefactor is folded into the k = 0 table.  The terms are written into
-    one preallocated (L, P) matrix in row blocks of about ``_BLOCK_TERMS``
-    terms, so a bind's temporaries are a few blocks, not full matrices.
+    prefactor is folded into the k = 0 table.  Every phase factor has unit
+    modulus, so the real modulus is the term's absolute value.
     """
 
     def __init__(self, evaluator: BatchThetaEvaluator, points, prefactor=None):
@@ -595,9 +575,9 @@ class BoundBatch:
         z0s, ms, _ = _reduce_coords(pts, rm)
         g0s = PI * ((z0s.imag @ rm.Yinv) * z0s.imag).sum(axis=1)
         red = _reduction_exponent(z0s, ms, rm)
-        # exp(scales[p]) * terms[:, p] are the series terms at point p; the
-        # multipliers' phases are folded into the terms, their real parts
-        # into scales
+        # exp(scales[p]) * (terms of column p) are the series terms at point
+        # p; the multipliers' phases are folded into the terms, their real
+        # parts into scales
         self.scales = g0s + red.real
         self.gradient = -ms
         phase = np.exp(1j * red.imag)
@@ -606,29 +586,37 @@ class BoundBatch:
             self.scales = self.scales + exponent.real
             phase = phase * np.exp(1j * exponent.imag)
             self.gradient = self.gradient + eps
-        columns = np.vstack([-2.0 * PI * z0s.imag.T, np.ones(self.count), -g0s])
+        self._columns = np.vstack([-2.0 * PI * z0s.imag.T, np.ones(self.count), -g0s])
         steps = 2.0 * PI * np.arange(-evaluator._reach, evaluator._reach + 1)
-        tables = np.zeros((rm.g, len(steps), self.count), dtype=complex)
+        tables = self._tables = np.zeros((rm.g, len(steps), self.count), dtype=complex)
         np.multiply(steps[None, :, None], z0s.real.T[:, None, :], out=tables.imag)
         np.exp(tables, out=tables)
         tables[0] *= phase
-        lattice_size = len(evaluator.lattice)
+
+    def _blocks(self):
+        """(rows, moduli, terms) per row block of about ``_BLOCK_TERMS`` terms.
+
+        ``rows`` is the block's lattice-row slice, ``terms`` its fresh
+        (rows, P) complex terms and ``moduli`` their absolute values.
+        """
+        ev = self.ev
+        size = len(ev.lattice)
         step = max(1, _BLOCK_TERMS // max(self.count, 1))
-        self.terms = np.empty((lattice_size, self.count), dtype=complex)
-        gathered = np.empty((min(lattice_size, step), self.count), dtype=complex)
-        for start in range(0, lattice_size, step):
+        gathered = np.empty((min(size, step), self.count), dtype=complex)
+        for start in range(0, size, step):
             rows = slice(start, start + step)
-            block, index = self.terms[rows], evaluator._table_rows[rows]
-            modulus = evaluator._modulus_rows[rows] @ columns
-            np.exp(modulus, out=modulus)
-            # mode="clip" (every index is in range) lets take write to out unbuffered
-            np.take(tables[0], index[:, 0], axis=0, out=block, mode="clip")
-            for k in range(1, rm.g):
-                part = gathered[:len(block)]
-                np.take(tables[k], index[:, k], axis=0, out=part, mode="clip")
-                block *= part
-            block *= evaluator._quad_phase[rows, None]
-            block *= modulus
+            index = ev._table_rows[rows]
+            moduli = ev._modulus_rows[rows] @ self._columns
+            np.exp(moduli, out=moduli)
+            terms = self._tables[0].take(index[:, 0], axis=0)
+            for k in range(1, len(self._tables)):
+                part = gathered[:len(terms)]
+                # mode="clip" (every index is in range) lets take write to out unbuffered
+                np.take(self._tables[k], index[:, k], axis=0, out=part, mode="clip")
+                terms *= part
+            terms *= ev._quad_phase[rows, None]
+            terms *= moduli
+            yield rows, moduli, terms
 
     def jets(self, keys):
         """Value and derivatives for the bound points.
@@ -646,12 +634,17 @@ class BoundBatch:
         directions = {h: col for col, h in enumerate(dict.fromkeys(h for key in rows for h in key))}
         factors = TWO_PI_I * (lattice @ np.array(list(directions), dtype=complex)
                               .reshape(-1, lattice.shape[1]).T)
-        weights = np.ones((len(rows), len(lattice)), dtype=complex)
-        for row, key in zip(weights[1:], rows[1:]):
+        # lattice-major (L, R), so that each block reads one contiguous slice
+        weights = np.ones((len(lattice), len(rows)), dtype=complex)
+        for r, key in enumerate(rows[1:], 1):
             for h in key:
-                row *= factors[:, directions[h]]
-        sums = weights @ self.terms
-        abs_sums = np.abs(weights) @ np.abs(self.terms)
+                weights[:, r] *= factors[:, directions[h]]
+        abs_weights = np.abs(weights)
+        sums = np.zeros((len(rows), self.count), dtype=complex)
+        abs_sums = np.zeros((len(rows), self.count))
+        for block, moduli, terms in self._blocks():
+            sums += weights[block].T @ terms
+            abs_sums += abs_weights[block].T @ moduli
         error = self.ev._tail + 4e-16 * math.sqrt(len(lattice)) * abs_sums.max(axis=0)
         if corrected:
             vals, absv, growth = _linear_correction(keys, self.gradient, rows, sums, abs_sums)

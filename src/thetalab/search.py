@@ -473,16 +473,13 @@ def _initial_values(problem, rm, rng, restart, nonlinear):
     """Restart starts of the nonlinear fields: V (KP target) or a (one-point target)."""
     vals = {}
     for name in nonlinear:
-        g = rm.g
         base = problem.a if name == "a" else getattr(problem.jet, name)
         if restart == 0 and base is not None:
             vals[name] = np.asarray(base, dtype=complex)
         elif name == "a":
-            x = rng.uniform(-0.5, 0.5, g)
-            y = rng.uniform(-0.5, 0.5, g)
-            vals[name] = x + y @ rm.tau
+            vals[name] = box_points(rm, rng, 1)[0]
         else:
-            vals[name] = 0.6 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
+            vals[name] = 0.6 * (rng.standard_normal(rm.g) + 1j * rng.standard_normal(rm.g))
     return vals
 
 

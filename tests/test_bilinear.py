@@ -539,6 +539,32 @@ def test_sweeps_bind_all_points_at_once(rm_kdv, bind_sizes):
         assert abs(value - kp_field_u(x, y, t, [0.06 + 0.21j], rm_kdv, jet)) <= 1e-12 * abs(value)
 
 
+def test_baker_akhiezer_binds_z_and_z_plus_a_once(rm_kdv, one_point_jet, bind_sizes):
+    baker_akhiezer(0.21, -0.13, [0.05 - 0.18j], rm_kdv, one_point_jet, [0.31 + 0.12j],
+                   0.7, -0.2j)
+    assert bind_sizes == [2]
+
+
+def test_sweeps_refuse_a_missing_shift_or_epsilon(rm_kdv):
+    jet = _full_jet(1)
+    with pytest.raises(InvalidInputError, match="dressed sweep needs the shift a"):
+        sweep_residual("dressed", rm_kdv, jet, [[0.1]], 1.0)
+    with pytest.raises(InvalidInputError, match="hierarchy sweep needs epsilon"):
+        sweep_residual("hierarchy", rm_kdv, jet, [[0.1]], 1.0)
+
+
+def test_hierarchy_scan_with_one_epsilon_has_exponent_zero(rm_kdv):
+    per_eps, exponent = hierarchy_scan(rm_kdv, _full_jet(1), [1e-2], random_points(1, 3, seed=291))
+    assert len(per_eps) == 1 and per_eps[0][1] > 0.0
+    assert exponent == 0.0
+
+
+def test_empty_germ_has_no_zeta():
+    jet = DirectionJet(U=[1.0], zeta_coeffs=[])
+    with pytest.raises(InvalidInputError, match="at least one entry"):
+        jet.zeta(0.1)
+
+
 def _cvec(g, bound=1.5):
     part = st.floats(-bound, bound, allow_subnormal=False)
     return st.lists(part, min_size=2 * g, max_size=2 * g).map(

@@ -139,6 +139,32 @@ class TestThetaEval:
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+    def test_bare_list_points_file(self, g1_env, tmp_path):
+        from thetalab.engine import theta_eval
+
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([[[0.1, 0.05]], [[-0.2, 0.3]]]))
+        code, doc = run(["theta-eval", "--tau", g1_env["tau"], "--points", pts],
+                        out=tmp_path / "t.json")
+        assert code == 0 and doc["count"] == 2
+        rm = as_riemann_matrix(load_tau(g1_env["tau"]))
+        for z, rep in zip([0.1 + 0.05j, -0.2 + 0.3j], doc["reports"]):
+            assert rep["derivs"] == []
+            jet = theta_eval([z], rm)
+            want = math.exp(jet.scale_exponent) * jet.value
+            assert abs(serialize.decode_complex(rep["value"]) - want) <= 1e-12 * abs(want)
+
+    def test_overflowing_derivative_weight_is_precision_unreachable(self, g1_env, tmp_path,
+                                                                     capsys):
+        # (2 pi 1e80 r)^4 is past the float range: the request is refused
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"points": [[[0.1, 0.05]]],
+                                   "derivatives": [[[1e80], [1e80], [1e80], [1e80]]]}))
+        code = main(["theta-eval", "--tau", str(g1_env["tau"]), "--points", str(pts)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3 and err["error"] == "PRECISION_UNREACHABLE"
+
+
 class TestErrorChannel:
     def test_non_symmetric_tau(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -489,6 +515,12 @@ class TestArgumentChecks:
                                         "--jet", germ_env["germ"], "--samples", 4,
                                         "--scan", "a"])
         assert "--scan" in message
+
+    def test_empty_scan_grid(self, germ_env, capsys):
+        message = _input_error(capsys, ["hierarchy", "--tau", germ_env["tau"],
+                                        "--jet", germ_env["germ"], "--samples", 4,
+                                        "--scan", ","])
+        assert "--scan expects at least one number" in message
 
     @pytest.mark.parametrize("doc", ["a string", 3, None])
     def test_points_file_neither_list_nor_object(self, g1_env, tmp_path, capsys, doc):

@@ -355,7 +355,7 @@ def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners()
     assert np.abs(ev.lattice).max() >= 10
     corners = np.array([[sx, sy] for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)])
     points = [c + rm.tau @ s for c in corners for s in corners]
-    terms = ev.bind(points).terms
+    terms = np.concatenate([t for _, _, t in ev.bind(points)._blocks()])
     assert np.isfinite(terms).all()
     assert np.abs(terms).max() <= 1.0
     u, v = np.array([0.6 - 0.3j, 0.2 + 0.5j]), np.array([-0.1 + 0.4j, 0.7 + 0.1j])
@@ -369,22 +369,23 @@ def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners()
         assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
 
 
-def test_genus4_bind_peak_memory_is_about_its_term_matrix():
-    # the terms are written block by block into the one matrix the bind
-    # keeps, so its transient memory is a few row blocks
+def test_genus4_jets_peak_memory_is_a_fraction_of_its_term_matrix():
+    # jets builds and contracts the terms one row block at a time, so no
+    # (L, P) term matrix is held at any point of the call
     tau = 0.1 * np.ones((4, 4)) + 1j * (1.1 * np.eye(4) + 0.1 * np.ones((4, 4)))
     rm = RiemannMatrix(tau)
     ev = BatchThetaEvaluator(rm, max_order=4)
     assert len(ev.lattice) == 3457
     points = engine.box_points(rm, np.random.default_rng(3), 240)
+    u = np.array([0.6, 0.2 - 0.3j, 0.1j, -0.4])
     tracemalloc.start()
     try:
-        bound = ev.bind(points)
+        ev.jets(points, [canonical_request([u] * 4)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ratio = peak / bound.terms.nbytes
-    assert ratio <= 1.25
+    ratio = peak / (len(ev.lattice) * len(points) * 16)
+    assert ratio <= 0.25
 
 
 def test_char_zero_equals_plain(rm_g2):
@@ -528,6 +529,30 @@ def test_precision_unreachable_for_ill_conditioned_im_tau():
     rm = RiemannMatrix(1e-8j * np.eye(2))
     with pytest.raises(PrecisionUnreachableError):
         theta_eval([0.0, 0.0], rm)
+
+
+def test_overflowing_derivative_weight_is_precision_unreachable(rm_g1):
+    # (2 pi 1e80 r)^4 is past the float range, so no radius bounds the tail
+    from thetalab.bilinear import DirectionJet, sweep_residual
+
+    big = np.array([1e80])
+    with pytest.raises(PrecisionUnreachableError, match="overflows"):
+        theta_eval([0.1], rm_g1, [(big,) * 4])
+    with pytest.raises(PrecisionUnreachableError, match="overflows"):
+        sweep_residual("kp", rm_g1, DirectionJet(U=big, V=[0.3], W=[0.1], d=0.2), [[0.1]], 1.0)
+    h = np.array([1e60])  # (2 pi 1e60 r)^4 is finite, so this request is evaluated
+    jet = theta_eval([0.1], rm_g1, [(h,) * 4])
+    assert np.isfinite(jet.d((h,) * 4)) and math.isfinite(jet.error_bound)
+
+
+def test_all_zero_tau_is_not_positive_definite():
+    with pytest.raises(TauNotPositiveDefiniteError):
+        RiemannMatrix(np.zeros((2, 2)))
+
+
+def test_characteristic_of_the_wrong_length_is_refused(rm_g2):
+    with pytest.raises(InvalidInputError, match="characteristic length"):
+        theta_char_eval([0.1, 0.2], rm_g2, Characteristic([0.5], [0.0]))
 
 
 def test_characteristic_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from thetalab.engine import (
     DEFAULT_TARGET_ABS_ERR,
-    MAX_BIND_TERMS,
+    _BLOCK_TERMS,
     RiemannMatrix,
     _evaluator_for,
     _normalize_requests,
@@ -242,7 +242,7 @@ class TestHalfPoints:
     def test_scan_across_bind_blocks_g4_product(self):
         # tau_1 + tau_3 with the germ in the elliptic factor: the Kummer
         # image of the germ lies in a line at every half-point.  The scan
-        # binds 256 x 16 characteristic points, more than one bind block.
+        # binds 256 x 16 characteristic points, whose terms span many blocks.
         tau = np.zeros((4, 4), dtype=complex)
         tau[0, 0] = 0.17 + 1.2j
         tau[1:, 1:] = random_tau(3, seed=310)
@@ -251,7 +251,7 @@ class TestHalfPoints:
         a = np.array([0.12 - 0.3j, 0.4 + 0.1j, -0.2 + 0.25j, 0.05 - 0.15j])
         requests = _normalize_requests([(U,), (U, U), (V,)], 4)
         lattice = _evaluator_for(RiemannMatrix(2 * tau), requests, DEFAULT_TARGET_ABS_ERR).lattice
-        assert 256 * 16 * len(lattice) > 2 * MAX_BIND_TERMS
+        assert 256 * 16 * len(lattice) > 2 * _BLOCK_TERMS
         rep = flex_scan(a, U, V, tau)
         assert len(rep.tested_halves) == 256
         assert all(h.passed for h in rep.tested_halves)

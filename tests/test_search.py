@@ -407,6 +407,35 @@ class TestFitOnePoint:
         assert res.best_residual**2 > min(res.history)
 
 
+class TestStarts:
+    def test_restart_zero_starts_from_the_given_value(self, monkeypatch):
+        # a KP fit that frees V starts restart 0 at the jet's V (U is fixed
+        # at genus 1, so the simplex start is V's real and imaginary part)
+        starts, minimize = [], search.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            return minimize(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(search, "minimize", recording)
+        V0 = np.array([0.4 - 0.3j])
+        fit(g1_problem(jet=DirectionJet(U=U1, V=V0), restarts=2, iterations=20))
+        assert len(starts) == 2
+        assert np.array_equal(starts[0], [V0.real[0], V0.imag[0]])
+        assert not np.array_equal(starts[1], starts[0])
+
+    def test_one_point_fit_runs_at_c_zero_when_c_is_neither_set_nor_freed(self):
+        res = fit(SearchProblem(
+            tau=TAU1, target="one_point", jet=DirectionJet(U=U1),
+            a=np.array([0.31 + 0.12j]), free_vars=("V",), sample_count=20, seed=3,
+            restarts=1, iterations=20))
+        assert res.best_jet.c == 0
+
+    def test_starting_u_of_near_zero_norm_is_degenerate(self):
+        with pytest.raises(DegenerateJetError, match="near-zero norm"):
+            fit(g1_problem(jet=DirectionJet(U=np.array([1e-8 + 0j]))))
+
+
 class TestProblemValidation:
     def test_unknown_target(self):
         with pytest.raises(InvalidInputError):
