@@ -270,6 +270,8 @@ def lattice_coords(z, rm: RiemannMatrix):
 
 def box_points(rm: RiemannMatrix, rng, count: int) -> np.ndarray:
     """``count`` uniform points x + tau y of the fundamental box, x, y in [-1/2, 1/2)^g."""
+    if count < 0:
+        raise InvalidInputError(f"sample count must be non-negative, got {count}")
     x = rng.uniform(-0.5, 0.5, size=(count, rm.g))
     y = rng.uniform(-0.5, 0.5, size=(count, rm.g))
     return x + y @ rm.tau

@@ -39,7 +39,11 @@ whose seed stream is disjoint from training by construction.
 ``SearchResult.evaluations`` counts, per restart, the driver's calls of the
 Nelder-Mead objective and of the residual vector, finite-difference
 columns included; the polish's ``iterations`` budget leaves those columns
-out (scipy >= 1.16).
+out (scipy >= 1.16).  scipy itself is imported by the first ``fit`` or
+``fit_hierarchy`` of a process, through the module's ``minimize`` and
+``least_squares`` forwarders; every other entry point of thetalab, and
+every CLI subcommand but ``kp-search`` and ``one-point-search``, runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .bilinear import (
     DirectionJet,
@@ -70,6 +73,22 @@ from .bilinear import (
 )
 from .engine import _check_vector, _evaluator_for, box_points, canonical_request
 from .errors import DegenerateJetError, InvalidInputError
+
+
+# imported on first use: scipy.optimize would be most of ``import thetalab``'s time
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``."""
+    import scipy.optimize
+
+    return scipy.optimize.least_squares(*args, **kwargs)
+
 
 TARGETS = ("hirota", "one_point", "hierarchy")
 GAUGE_COLLAPSE_NORM = 1e-6

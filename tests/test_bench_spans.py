@@ -1,7 +1,9 @@
 """The benchmark's tracer (``bench/spans.py``) still finds what it wraps.
 
-``spans`` wraps ``BoundBatch.__init__`` and ``BoundBatch.jets`` by name, so
-a rename would quietly turn the per-layer table's engine rows to zeros.
+``spans`` wraps ``BoundBatch.__init__``, ``BoundBatch.jets`` and the
+``minimize`` and ``least_squares`` that ``thetalab.search`` calls by name, so
+a rename, or a search that called scipy directly, would quietly turn the
+per-layer table's engine or search rows to zeros.
 """
 
 from __future__ import annotations
@@ -11,18 +13,22 @@ from pathlib import Path
 
 import numpy as np
 
-from thetalab import engine
+from thetalab import engine, search
+from thetalab.bilinear import DirectionJet
 from thetalab.engine import BoundBatch, RiemannMatrix
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_tracer_finds_every_target_and_uninstalls_cleanly(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     spans = importlib.import_module("spans")
-    workloads = importlib.import_module("workloads")
+    return spans, spans.Tracer(callers=[importlib.import_module("workloads")])
+
+
+def test_tracer_finds_every_target_and_uninstalls_cleanly(monkeypatch):
+    spans, tracer = _tracer(monkeypatch)
     init, jets = BoundBatch.__init__, BoundBatch.jets
-    tracer = spans.Tracer(callers=[workloads])
     tracer.install()
     try:
         assert tracer.absent == []
@@ -33,3 +39,23 @@ def test_tracer_finds_every_target_and_uninstalls_cleanly(monkeypatch):
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["engine.bind_calls"] == metrics["engine.jets_calls"] == 1
     assert metrics["engine.jets_terms"] == 2 * metrics["engine.bind_terms"] > 0
+
+
+def test_tracer_records_both_search_stages(monkeypatch):
+    spans, tracer = _tracer(monkeypatch)
+    nm, lm = search.minimize, search.least_squares
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        search.fit(search.SearchProblem(
+            tau=[[1j]], target="hirota", jet=DirectionJet(U=[1.0]),
+            free_vars=("V", "W", "d"), sample_count=60, seed=42, restarts=1,
+            iterations=300, tolerance=1e-9))
+    finally:
+        tracer.uninstall()
+    assert search.minimize is nm and search.least_squares is lm
+    for name in ("search.nm", "search.lm"):
+        stage = [s for s in tracer.spans if s.name == name]
+        assert stage and all(s.counts["nfev"] > 0 for s in stage), name
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["search.nm_nfev"] > 0 and metrics["search.lm_nfev"] > 0

@@ -522,6 +522,20 @@ class TestArgumentChecks:
                                         "--scan", ","])
         assert "--scan expects at least one number" in message
 
+    @pytest.mark.parametrize("command", ["kp-residual", "one-point-residual",
+                                         "pab-residual", "hierarchy"])
+    def test_negative_sample_count(self, germ_env, tmp_path, capsys, command):
+        # a germ jet with a shift passes every other check of the four commands
+        jet = json.loads(germ_env["germ"].read_text())
+        jet["a"] = [[0.1, 0.2]]
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(jet))
+        out = tmp_path / "r.json"
+        message = _input_error(capsys, [command, "--tau", germ_env["tau"], "--jet", path,
+                                        "--samples", -3, "--out", out])
+        assert "sample count must be non-negative" in message
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", ["a string", 3, None])
     def test_points_file_neither_list_nor_object(self, g1_env, tmp_path, capsys, doc):
         pts = tmp_path / "pts.json"

@@ -493,6 +493,16 @@ def test_request_and_input_validation(rm_g1):
         theta_eval([0.1], rm_g1, [(np.array([complex("nan")]),)])
 
 
+def test_box_points_refuses_a_negative_count(rm_g2):
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidInputError, match="non-negative"):
+        engine.box_points(rm_g2, rng, -3)
+    # the refusal draws nothing, and zero points is the vacuous sample
+    assert engine.box_points(rm_g2, rng, 0).shape == (0, 2)
+    assert np.array_equal(engine.box_points(rm_g2, rng, 2),
+                          engine.box_points(rm_g2, np.random.default_rng(0), 2))
+
+
 def test_binds_refuse_non_finite_points(rm_g2):
     # every path that binds (plain or characteristic) checks its points once
     ev = BatchThetaEvaluator(rm_g2, max_order=1)
