@@ -494,20 +494,21 @@ class ResidualReport:
     note: str | None = None
 
 
-def build_report(points, residuals, tolerance: float,
-                 normalization: str = "term-sum", note: str | None = None) -> ResidualReport:
+def build_report(points, residuals, tolerance: float) -> ResidualReport:
+    """The term-sum normalized sweep of these residuals, noted as vacuous when empty."""
     residuals = [float(r) for r in residuals]
+    note = None
     if residuals:
         max_r = max(residuals)
         mean_r = math.fsum(residuals) / len(residuals)
     else:
         max_r = 0.0
         mean_r = 0.0
-        note = note or "vacuous: no sample points"
+        note = "vacuous: no sample points"
     return ResidualReport(
         sample_points=[as_point(p) for p in points],
         residuals=residuals,
-        normalization=normalization,
+        normalization="term-sum",
         max_residual=max_r,
         mean_residual=mean_r,
         tolerance=float(tolerance),

@@ -53,7 +53,7 @@ from .errors import (
     ThetaLabError,
 )
 from .kummer import decomposability_indicator, flex_scan
-from .search import SearchProblem, _real_parameters, fit
+from .search import _MODELS, SAMPLES_PER_PARAMETER, SearchProblem, _real_parameters, fit
 from .serialize import SCHEMA_ID
 
 RESAMPLE_ATTEMPTS = 4  # initial draw plus up to three redraws
@@ -97,6 +97,17 @@ def _load_jet(args, default_unit_u=False, genus=None):
 
 def _rng(seed, attempt=0):
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(attempt)]))
+
+
+def _finite_float(text):
+    """argparse type of a float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _float_list(text, flag):
@@ -146,27 +157,14 @@ def _join_notes(*parts):
 # theta-eval
 
 
-def _parse_points_doc(doc, g):
-    if isinstance(doc, dict):
-        points = doc.get("points", [])
-        requests = doc.get("derivatives", [])
-    elif isinstance(doc, list):
-        points, requests = doc, []
-    else:
-        raise InvalidInputError("points file must be a JSON list or object")
-    pts = _check_points([serialize.decode_vector(p) for p in points], g)
-    return pts, [tuple(serialize.decode_vector(h) for h in req) for req in requests]
-
-
 def cmd_theta_eval(args):
     """Every point bound at once, on one evaluator sized for the requests."""
     rm = _load_tau(args)
     if args.points is None:
         pts, reqs = np.zeros((1, rm.g), dtype=complex), []
     else:
-        with open(args.points) as fh:
-            doc = json.load(fh)
-        pts, reqs = _parse_points_doc(doc, rm.g)
+        pts, reqs = serialize.load_points(args.points)
+        pts = _check_points(pts, rm.g)
     keys = _normalize_requests(reqs, rm.g)  # refuses a bad length, entry or order
     res = _evaluator_for(rm, keys, args.tol).jets(pts, keys)
     reports = []
@@ -282,7 +280,7 @@ def _write_history_csv(path, result):
         writer = csv.writer(fh)
         writer.writerow(["restart", "iterations", "objective"])
         for k, (nfev, objective) in enumerate(zip(evaluations, result.history)):
-            writer.writerow([k, nfev, objective if math.isfinite(objective) else ""])
+            writer.writerow([k, nfev, objective])
 
 
 def cmd_search(args):
@@ -292,7 +290,7 @@ def cmd_search(args):
     free_vars = tuple(v.strip() for v in (args.free or default_free).split(",") if v.strip())
     samples = args.samples
     if samples is None:
-        samples = max(40, 10 * _real_parameters(free_vars, rm.g))
+        samples = max(40, SAMPLES_PER_PARAMETER * _real_parameters(free_vars, rm.g))
     problem = SearchProblem(
         tau=rm,
         target=target,
@@ -440,7 +438,7 @@ def _add_common(sub, jet=False, samples=None, tol=None, seed=False, threads=Fals
         sub.add_argument("--samples", type=int, default=samples,
                          help=f"sample-point budget (default {samples})")
     if tol is not None:
-        sub.add_argument("--tol", type=float, default=tol,
+        sub.add_argument("--tol", type=_finite_float, default=tol,
                          help=f"tolerance (default {tol:g})")
     if seed:
         sub.add_argument("--seed", type=int, default=0,
@@ -474,11 +472,11 @@ def build_parser() -> _Parser:
         p = commands.add_parser(name, help=help_text)
         _add_common(p, jet=True, samples=64, tol=1e-6, seed=True)
         if name == "hierarchy":
-            p.add_argument("--epsilon", type=float, default=1e-2,
+            p.add_argument("--epsilon", type=_finite_float, default=1e-2,
                            help="deformation size for the sweep (default 1e-2)")
             p.add_argument("--scan", help="comma-separated epsilon grid: also report the "
                            "decay exponent fitted across the grid")
-            p.add_argument("--min-exponent", type=float,
+            p.add_argument("--min-exponent", type=_finite_float,
                            help="with --scan: require at least this decay exponent to pass")
         p.set_defaults(func=cmd_residual)
 
@@ -488,11 +486,13 @@ def build_parser() -> _Parser:
     ):
         p = commands.add_parser(name, help=help_text)
         _add_common(p, jet=True, tol=1e-8, seed=True, threads=True)
-        p.add_argument("--samples", type=int, help="training points (default: 10x the "
-                       "real degrees of freedom; an equal holdout set is always drawn)")
-        p.add_argument("--free", help="comma-separated fields to optimize "
-                       f"(defaults: kp-search {_SEARCH_TARGETS['kp-search'][1]}, "
-                       f"one-point-search {_SEARCH_TARGETS['one-point-search'][1]})")
+        p.add_argument("--samples", type=int, help="training points (default: "
+                       f"{SAMPLES_PER_PARAMETER}x the real degrees of freedom, at least 40; "
+                       "an equal holdout set is always drawn)")
+        target, default_free = _SEARCH_TARGETS[name]
+        p.add_argument("--free", help="comma-separated fields to optimize, from "
+                       f"{','.join(_MODELS[target].fields)} (default {default_free}); never U, "
+                       "whose direction is always searched on its unit slice")
         p.add_argument("--restarts", type=int, default=8, help="independent starts (default 8)")
         p.add_argument("--iterations", type=int, default=400,
                        help="iteration budget per restart (default 400)")

@@ -33,6 +33,11 @@ search reads every candidate, the holdout and the reported jet at the
 representative with V orthogonal to U (``_HirotaModel.canonical``); a KP
 fit that holds V or W keeps them as given.
 
+Every form is invariant under the gauge (U, V, W, c, d) -> (lam U, lam^2 V,
+lam^3 W, lam^2 c, lam^4 d), so ``fit`` searches only U's direction, on the
+slice of unit vectors real positive where the starting U is largest (at
+genus 1 a point: U is kept as given), and U is never a free field.
+
 Objectives are means of squared term-normalized residuals over seeded
 training samples; reported residuals always come from a fresh holdout set
 whose seed stream is disjoint from training by construction.
@@ -48,7 +53,6 @@ numpy alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, permutations
 
@@ -92,6 +96,7 @@ def least_squares(*args, **kwargs):
 
 TARGETS = ("hirota", "one_point", "hierarchy")
 GAUGE_COLLAPSE_NORM = 1e-6
+SAMPLES_PER_PARAMETER = 10  # the training floor of a search, per real free parameter
 EPSILON_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 IRLS_ROUNDS = 3
 
@@ -100,11 +105,12 @@ IRLS_ROUNDS = 3
 class SearchProblem:
     """A residual-minimization task over direction-jet parameters.
 
-    ``jet`` supplies the fixed field values (at least U unless U itself is
-    freed); ``free_vars`` names the fields being optimized — for the
-    one-point target the shift ``a`` may be freed as well, with base value
-    taken from ``a``.  ``restarts``/``iterations`` bound the budget per the
-    multi-start scheme; ``jet_order`` is the germ order for hierarchy fits.
+    ``jet`` supplies U, whose direction starts the search on its gauge
+    slice, and the fixed field values; ``free_vars`` names the other fields
+    being optimized — for the one-point target the shift ``a`` may be freed
+    as well, with base value taken from ``a``.  ``restarts``/``iterations``
+    bound the budget per the multi-start scheme; ``jet_order`` is the germ
+    order for hierarchy fits.
     """
 
     tau: object
@@ -127,14 +133,9 @@ class SearchResult:
     history: list
     converged: bool
     a: object = None
-    gauge_degenerate_restarts: int = 0
     scaling_exponent: float = None
     evaluations: list = None
     note: str = None
-
-
-class _GaugeCollapse(Exception):
-    pass
 
 
 def _basis_keys(g, orders):
@@ -272,7 +273,7 @@ class _Model:
 class _HirotaModel(_Model):
     """Vectorized four-direction residual at fixed sample points."""
 
-    fields = ("U", "V", "W", "d")
+    fields = ("V", "W", "d")
     linear_fields = ("W", "d")
     note = None
 
@@ -308,7 +309,7 @@ class _HirotaModel(_Model):
 class _OnePointModel(_Model):
     """Vectorized one-point residual; the shifted side is bound per shift a."""
 
-    fields = ("U", "V", "c", "a")
+    fields = ("V", "c", "a")
     linear_fields = ("V", "c")
     note = "irreducibility of the subgroup generated by a is assumed, not verified"
 
@@ -361,14 +362,9 @@ def _field_size(name, g):
 
 
 def _real_parameters(names, g, gauge=True):
-    """The real parameters of the fields ``names``.
-
-    With ``gauge``, a U left out of ``names`` stays on the gauge slice |U| = 1
-    (first nonzero component real positive), which leaves 2(g-1) real
-    degrees of freedom; at g = 1 the slice is the single point (1).
-    """
+    """The real parameters of the fields ``names``, with ``gauge`` plus the 2(g-1) of U's slice."""
     n = sum(2 * _field_size(name, g) for name in names)
-    return n + 2 * (g - 1) if gauge and "U" not in names else n
+    return n + 2 * (g - 1) if gauge else n
 
 
 def _pack(values, names):
@@ -396,6 +392,8 @@ def _validate_problem(problem, rm):
     if problem.target not in TARGETS:
         raise InvalidInputError(f"unknown search target {problem.target!r}")
     model_cls = _MODELS[problem.target]
+    if "U" in problem.free_vars:
+        raise InvalidInputError("U cannot be freed: its direction is always searched on its slice")
     for name in problem.free_vars:
         if name not in model_cls.fields:
             raise InvalidInputError(
@@ -414,19 +412,19 @@ def _validate_problem(problem, rm):
 class _Multistart:
     """The restart loop of both searches.
 
-    It checks the sample floor (10 samples per real parameter) and the
-    budget, and spawns the problem's seed into the training cloud
-    ``z_train``, the holdout cloud ``z_hold`` and one stream per restart, so
-    the holdout is disjoint from training by construction.  ``run`` then
-    runs the restarts in order; ``history``, ``evaluations`` and
-    ``collapsed`` record them.
+    It checks the sample floor (``SAMPLES_PER_PARAMETER`` per real
+    parameter) and the budget, and spawns the problem's seed into the
+    training cloud ``z_train``, the holdout cloud ``z_hold`` and one stream
+    per restart, so the holdout is disjoint from training by construction.
+    ``run`` then runs the restarts in order; ``history`` and ``evaluations``
+    record them.
     """
 
     def __init__(self, problem, rm, n_real):
-        if problem.sample_count < 10 * n_real:
+        if problem.sample_count < SAMPLES_PER_PARAMETER * n_real:
             raise InvalidInputError(
-                f"sample_count {problem.sample_count} is below 10x the "
-                f"{n_real} real free parameters")
+                f"sample_count {problem.sample_count} is below {SAMPLES_PER_PARAMETER}x "
+                f"the {n_real} real free parameters")
         if problem.restarts < 1 or problem.iterations < 1:
             raise InvalidInputError("budget must be positive")
         self.problem = problem
@@ -434,7 +432,7 @@ class _Multistart:
             2 + problem.restarts)
         self.z_train = box_points(rm, np.random.default_rng(train_ss), problem.sample_count)
         self.z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
-        self.history, self.evaluations, self.collapsed = [], [], 0
+        self.history, self.evaluations = [], []
 
     def run(self, start, resvec, objective=None, finish=lambda x: x):
         """The polished x of the best restart, ties broken by restart index.
@@ -448,9 +446,7 @@ class _Multistart:
         by the Jacobian's column norms (``x_scale="jac"``).  The restart
         scores 2 mean(polish.fun^2), the mean squared modulus of the complex
         residuals, and ``evaluations`` counts its calls of the objective and
-        of ``resvec``, the difference columns included.  A restart that
-        collapses the gauge (``_GaugeCollapse``) scores inf; when every
-        restart does, the search fails with ``DegenerateJetError``.
+        of ``resvec``, the difference columns included.
         """
         problem, calls, xs = self.problem, 0, []
 
@@ -465,27 +461,19 @@ class _Multistart:
         objective = objective and counted(objective)
         for k, stream in enumerate(self.streams):
             first = calls
-            try:
-                x = start(k, np.random.default_rng(stream))
-                if objective:
-                    x = minimize(objective, x, method="Nelder-Mead",
-                                 options={"maxiter": problem.iterations,
-                                          "maxfev": 4 * problem.iterations,
-                                          "xatol": 1e-12, "fatol": 1e-16,
-                                          "adaptive": True}).x
-                polish = least_squares(resvec, finish(x), method="lm",
-                                       max_nfev=problem.iterations)
-                self.history.append(float(np.mean(polish.fun ** 2) * 2.0))
-                xs.append(polish.x)
-            except _GaugeCollapse:
-                self.history.append(math.inf)
-                xs.append(None)
-                self.collapsed += 1
+            x = start(k, np.random.default_rng(stream))
+            if objective:
+                x = minimize(objective, x, method="Nelder-Mead",
+                             options={"maxiter": problem.iterations,
+                                      "maxfev": 4 * problem.iterations,
+                                      "xatol": 1e-12, "fatol": 1e-16,
+                                      "adaptive": True}).x
+            polish = least_squares(resvec, finish(x), method="lm",
+                                   max_nfev=problem.iterations)
+            self.history.append(float(np.mean(polish.fun ** 2) * 2.0))
+            xs.append(polish.x)
             self.evaluations.append(calls - first)
-        best = min(range(len(xs)), key=self.history.__getitem__)
-        if xs[best] is None:
-            raise DegenerateJetError("every restart collapsed the gauge")
-        return xs[best]
+        return xs[min(range(len(xs)), key=self.history.__getitem__)]
 
 
 def _initial_values(problem, rm, rng, restart, nonlinear):
@@ -527,48 +515,23 @@ def fit(problem: SearchProblem) -> SearchResult:
             return 0j
         raise InvalidInputError(f"{name} is neither set nor freed")
 
-    fixed = {n: fixed_value(n) for n in model_cls.fields
-             if n != "U" and n not in problem.free_vars}
-
+    fixed = {n: fixed_value(n) for n in model_cls.fields if n not in problem.free_vars}
     linear = tuple(n for n in problem.free_vars if n in model_cls.linear_fields)
-    nl_named = tuple(n for n in problem.free_vars
-                     if n not in linear and n != "U")
-    others = tuple(n for n in problem.free_vars if n != "U")
+    nl_named = tuple(n for n in problem.free_vars if n not in linear)
 
     jet.require("U")
     base_U = np.asarray(jet.U, dtype=complex)
     if float(np.linalg.norm(base_U)) < GAUGE_COLLAPSE_NORM:
         raise DegenerateJetError("starting direction U has near-zero norm")
-    if "U" in problem.free_vars:
-        u_mode, u_len = "raw", g  # gauge freed by the caller
-    elif g > 1:
-        u_mode, u_len = "slice", g - 1
-    else:
-        u_mode, u_len = "fixed", 0
+    u_len = g - 1  # U's slice: w -> (w with 1 inserted at the pivot), normalized
     pivot = int(np.argmax(np.abs(base_U)))
     w_base = np.delete(base_U / base_U[pivot], pivot)
 
-    def u_from_slice(w):
-        raw = np.insert(np.asarray(w, dtype=complex), pivot, 1.0)
-        return raw / np.linalg.norm(raw)
-
     def decode_u(x):
-        if u_mode == "fixed":
+        if not u_len:
             return base_U
-        block = x[:u_len] + 1j * x[u_len:2 * u_len]
-        if u_mode == "raw":
-            if np.linalg.norm(block) < GAUGE_COLLAPSE_NORM:
-                raise _GaugeCollapse
-            return block
-        return u_from_slice(block)
-
-    def encode_u(U):
-        if u_mode == "fixed":
-            return []
-        if u_mode == "raw":
-            return [np.real(U), np.imag(U)]
-        w = np.delete(np.asarray(U, dtype=complex) / U[pivot], pivot)
-        return [np.real(w), np.imag(w)]
+        raw = np.insert(x[:u_len] + 1j * x[u_len:2 * u_len], pivot, 1.0)
+        return raw / np.linalg.norm(raw)
 
     model = model_cls(rm, driver.z_train)
 
@@ -588,7 +551,7 @@ def fit(problem: SearchProblem) -> SearchResult:
         return {"U": decode_u(x), **_unpack(x[2 * u_len:], nl_named, g)}
 
     def decode_full(x):
-        return {**fixed, "U": decode_u(x), **_unpack(x[2 * u_len:], others, g)}
+        return {**fixed, "U": decode_u(x), **_unpack(x[2 * u_len:], problem.free_vars, g)}
 
     def objective_nonlinear(x):
         p, sources = with_linear_solved(decode_nonlinear(x))
@@ -601,18 +564,12 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     def polish_start(x):
         p, _ = with_linear_solved(decode_nonlinear(x))
-        return np.concatenate(encode_u(p["U"]) + [_pack(p, others)])
+        w = np.delete(p["U"] / p["U"][pivot], pivot)  # U's slice coordinates
+        return np.concatenate([w.real, w.imag, _pack(p, problem.free_vars)])
 
     def initial_x(k, rng):
         parts = []
-        if u_mode == "raw":
-            if k == 0:
-                u0 = base_U
-            else:
-                u0 = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-                u0 = u0 / np.linalg.norm(u0)
-            parts.extend([np.real(u0), np.imag(u0)])
-        elif u_mode == "slice":
+        if u_len:
             if k == 0:
                 w = w_base
             elif k % 2:
@@ -637,7 +594,7 @@ def fit(problem: SearchProblem) -> SearchResult:
     hold = hold_model.ratios(hold_model.sources(final), final)
     best_jet = replace(jet, **{n: v for n, v in final.items() if n != "a"})
     note = model_cls.note
-    if u_mode == "slice":
+    if u_len:
         # report the canonical gauge representative; residuals are invariant
         best_jet = gauge_normalize(best_jet)
 
@@ -652,7 +609,6 @@ def fit(problem: SearchProblem) -> SearchResult:
         history=driver.history,
         converged=converged,
         a=final.get("a"),
-        gauge_degenerate_restarts=driver.collapsed,
         evaluations=driver.evaluations,
         note=note,
     )

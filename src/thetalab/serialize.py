@@ -10,9 +10,10 @@ Conventions
   plain numbers and two-element ``[re, im]`` lists are accepted in input
   files, emitted documents always use the dict form.
 * Vectors and matrices are (nested) lists of complex scalars.
-* Non-finite floats (collapsed-restart objectives in a search history)
-  encode as ``null`` and decode back to ``inf``; emitted JSON is therefore
-  always strictly valid.
+* Non-finite floats in a report encode as ``null`` and decode back to
+  ``inf``; emitted JSON is therefore always strictly valid.
+* A field documented as a list is refused with ``InvalidInputError`` when
+  it holds anything else (``decode_list``).
 """
 
 from __future__ import annotations
@@ -60,10 +61,15 @@ def encode_vector(vec) -> list:
     return [encode_complex(v) for v in np.asarray(vec, dtype=complex).reshape(-1)]
 
 
-def decode_vector(obj) -> np.ndarray:
+def decode_list(obj, decode, what) -> list:
+    """[decode(v) for v in obj], for an obj that is a list of ``what``."""
     if not isinstance(obj, (list, tuple)):
-        raise InvalidInputError(f"expected a list of complex scalars, got {obj!r}")
-    return np.array([decode_complex(v) for v in obj], dtype=complex)
+        raise InvalidInputError(f"expected a list of {what}, got {obj!r}")
+    return [decode(v) for v in obj]
+
+
+def decode_vector(obj) -> np.ndarray:
+    return np.array(decode_list(obj, decode_complex, "complex scalars"), dtype=complex)
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -123,12 +129,29 @@ def jet_from_dict(doc: dict) -> DirectionJet:
     kwargs = {}
     for names, decode in ((_JET_VECTORS, decode_vector), (_JET_SCALARS, decode_complex)):
         kwargs.update({name: decode(doc[name]) for name in names if doc.get(name) is not None})
-    if doc.get("zeta_coeffs") is not None:
-        kwargs["zeta_coeffs"] = [decode_vector(v) for v in doc["zeta_coeffs"]]
-    if doc.get("d_coeffs") is not None:
-        kwargs["d_coeffs"] = [decode_complex(v) for v in doc["d_coeffs"]]
+    for key, decode in (("zeta_coeffs", decode_vector), ("d_coeffs", decode_complex)):
+        if doc.get(key) is not None:
+            kwargs[key] = decode_list(doc[key], decode, f"{key} entries")
     kwargs["normalized"] = bool(doc.get("normalized", False))
     return DirectionJet(**kwargs)
+
+
+def load_points(path):
+    """Read a theta-eval points file: a list of points, or an object with the
+    keys "points" and "derivatives" (a list of requests, each a list of
+    directions).  Returns (points, requests), requests as tuples of vectors.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    if isinstance(doc, list):
+        doc = {"points": doc}
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{path}: points file must be a JSON list or object")
+    points = decode_list(doc.get("points", []), decode_vector, "points")
+    requests = decode_list(doc.get("derivatives", []),
+                           lambda req: tuple(decode_list(req, decode_vector, "directions")),
+                           "derivative requests")
+    return points, requests
 
 
 def load_jet(path):
@@ -262,7 +285,6 @@ def search_result_to_dict(result: SearchResult, problem: SearchProblem | None = 
         "a": None if result.a is None else encode_vector(result.a),
         "history": [_finite(h) for h in result.history],
         "evaluations": None if result.evaluations is None else [int(n) for n in result.evaluations],
-        "gauge_degenerate_restarts": result.gauge_degenerate_restarts,
         "scaling_exponent": _finite(result.scaling_exponent),
         "note": result.note,
     }
@@ -278,7 +300,6 @@ def search_result_from_dict(doc: dict) -> SearchResult:
         history=[_unfinite(h) for h in doc["history"]],
         converged=bool(doc["converged"]),
         a=None if doc.get("a") is None else decode_vector(doc["a"]),
-        gauge_degenerate_restarts=int(doc.get("gauge_degenerate_restarts", 0)),
         scaling_exponent=(None if doc.get("scaling_exponent") is None
                           else float(doc["scaling_exponent"])),
         evaluations=(None if doc.get("evaluations") is None

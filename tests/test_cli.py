@@ -295,6 +295,17 @@ class TestSearchCommands:
         err = json.loads(capsys.readouterr().err)
         assert code == 2 and err["error"] == "INVALID_INPUT"
 
+    def test_default_sample_count(self, g1_env):
+        # (V, W, d) at genus 1 is six real parameters: 10 samples each
+        assert g1_env["fit"]["problem"]["sample_count"] == 60
+
+    def test_u_is_not_a_free_field(self, g1_env, capsys):
+        code = main(["kp-search", "--tau", str(g1_env["tau"]), "--free", "U,V,W,d",
+                     "--restarts", "1", "--iterations", "20"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["error"] == "INVALID_INPUT"
+        assert "U cannot be freed" in err["message"]
+
     def test_unknown_free_name_is_input_error(self, g1_env, capsys):
         code = main(["kp-search", "--tau", str(g1_env["tau"]), "--free", "V,zeta"])
         err = json.loads(capsys.readouterr().err)
@@ -478,6 +489,13 @@ class TestRoundTrip:
         with pytest.raises(Exception):
             serialize.parse_report(json.dumps({"schema": "other-v9", "kind": "x"}))
 
+    def test_search_report_from_before_the_gauge_field_was_dropped(self, g1_env):
+        doc = g1_env["fit"]
+        assert "gauge_degenerate_restarts" not in doc
+        old = serialize.parse_report({**doc, "gauge_degenerate_restarts": 0})
+        assert serialize.search_result_to_dict(old) == {
+            k: v for k, v in doc.items() if k != "problem"}
+
     def test_console_entry_point(self, g1_env, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "thetalab.cli", "theta-eval",
@@ -535,6 +553,56 @@ class TestArgumentChecks:
                                         "--samples", -3, "--out", out])
         assert "sample count must be non-negative" in message
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [
+        *((c, "--tol") for c in ("kp-residual", "one-point-residual", "pab-residual", "longeq",
+                                 "hierarchy", "flex", "weil", "decomp", "kp-search",
+                                 "one-point-search")),
+        ("hierarchy", "--epsilon"), ("hierarchy", "--min-exponent"),
+    ])
+    def test_non_finite_float_flag(self, germ_env, tmp_path, capsys, command, flag, value):
+        # every input but the flag is valid, so the command would run to its report
+        jet = json.loads(germ_env["germ"].read_text())
+        jet["a"] = [[0.1, 0.2]]
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(jet))
+        out = tmp_path / "r.json"
+        argv = [command, f"{flag}={value}", "--out", out]
+        if command == "decomp":
+            argv += ["--tau", write_tau(tmp_path / "tau.json", GENERIC_G2_TAU)]
+        else:
+            argv += ["--tau", germ_env["tau"], "--jet", path]
+        if command.endswith("search"):
+            argv += ["--restarts", 1, "--iterations", 5]
+        elif command not in ("flex", "decomp"):
+            argv += ["--samples", 2]
+        if command == "hierarchy":
+            argv += ["--scan", "0.01,0.02"]
+        message = _input_error(capsys, argv)
+        assert flag in message and "finite number" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, words", [
+        ({"points": 5}, "list of points"),
+        ({"derivatives": 7}, "list of derivative requests"),
+        ({"points": [[0.1]], "derivatives": [5]}, "list of directions"),
+    ])
+    def test_points_fields_that_are_not_lists(self, g1_env, tmp_path, capsys, doc, words):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps(doc))
+        message = _input_error(capsys, ["theta-eval", "--tau", g1_env["tau"], "--points", pts])
+        assert words in message
+
+    @pytest.mark.parametrize("key", ["zeta_coeffs", "d_coeffs"])
+    def test_germ_coefficients_that_are_not_lists(self, germ_env, tmp_path, capsys, key):
+        jet = json.loads(germ_env["germ"].read_text())
+        jet[key] = 5
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(jet))
+        message = _input_error(capsys, ["kp-residual", "--tau", germ_env["tau"],
+                                        "--jet", path, "--samples", 2])
+        assert f"list of {key} entries" in message
 
     @pytest.mark.parametrize("doc", ["a string", 3, None])
     def test_points_file_neither_list_nor_object(self, g1_env, tmp_path, capsys, doc):
@@ -614,6 +682,7 @@ class TestDecodeErrors:
         lambda: serialize.decode_vector({"re": 1.0}),
         lambda: serialize.decode_matrix([]),
         lambda: serialize.jet_from_dict({"V": [1.0]}),
+        lambda: serialize.jet_from_dict({"U": [1.0], "zeta_coeffs": 5}),
         lambda: serialize.parse_report([1, 2]),
         lambda: serialize.parse_report({"schema": serialize.SCHEMA_ID, "kind": "no-such-report"}),
     ])

@@ -1,6 +1,4 @@
-import math
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -243,51 +241,19 @@ class TestEvaluations:
         assert res.evaluations == calls
 
 
-class TestGaugeCollapse:
-    """A restart whose Nelder-Mead stage ends at U = 0 scores inf and is skipped."""
-
-    @staticmethod
-    def collapsing(monkeypatch, collapsed):
-        # the simplex stages numbered in ``collapsed`` (from 1) end at U = 0;
-        # in a U-free genus-1 fit the raw chart's first two coordinates are re U, im U
-        minimize = search.minimize
-        calls = []
-
-        def nm(fun, x0, *args, **kwargs):
-            calls.append(1)
-            if len(calls) not in collapsed:
-                return minimize(fun, x0, *args, **kwargs)
-            x = np.array(x0, dtype=float)
-            x[:2] = 0.0
-            return SimpleNamespace(x=x)
-
-        monkeypatch.setattr(search, "minimize", nm)
-
-    def problem(self):
-        return g1_problem(free_vars=("U", "V", "W", "d"), restarts=2, iterations=120)
-
-    def test_every_restart_collapses(self, monkeypatch):
-        self.collapsing(monkeypatch, {1, 2})
-        with pytest.raises(DegenerateJetError, match="every restart collapsed"):
-            fit(self.problem())
-
-    def test_one_restart_collapses(self, monkeypatch):
-        self.collapsing(monkeypatch, {1})
-        res = fit(self.problem())
-        assert res.gauge_degenerate_restarts == 1
-        assert res.history[0] == math.inf and math.isfinite(res.history[1])
-        assert res.evaluations[0] == 0 and res.evaluations[1] > 0
-        assert res.converged
-        assert np.linalg.norm(res.best_jet.U) > 0.5
-
-
 class TestFitHirota:
     def test_g1_converges(self, g1_fit):
         assert g1_fit.converged
         assert g1_fit.best_residual <= 1e-9
         # U was pinned to the gauge point (1) for genus 1
         assert np.array_equal(g1_fit.best_jet.U, U1)
-        assert g1_fit.gauge_degenerate_restarts == 0
+
+    def test_g1_keeps_u_as_given(self):
+        # at genus 1 U's slice is a point: a U that is not a unit vector stays as it is
+        U = np.array([0.5j])
+        res = fit(g1_problem(jet=DirectionJet(U=U), restarts=2))
+        assert np.array_equal(res.best_jet.U, U) and not res.best_jet.normalized
+        assert res.converged
 
     def test_g1_runtime(self):
         start = time.time()
@@ -444,6 +410,14 @@ class TestProblemValidation:
     def test_free_var_not_in_target(self):
         with pytest.raises(InvalidInputError):
             fit(g1_problem(target="one_point", free_vars=("V", "W")))
+
+    @pytest.mark.parametrize("target, free_vars", [
+        ("hirota", ("U", "V", "W", "d")), ("one_point", ("U", "V", "c"))])
+    def test_u_is_not_a_free_field(self, target, free_vars):
+        problem = g1_problem(target=target, free_vars=free_vars, a=np.array([0.3 + 0.1j]),
+                             restarts=1, iterations=20)
+        with pytest.raises(InvalidInputError, match="always searched on its slice"):
+            fit(problem)
 
     def test_duplicate_free_vars(self):
         with pytest.raises(InvalidInputError):
