@@ -32,7 +32,8 @@ Each form has one vectorized term stack over a derivative source
 (``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
 residual at one point (a batch of one), the sweeps and the search models.
 A sweep binds all of its points at once; the shifted forms bind z and z + a
-together.
+together.  The two stacks the searches fit have one field-derivative
+routine each (``_hirota_derivatives``, ``_one_point_derivatives``).
 """
 
 from __future__ import annotations
@@ -158,6 +159,21 @@ def _galilean(U, V, W=None):
     return V - mu * U, None if W is None else W - 2.0 * mu * V + mu * mu * U
 
 
+def _galilean_tangents(U, V, W, dU, dV, dW):
+    """The tangents of ``_galilean``'s (V, W) along rows (n, g) of tangents of U, V and W.
+
+    mu = <U, V>/<U, U> is not holomorphic in U: dU enters through U and its
+    conjugate.
+    """
+    norm = np.vdot(U, U).real
+    if not norm:
+        return dV, dW
+    mu = np.vdot(U, V) / norm
+    dmu = ((np.conj(dU) @ V + dV @ np.conj(U) - 2.0 * mu * (dU @ np.conj(U)).real) / norm)[:, None]
+    return (dV - dmu * U - mu * dU,
+            dW - 2.0 * (dmu * V + mu * dV) + mu * (2.0 * dmu * U + mu * dU))
+
+
 def gauge_rescale(jet: DirectionJet, lam: complex) -> DirectionJet:
     """The scaling (U, V, W, c, d) -> (lam U, lam^2 V, lam^3 W, lam^2 c, lam^4 d).
 
@@ -218,6 +234,22 @@ def _term_ratios(terms):
     return out
 
 
+def _term_ratio_tangents(terms, tangents):
+    """The derivatives (P, n) of ``_term_ratios`` along tangents (terms, P, n) of the terms.
+
+    With S = sum(t) and N = sum(|t|), d(S/N) = (dS - (S/N) dN) / N and
+    d|t| = Re(conj(t) dt) / |t|, taken as 0 where t = 0; the derivative is 0
+    where N = 0, as the ratio is.
+    """
+    ratios = _term_ratios(terms)
+    moduli = np.abs(terms)
+    unit = np.divide(np.conj(terms), moduli, out=np.zeros_like(terms), where=moduli > 0.0)
+    normalizer = moduli.sum(axis=0)
+    inverse = np.divide(1.0, normalizer, out=np.zeros_like(normalizer), where=normalizer > 0.0)
+    d_norm = np.einsum("tp,tpn->pn", unit, tangents).real
+    return (tangents.sum(axis=0) - ratios[:, None] * d_norm) * inverse[:, None]
+
+
 def _residuals(terms):
     """Normalized residuals min(|sum(terms)| / sum(|terms|), 1) per point."""
     return np.minimum(np.abs(_term_ratios(terms)), 1.0)
@@ -228,11 +260,43 @@ def _residuals(terms):
 # theta on the stored scale and D() the values.  The sweeps read D from
 # evaluator jets, the search models from basis tensors.  The KP and
 # one-point stacks are a base block joined to a block affine in the fields
-# the searches solve for linearly; the searches' IRLS reads the two blocks.
+# the searches solve for linearly.
+#
+# Each stack has one field-derivative routine: per field named in
+# ``fields``, the (terms, size, P) derivatives of its monomials along the
+# field's components (size 1 for a scalar).  It reads the source's gradients
+# too: D.grad(h_1, .., h_m) is the (g, P) array whose row j is
+# D(h_1, .., h_m, e_j), so a monomial's derivative along a direction is the
+# same product with one more direction contracted.  Along the shift a of the
+# one-point form the shifted factors move one order up, d/da_j Da(h..) =
+# Da(h.., e_j).  The searches read their Levenberg-Marquardt Jacobians and
+# their IRLS columns from these routines.
+
+def _derivative_rows(count, rows):
+    """A (count, size, P) stack holding ``rows`` {index: (size, P) or (P,)}, zero elsewhere."""
+    first = np.atleast_2d(next(iter(rows.values())))
+    out = np.zeros((count, *first.shape), dtype=complex)
+    for index, row in rows.items():
+        out[index] = row
+    return out
+
 
 def _hirota_terms(D, U, V, W, d):
     """The eight monomials of the four-term bilinear KP form."""
     return np.concatenate([_hirota_base(D, U, V), _hirota_linear(D, U, W, d)])
+
+
+def _hirota_derivatives(D, U, V, W, d, fields):
+    """The derivatives of ``_hirota_terms`` along the fields named (of U, V, W, d)."""
+    t, G, d1 = D(), D.grad, D(U)
+    rows = {
+        "U": lambda: {0: 4.0 * G(U, U, U) * t, 1: -4.0 * (3.0 * G(U, U) * d1 + D(U, U, U) * G()),
+                      2: 12.0 * D(U, U) * G(U), 5: -3.0 * G(W) * t, 6: 3.0 * D(W) * G()},
+        "V": lambda: {3: 6.0 * G(V) * t, 4: -6.0 * D(V) * G()},
+        "W": lambda: {5: -3.0 * G(U) * t, 6: 3.0 * d1 * G()},
+        "d": lambda: {7: -t * t},
+    }
+    return {name: _derivative_rows(8, rows[name]()) for name in fields}
 
 
 def _hirota_base(D, U, V):
@@ -266,6 +330,23 @@ def _one_point_linear(Dz, Da, V, c):
     """The three one-point monomials affine in (V, c), exactly 0 at V = 0, c = 0."""
     tz, ta = Dz(), Da()
     return np.stack([Dz(V) * ta, -tz * Da(V), c * tz * ta])
+
+
+def _one_point_derivatives(Dz, Da, U, V, c, fields):
+    """The derivatives of ``_one_point_terms`` along the fields named (of U, V, c, a).
+
+    Along a, Da needs one order more than the terms do: order 3.
+    """
+    tz, ta, Gz, Ga = Dz(), Da(), Dz.grad, Da.grad
+    rows = {
+        "U": lambda: {0: 2.0 * Gz(U) * ta, 1: 2.0 * tz * Ga(U),
+                      2: -2.0 * (Gz() * Da(U) + Dz(U) * Ga())},
+        "V": lambda: {3: Gz() * ta, 4: -tz * Ga()},
+        "c": lambda: {5: tz * ta},
+        "a": lambda: {0: Dz(U, U) * Ga(), 1: tz * Ga(U, U), 2: -2.0 * Dz(U) * Ga(U),
+                      3: Dz(V) * Ga(), 4: -tz * Ga(V), 5: c * tz * Ga()},
+    }
+    return {name: _derivative_rows(6, rows[name]()) for name in fields}
 
 
 def _longeq_terms(D, U, V):

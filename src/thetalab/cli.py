@@ -110,6 +110,17 @@ def _finite_float(text):
     return value
 
 
+def _seed(text):
+    """argparse type of ``--seed``: a non-negative integer, as numpy's seeding requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _float_list(text, flag):
     try:
         values = [float(v) for v in str(text).split(",") if v.strip()]
@@ -225,6 +236,12 @@ def cmd_residual(args):
     if kind in ("one-point", "dressed"):
         a = _require_shift(extras)
     epsilon = args.epsilon if kind == "hierarchy" else None
+    scan = None
+    if kind == "hierarchy":
+        scan = None if args.scan is None else _float_list(args.scan, "--scan")
+        if 0.0 in [epsilon, *(scan or ())]:
+            raise InvalidInputError("epsilon 0 is refused: every hierarchy term vanishes there, "
+                                    "so any jet would pass vacuously")
 
     report = None
     sample_note = None
@@ -249,11 +266,10 @@ def cmd_residual(args):
     passed = report.passed
     if kind == "hierarchy":
         doc["epsilon"] = args.epsilon
-        if args.scan is not None:
-            eps_grid = _float_list(args.scan, "--scan")
+        if scan is not None:
             scan_points = list(box_points(rm, _rng(args.seed, 9000),
                                           max(8, args.samples // 4)))
-            per_eps, slope = hierarchy_scan(rm, jet, eps_grid, scan_points)
+            per_eps, slope = hierarchy_scan(rm, jet, scan, scan_points)
             doc["scan"] = {
                 "per_epsilon": [[abs(complex(e)), float(r)] for e, r in per_eps],
                 "exponent": slope,
@@ -441,7 +457,7 @@ def _add_common(sub, jet=False, samples=None, tol=None, seed=False, threads=Fals
         sub.add_argument("--tol", type=_finite_float, default=tol,
                          help=f"tolerance (default {tol:g})")
     if seed:
-        sub.add_argument("--seed", type=int, default=0,
+        sub.add_argument("--seed", type=_seed, default=0,
                          help="seed for every random draw in this command (default 0)")
     if threads:
         sub.add_argument("--threads", type=int, default=1,

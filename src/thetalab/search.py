@@ -3,8 +3,8 @@
 ``fit`` and ``fit_hierarchy`` share one multi-start driver
 (``_Multistart``): seeded restarts in order, each an optional Nelder-Mead
 stage followed by one Levenberg-Marquardt polish of the full parameter
-vector with finite-difference Jacobians, and the best restart chosen with
-ties broken by restart index.  ``fit`` runs the simplex over the parameters
+vector with its exact Jacobian, and the best restart chosen with ties
+broken by restart index.  ``fit`` runs the simplex over the parameters
 that enter the residual nonlinearly; the hierarchy fit polishes only.  Two
 structural tricks keep the objective cheap and well-conditioned:
 
@@ -22,8 +22,19 @@ structural tricks keep the objective cheap and well-conditioned:
   dimension seen by the simplex.  Each form's term stack in ``bilinear`` is
   a base block joined to a block affine in those fields, and one
   iteratively reweighted least-squares solve (``_solve_affine``) serves
-  all three: it reads the fixed part and the columns off the affine block
-  and weights each sample by the inverse of its term-sum normalizer.
+  all three: it reads the stack at zero and its columns, the stack's
+  derivatives along those fields, and weights each sample by the inverse
+  of its term-sum normalizer.
+
+The Jacobian of the polish comes from the same place.  Each form's
+field-derivative routine in ``bilinear`` differentiates its monomials
+along every field (along the shift a, the shifted basis one order up), and
+the chain rule carries those derivatives through U's chart on its gauge
+slice, the Galilean representative of a KP candidate (not holomorphic in
+U) and the hierarchy's fold (linear in its coefficients) to the real
+parameters; the term-sum normalizer moves by d|t| = Re(conj(t) dt)/|t|.
+The Jacobian at a point reuses the derivative sources of the residual
+vector just evaluated there.
 
 The four-direction form is invariant under the Galilean move (V, W) ->
 (V + nu U, W + 2 nu V + nu^2 U) and its term-sum normalizer is not, so a
@@ -42,13 +53,12 @@ Objectives are means of squared term-normalized residuals over seeded
 training samples; reported residuals always come from a fresh holdout set
 whose seed stream is disjoint from training by construction.
 ``SearchResult.evaluations`` counts, per restart, the driver's calls of the
-Nelder-Mead objective and of the residual vector, finite-difference
-columns included; the polish's ``iterations`` budget leaves those columns
-out (scipy >= 1.16).  scipy itself is imported by the first ``fit`` or
-``fit_hierarchy`` of a process, through the module's ``minimize`` and
-``least_squares`` forwarders; every other entry point of thetalab, and
-every CLI subcommand but ``kp-search`` and ``one-point-search``, runs on
-numpy alone.
+Nelder-Mead objective, of the residual vector and of its Jacobian; the
+polish's ``iterations`` budget counts residual vectors only.  scipy itself
+is imported by the first ``fit`` or ``fit_hierarchy`` of a process, through
+the module's ``minimize`` and ``least_squares`` forwarders; every other
+entry point of thetalab, and every CLI subcommand but ``kp-search`` and
+``one-point-search``, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -62,14 +72,14 @@ from .bilinear import (
     DirectionJet,
     NORMALIZER_FLOOR,
     _galilean,
+    _galilean_tangents,
     _hierarchy_fold,
-    _hirota_base,
-    _hirota_linear,
+    _hirota_derivatives,
     _hirota_terms,
-    _one_point_base,
-    _one_point_linear,
+    _one_point_derivatives,
     _one_point_terms,
     _series,
+    _term_ratio_tangents,
     _term_ratios,
     as_riemann_matrix,
     gauge_normalize,
@@ -204,6 +214,10 @@ class _Contractions:
         hs = [np.asarray(h, dtype=complex) for h in directions]
         return self._prefix(k, hs, tuple(h.tobytes() for h in hs))
 
+    def grad(self, *directions):
+        """The (g, P) gradient h_1..h_m . T_(m+1): row j is D(h_1, .., h_m, e_j)."""
+        return self.contract(len(directions) + 1, *directions)
+
     def _prefix(self, k, hs, keys):
         if not hs:
             return self.basis.tensor[k]
@@ -215,28 +229,23 @@ class _Contractions:
         return out
 
 
-def _solve_affine(base, linear, n, row_weight):
-    """IRLS least squares for the n complex parameters of an affine block.
+def _solve_affine(terms, columns, row_weight):
+    """IRLS least squares for the n complex parameters x of an affine term stack.
 
-    A candidate's term stack is ``base`` joined to ``linear(x)``, which is
-    affine in x and exactly 0 in every row that holds x when x = 0.  Each
-    round minimizes sum_p |row_weight_p * sum(terms(x))_p / sum|terms|_p|^2
-    with the normalizer taken at the previous x (at x = 0 first); a few
-    rounds suffice because the normalizer varies slowly compared to the
-    residual.  The fixed part is the sum of base ++ linear(0) and column j
-    the sum of linear(e_j) - linear(0), which is exact: the rows without x
-    cancel to 0.
+    ``terms`` (T, P) is a candidate's stack at x = 0 and ``columns``
+    (T, P, n) its derivatives along x, so the stack at x is exactly
+    terms + columns @ x.  Each round minimizes
+    sum_p |row_weight_p * sum(terms(x))_p / sum|terms(x)|_p|^2 with the
+    normalizer taken at the previous x (at x = 0 first); a few rounds
+    suffice because the normalizer varies slowly compared to the residual.
     """
-    zero = linear(np.zeros(n, dtype=complex))
-    columns = np.column_stack([(linear(e) - zero).sum(axis=0)
-                               for e in np.eye(n, dtype=complex)])
-    terms = np.concatenate([base, zero])
-    fixed = terms.sum(axis=0)
+    fixed, matrix = terms.sum(axis=0), columns.sum(axis=0)
+    current = terms
     for k in range(IRLS_ROUNDS):
         if k:
-            terms = np.concatenate([base, linear(x)])
-        weights = row_weight / np.maximum(np.abs(terms).sum(axis=0), NORMALIZER_FLOOR)
-        x = np.linalg.lstsq(columns * weights[:, None], -fixed * weights, rcond=None)[0]
+            current = terms + columns @ x
+        weights = row_weight / np.maximum(np.abs(current).sum(axis=0), NORMALIZER_FLOOR)
+        x = np.linalg.lstsq(matrix * weights[:, None], -fixed * weights, rcond=None)[0]
     return x
 
 
@@ -244,30 +253,45 @@ class _Model:
     """A form's term stack at fixed sample points, read by field name.
 
     A subclass names the form's ``fields`` (a search may free any of them)
-    and the ``linear_fields`` its stack is affine in.  Its ``ratios`` read
-    the full stack, and ``base`` and ``linear`` the two blocks that join
-    into it, from one candidate's derivative sources and a dict p of field
-    values.
+    and the ``linear_fields`` its stack is affine in.  Its ``terms`` and
+    ``derivatives`` (the form's field-derivative routine in ``bilinear``)
+    read one candidate's derivative sources and a dict p of field values.
+    The IRLS columns and the Levenberg-Marquardt Jacobians both come from
+    ``term_tangents``.
     """
 
     def canonical(self, p, free):
         """p itself: the form has no symmetry that moves its fields."""
         return p
 
+    def canonical_tangents(self, p, free, dp):
+        """The field tangents dp at p, carried to ``canonical(p, free)``: as they are."""
+        return dp
+
+    def ratios(self, sources, p):
+        return _term_ratios(self.terms(sources, p))
+
+    def term_tangents(self, sources, p, dp):
+        """The terms' derivatives (T, P, n) along field tangents dp {name: (n, size)}."""
+        derivatives = self.derivatives(sources, p, tuple(dp))
+        return sum(np.matmul(derivatives[name].transpose(0, 2, 1), dp[name].T) for name in dp)
+
+    def ratio_tangents(self, sources, p, dp):
+        """The ratios' derivatives (P, n) along field tangents dp {name: (n, size)}."""
+        return _term_ratio_tangents(self.terms(sources, p), self.term_tangents(sources, p, dp))
+
     def solve_linear(self, sources, p, free):
         """p with the linear fields ``free`` solved by IRLS, the rest as in p."""
-        sizes = [_field_size(name, self.g) for name in free]
-
-        def fields(x):
-            out, pos = dict(p), 0
-            for name, size in zip(free, sizes):
-                out[name] = x[pos] if _scalar(name) else x[pos:pos + size]
-                pos += size
-            return out
-
-        x = _solve_affine(self.base(sources, p), lambda x: self.linear(sources, fields(x)),
-                          sum(sizes), 1.0)
-        return fields(x)
+        zero = {**p, **{name: 0j if _scalar(name) else np.zeros(self.g, dtype=complex)
+                        for name in free}}
+        x = _solve_affine(self.terms(sources, zero),
+                          self.term_tangents(sources, zero, _tangents(free, self.g, (1.0,))), 1.0)
+        out, pos = dict(p), 0
+        for name in free:
+            size = _field_size(name, self.g)
+            out[name] = x[pos] if _scalar(name) else x[pos:pos + size]
+            pos += size
+        return out
 
 
 class _HirotaModel(_Model):
@@ -281,8 +305,8 @@ class _HirotaModel(_Model):
         self.basis = _BasisJets(_basis_evaluator(rm, (1, 2, 3, 4)), points, orders=(1, 2, 3, 4))
         self.g = rm.g
 
-    def sources(self, p):
-        """Empty derivative sources for the candidate p."""
+    def sources(self, p, along=()):
+        """Empty derivative sources for the candidate p, along any field."""
         return (_Contractions(self.basis),)
 
     def canonical(self, p, free):
@@ -296,14 +320,19 @@ class _HirotaModel(_Model):
         V, W = _galilean(p["U"], p["V"], p.get("W"))
         return {**p, "V": V} if W is None else {**p, "V": V, "W": W}
 
-    def ratios(self, sources, p):
-        return _term_ratios(_hirota_terms(*sources, p["U"], p["V"], p["W"], p["d"]))
+    def canonical_tangents(self, p, free, dp):
+        """The field tangents dp at p, carried to ``canonical(p, free)``; a fixed U has none."""
+        if "V" not in free or "W" not in free:
+            return dp
+        dU = dp.get("U", np.zeros_like(dp["V"]))
+        dV, dW = _galilean_tangents(p["U"], p["V"], p["W"], dU, dp["V"], dp["W"])
+        return {**dp, "V": dV, "W": dW}
 
-    def base(self, sources, p):
-        return _hirota_base(*sources, p["U"], p["V"])
+    def terms(self, sources, p):
+        return _hirota_terms(*sources, p["U"], p["V"], p["W"], p["d"])
 
-    def linear(self, sources, p):
-        return _hirota_linear(*sources, p["U"], p["W"], p["d"])
+    def derivatives(self, sources, p, fields):
+        return _hirota_derivatives(*sources, p["U"], p["V"], p["W"], p["d"], fields)
 
 
 class _OnePointModel(_Model):
@@ -314,39 +343,51 @@ class _OnePointModel(_Model):
     note = "irreducibility of the subgroup generated by a is assumed, not verified"
 
     def __init__(self, rm, points):
-        self.ev = _basis_evaluator(rm, (1, 2))
+        self.rm = rm
+        self._evaluators = {}
         self.points = np.asarray(points, dtype=complex)
-        self.basis_z = _BasisJets(self.ev, self.points, orders=(1, 2))
+        self.basis_z = _BasisJets(self._evaluator((1, 2)), self.points, orders=(1, 2))
         self.g = rm.g
         self._shifts = None
+        self._orders = ()
         self._bases = None
 
-    def basis_at(self, shifts):
+    def _evaluator(self, orders):
+        if orders not in self._evaluators:
+            self._evaluators[orders] = _basis_evaluator(self.rm, orders)
+        return self._evaluators[orders]
+
+    def basis_at(self, shifts, orders=(1, 2)):
         """Basis jets at the points shifted by each of ``shifts``; the last stack's are kept.
 
         A fixed shift is bound once per model, a free one once per
         objective evaluation (the IRLS solve and the ratios share it).  The
         hierarchy fit passes its grid of germ shifts, which a candidate that
-        moves only the d-coefficients leaves as it is.
+        moves only the d-coefficients leaves as it is.  The kept stack
+        serves any ``orders`` it holds: the Jacobian along a free shift needs
+        orders 1-3, the terms orders 1-2.
         """
         shifts = np.array(shifts, dtype=complex)
-        if self._shifts is None or not np.array_equal(shifts, self._shifts):
-            self._bases = [_BasisJets(self.ev, self.points + a, orders=(1, 2)) for a in shifts]
-            self._shifts = shifts
+        if not (set(orders) <= set(self._orders) and np.array_equal(shifts, self._shifts)):
+            ev = self._evaluator(orders)
+            self._bases = [_BasisJets(ev, self.points + a, orders) for a in shifts]
+            self._shifts, self._orders = shifts, orders
         return self._bases
 
-    def sources(self, p):
-        """Empty derivative sources at z and at z + a for the candidate p."""
-        return _Contractions(self.basis_z), _Contractions(self.basis_at([p["a"]])[0])
+    def sources(self, p, along=()):
+        """Empty derivative sources at z and at z + a for the candidate p.
 
-    def ratios(self, sources, p):
-        return _term_ratios(_one_point_terms(*sources, p["U"], p["V"], p["c"]))
+        Along a free shift (``"a"`` in ``along``) the shifted side is bound
+        one order up, so the same sources serve the candidate's Jacobian.
+        """
+        orders = (1, 2, 3) if "a" in along else (1, 2)
+        return _Contractions(self.basis_z), _Contractions(self.basis_at([p["a"]], orders)[0])
 
-    def base(self, sources, p):
-        return _one_point_base(*sources, p["U"])
+    def terms(self, sources, p):
+        return _one_point_terms(*sources, p["U"], p["V"], p["c"])
 
-    def linear(self, sources, p):
-        return _one_point_linear(*sources, p["V"], p["c"])
+    def derivatives(self, sources, p, fields):
+        return _one_point_derivatives(*sources, p["U"], p["V"], p["c"], fields)
 
 
 _MODELS = {"hirota": _HirotaModel, "one_point": _OnePointModel}
@@ -385,6 +426,40 @@ def _unpack(x, names, g):
         out[name] = val[0] if _scalar(name) else val
         pos += 2 * n
     return out
+
+
+def _tangents(names, g, units=(1.0, 1j), offset=0):
+    """d(field)/dx {name: (n, size)} for x = ``offset`` other entries, then the fields ``names``.
+
+    ``units`` (1, 1j) is the real packing of ``_pack`` (re, then im, of
+    each field); (1,) packs one complex entry per component.
+    """
+    sizes = [_field_size(name, g) for name in names]
+    n = offset + len(units) * sum(sizes)
+    out, pos = {}, offset
+    for name, size in zip(names, sizes):
+        out[name] = np.zeros((n, size), dtype=complex)
+        for unit in units:
+            out[name][pos:pos + size] = unit * np.eye(size)
+            pos += size
+    return out
+
+
+def _real_stack(r):
+    """Complex residuals, or their derivatives (P, n), as the real rows of least squares."""
+    return np.concatenate([r.real, r.imag])
+
+
+def _keep_last(make):
+    """make(x), kept for the last x: the Jacobian at x reuses the residual vector's candidate."""
+    last = []
+
+    def at(x):
+        if not last or not np.array_equal(x, last[0]):
+            last[:] = [np.array(x), make(x)]
+        return last[1]
+
+    return at
 
 
 def _validate_problem(problem, rm):
@@ -427,6 +502,8 @@ class _Multistart:
                 f"the {n_real} real free parameters")
         if problem.restarts < 1 or problem.iterations < 1:
             raise InvalidInputError("budget must be positive")
+        if problem.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {problem.seed}")
         self.problem = problem
         train_ss, hold_ss, *self.streams = np.random.SeedSequence(problem.seed).spawn(
             2 + problem.restarts)
@@ -434,19 +511,19 @@ class _Multistart:
         self.z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
         self.history, self.evaluations = [], []
 
-    def run(self, start, resvec, objective=None, finish=lambda x: x):
+    def run(self, start, resvec, jac, objective=None, finish=lambda x: x):
         """The polished x of the best restart, ties broken by restart index.
 
         Restart k starts at ``start(k, rng)``, rng drawn from its own stream.
         With an ``objective``, a Nelder-Mead stage minimizes it from there.
         ``finish`` maps the point reached to the start of the polish, one
-        Levenberg-Marquardt call on ``resvec`` with ``max_nfev`` =
-        ``problem.iterations``.  On scipy >= 1.16 that budget leaves out the
-        finite-difference Jacobian columns, and "lm" scales the parameters
-        by the Jacobian's column norms (``x_scale="jac"``).  The restart
-        scores 2 mean(polish.fun^2), the mean squared modulus of the complex
-        residuals, and ``evaluations`` counts its calls of the objective and
-        of ``resvec``, the difference columns included.
+        Levenberg-Marquardt call on ``resvec`` with its exact Jacobian
+        ``jac`` (MINPACK's lmder) and ``max_nfev`` = ``problem.iterations``,
+        which counts ``resvec`` calls only; "lm" scales the parameters by the
+        Jacobian's column norms (``x_scale="jac"``).  The restart scores
+        2 mean(polish.fun^2), the mean squared modulus of the complex
+        residuals, and ``evaluations`` counts its calls of the objective, of
+        ``resvec`` and of ``jac``.
         """
         problem, calls, xs = self.problem, 0, []
 
@@ -457,7 +534,8 @@ class _Multistart:
                 return f(x)
             return call
 
-        resvec = counted(resvec)
+        # scipy asks again for the Jacobian at the returned x, after later trial points
+        resvec, jac = counted(resvec), counted(_keep_last(jac))
         objective = objective and counted(objective)
         for k, stream in enumerate(self.streams):
             first = calls
@@ -468,7 +546,7 @@ class _Multistart:
                                       "maxfev": 4 * problem.iterations,
                                       "xatol": 1e-12, "fatol": 1e-16,
                                       "adaptive": True}).x
-            polish = least_squares(resvec, finish(x), method="lm",
+            polish = least_squares(resvec, finish(x), jac=jac, method="lm",
                                    max_nfev=problem.iterations)
             self.history.append(float(np.mean(polish.fun ** 2) * 2.0))
             xs.append(polish.x)
@@ -533,6 +611,18 @@ def fit(problem: SearchProblem) -> SearchResult:
         raw = np.insert(x[:u_len] + 1j * x[u_len:2 * u_len], pivot, 1.0)
         return raw / np.linalg.norm(raw)
 
+    # d(field)/dx: the free fields' unit columns, and U's chart before normalizing
+    field_dx = _tangents(problem.free_vars, g, offset=2 * u_len)
+    chart = np.eye(g, dtype=complex)[np.arange(g) != pivot]
+    raw_dx = np.zeros((n_real, g), dtype=complex)
+    raw_dx[:2 * u_len] = np.vstack([chart, 1j * chart])
+
+    def tangents(U):
+        """d(field)/dx at U: U = raw/|raw| moves by (d raw - U Re<U, d raw>) U_pivot."""
+        if not u_len:
+            return field_dx
+        return {**field_dx, "U": (raw_dx - np.outer((raw_dx @ np.conj(U)).real, U)) * U[pivot].real}
+
     model = model_cls(rm, driver.z_train)
 
     def with_linear_solved(vals):
@@ -557,10 +647,21 @@ def fit(problem: SearchProblem) -> SearchResult:
         p, sources = with_linear_solved(decode_nonlinear(x))
         return float(np.mean(np.abs(model.ratios(sources, p)) ** 2))
 
-    def resvec_full(x):
+    @_keep_last
+    def polish_candidate(x):
+        """The polish's fields at x and their sources, which serve its Jacobian at x too."""
         p = model.canonical(decode_full(x), problem.free_vars)
-        r = model.ratios(model.sources(p), p)
-        return np.concatenate([r.real, r.imag])
+        return p, model.sources(p, along=problem.free_vars)
+
+    def resvec_full(x):
+        p, sources = polish_candidate(x)
+        return _real_stack(model.ratios(sources, p))
+
+    def jac_full(x):
+        p, sources = polish_candidate(x)
+        raw = decode_full(x)
+        dp = model.canonical_tangents(raw, problem.free_vars, tangents(raw["U"]))
+        return _real_stack(model.ratio_tangents(sources, p, dp))
 
     def polish_start(x):
         p, _ = with_linear_solved(decode_nonlinear(x))
@@ -586,8 +687,8 @@ def fit(problem: SearchProblem) -> SearchResult:
         return np.concatenate(parts + [_pack(vals0, nl_named)])
 
     n_nl = 2 * u_len + sum(2 * _field_size(n, g) for n in nl_named)
-    best_x = driver.run(initial_x, resvec_full, objective_nonlinear if n_nl else None,
-                        polish_start)
+    best_x = driver.run(initial_x, resvec_full, jac_full,
+                        objective_nonlinear if n_nl else None, polish_start)
 
     final = model.canonical(decode_full(best_x), problem.free_vars)
     hold_model = model_cls(rm, driver.z_hold)
@@ -653,21 +754,24 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         return [{"U": u, "V": v, "c": c} for u, v, c, _ in folds], [a for *_, a in folds]
 
     def sources_for(shifts):
-        """Derivative sources of one candidate: at z, and at z + a per grid shift a."""
+        """Derivative sources of one candidate: at z, and at z + a per grid shift a.
+
+        The grid is bound at orders 1-3, so one bind per germ serves the IRLS
+        solve, the residual vector and the Jacobian along the shifts.
+        """
         Dz = _Contractions(model.basis_z)
-        return [(Dz, _Contractions(basis_a)) for basis_a in model.basis_at(shifts)]
+        return [(Dz, _Contractions(basis_a)) for basis_a in model.basis_at(shifts, (1, 2, 3))]
 
     def solve_d(zetas):
         """The d-coefficients enter every row's constant linearly; IRLS solve."""
         fields, shifts = grid(zetas, ())
         sources = sources_for(shifts)
-        base = np.concatenate([model.base(src, p) for src, p in zip(sources, fields)], axis=1)
-
-        def linear(x):
-            return np.concatenate([model.linear(src, p)
-                                   for src, p in zip(sources, grid(zetas, x)[0])], axis=1)
-
-        return dict(zip(d_names, _solve_affine(base, linear, len(d_names),
+        dx = _tangents(d_names, g, (1.0,))
+        tangents = [{"c": _series([dx[n] for n in d_names], eps, 3)} for eps in eps_grid]
+        terms = np.concatenate([model.terms(src, q) for src, q in zip(sources, fields)], axis=1)
+        columns = np.concatenate([model.term_tangents(src, q, dq)
+                                  for src, q, dq in zip(sources, fields, tangents)], axis=1)
+        return dict(zip(d_names, _solve_affine(terms, columns,
                                                np.repeat(weights, model.basis_z.count))))
 
     def start(k, rng):
@@ -680,18 +784,33 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
                      for z in zetas]
         return _pack({**dict(zip(zeta_names, zetas)), **solve_d(zetas)}, names)
 
-    def resvec(x):
+    @_keep_last
+    def candidate(x):
+        """The grid's one-point fields at x and their sources, which serve the Jacobian at x."""
         p = _unpack(x, names, g)
         fields, shifts = grid([p[n] for n in zeta_names], [p[n] for n in d_names])
-        r = np.concatenate([model.ratios(src, q) * w for src, q, w in
-                            zip(sources_for(shifts), fields, weights)])
-        return np.concatenate([r.real, r.imag])
+        return fields, sources_for(shifts)
+
+    # per grid eps, the tangents of a = 2 zeta(eps) and c = d(eps): the fold is linear in x
+    dx = _tangents(names, g)
+    x_tangents = [{"a": 2.0 * _series([dx[n] for n in zeta_names], eps, 2),
+                   "c": _series([dx[n] for n in d_names], eps, 3)} for eps in eps_grid]
+
+    def resvec(x):
+        fields, sources = candidate(x)
+        return _real_stack(np.concatenate([model.ratios(src, q) * w for src, q, w in
+                                           zip(sources, fields, weights)]))
+
+    def jacobian(x):
+        fields, sources = candidate(x)
+        return _real_stack(np.concatenate([model.ratio_tangents(src, q, dq) * w for src, q, dq, w
+                                           in zip(sources, fields, x_tangents, weights)]))
 
     # Near the optimum the weighted residual is almost linear in every germ
     # coefficient (the shift enters analytically and the d-terms exactly
     # linearly), so the restarts polish with no simplex stage, which would
     # crawl on the strongly anisotropic epsilon weighting.
-    p = _unpack(driver.run(start, resvec), names, g) if names else {}
+    p = _unpack(driver.run(start, resvec, jacobian), names, g) if names else {}
     fitted = replace(jet, zeta_coeffs=[U] + [p[n] for n in zeta_names],
                      d_coeffs=[p[n] for n in d_names])
     scan, exponent = hierarchy_scan(rm, fitted, list(eps_grid), list(driver.z_hold))

@@ -583,6 +583,37 @@ class TestArgumentChecks:
         assert flag in message and "finite number" in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["kp-residual", "one-point-residual", "pab-residual",
+                                         "longeq", "hierarchy", "weil", "kp-search",
+                                         "one-point-search"])
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    def test_seed_that_is_not_a_non_negative_integer(self, germ_env, tmp_path, capsys,
+                                                     command, value):
+        # numpy's seeding would raise a ValueError traceback (exit 1) on -1
+        jet = json.loads(germ_env["germ"].read_text())
+        jet["a"] = [[0.1, 0.2]]
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(jet))
+        out = tmp_path / "r.json"
+        argv = [command, "--tau", germ_env["tau"], "--jet", path, f"--seed={value}",
+                "--out", out]
+        argv += ["--restarts", 1, "--iterations", 5] if command.endswith("search") \
+            else ["--samples", 2]
+        message = _input_error(capsys, argv)
+        assert "--seed" in message and "non-negative integer" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--epsilon", "0"], ["--epsilon", "-0.0"],
+                                       ["--scan", "0,0.01"], ["--scan", "0.01,0"]])
+    def test_hierarchy_at_epsilon_zero(self, germ_env, tmp_path, capsys, flags):
+        # every term of the hierarchy form is 0 at epsilon 0, so any jet would pass
+        out = tmp_path / "h.json"
+        message = _input_error(capsys, ["hierarchy", "--tau", germ_env["tau"],
+                                        "--jet", germ_env["germ"], "--samples", 4, *flags,
+                                        "--out", out])
+        assert "epsilon 0" in message and "vacuously" in message
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc, words", [
         ({"points": 5}, "list of points"),
         ({"derivatives": 7}, "list of derivative requests"),

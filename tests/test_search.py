@@ -5,6 +5,8 @@ import pytest
 
 from thetalab.bilinear import (
     DirectionJet,
+    _hirota_linear,
+    _one_point_linear,
     gauge_rescale,
     hierarchy_scan,
     hirota_residual,
@@ -203,8 +205,105 @@ class TestSharedSolve:
                    [("V",), ("c",), ("V", "c")])
 
 
+def polishes(problem, monkeypatch):
+    """Run the search; return the residual vector, its start and its Jacobian per polish."""
+    seen, solver = [], search.least_squares
+
+    def capture(fun, x0, *args, **kwargs):
+        seen.append((fun, np.array(x0), kwargs["jac"]))
+        return solver(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(search, "least_squares", capture)
+    fit(problem)
+    return seen
+
+
+def central_differences(fun, x, step=1e-6):
+    columns = []
+    for k in range(len(x)):
+        h = step * max(1.0, abs(x[k]))
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        columns.append((fun(up) - fun(down)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+class TestExactJacobian:
+    """The polish's Jacobian is the derivative of its residual vector, at every target."""
+
+    G2_U = np.array([1.0 + 0.0j, 0.3 - 0.2j])
+
+    @pytest.mark.parametrize("problem, n_real", [
+        # V, W and d free: the Jacobian goes through the Galilean representative
+        (dict(tau=GENERIC_G2_TAU, target="hirota", jet=DirectionJet(U=G2_U),
+              free_vars=("V", "W", "d"), sample_count=140, seed=11), 2 + 10),
+        # V held: W and d are read as given
+        (dict(tau=GENERIC_G2_TAU, target="hirota",
+              jet=DirectionJet(U=G2_U, V=np.array([0.4 - 0.6j, 0.1 + 0.2j])),
+              free_vars=("W", "d"), sample_count=80, seed=11), 2 + 6),
+        # a fixed shift, with c held at 0: its monomial is exactly 0, where |t| has a kink
+        (dict(tau=GENERIC_G2_TAU, target="one_point", jet=DirectionJet(U=G2_U),
+              a=np.array([0.21 - 0.34j, -0.17 + 0.25j]), free_vars=("V",),
+              sample_count=60, seed=5), 2 + 4),
+        # a free shift: the shifted side one order up
+        (dict(tau=GENERIC_G2_TAU, target="one_point", jet=DirectionJet(U=G2_U),
+              free_vars=("V", "a", "c"), sample_count=120, seed=5), 2 + 10),
+        # genus 1: U has no columns
+        (dict(tau=TAU1, target="hirota", jet=DirectionJet(U=np.array([0.5j])),
+              free_vars=("V", "W", "d"), sample_count=80, seed=42), 6),
+    ], ids=["kp-galilean", "kp-v-held", "one-point-fixed-shift", "one-point-free-shift",
+            "kp-genus-1"])
+    def test_matches_central_differences(self, monkeypatch, problem, n_real):
+        (fun, x0, jac), = polishes(SearchProblem(**problem, restarts=1, iterations=8),
+                                   monkeypatch)
+        rng = np.random.default_rng(4)
+        for x in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
+            want = central_differences(fun, x)
+            got = jac(x)
+            assert got.shape == want.shape == (2 * problem["sample_count"], n_real)
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_hierarchy_matches_central_differences(self, monkeypatch, g1_fit, order):
+        # the zeta columns move the grid's shifts, the d columns its constants;
+        # the rows weighted by up to 1e-3^-(order+1) want a wider difference step
+        (fun, x0, jac), = polishes(SearchProblem(
+            tau=TAU1, target="hierarchy", jet=g1_fit.best_jet, free_vars=(), sample_count=80,
+            seed=7, restarts=1, iterations=4, jet_order=order), monkeypatch)
+        rng = np.random.default_rng(5)
+        for x in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
+            want = central_differences(fun, x, step=1e-4)
+            assert jac(x).shape == (2 * 80 * len(EPSILON_GRID), 4 * (order - 1))
+            assert np.abs(jac(x) - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_irls_columns_are_the_affine_blocks_differences(self, rm_g2):
+        # the IRLS columns are read off the field derivatives; they are the
+        # differences linear(e_j) - linear(0) of the affine block, and 0 in the base rows
+        U, V = np.array([0.9 + 0.1j, -0.2 + 0.3j]), np.array([0.4 - 0.6j, 0.1 + 0.2j])
+        W, a = np.array([-0.7 + 0.2j, 0.5 - 0.1j]), np.array([0.21 - 0.34j, -0.17 + 0.25j])
+        pts = box_points(rm_g2, np.random.default_rng(13), 7)
+        cases = [
+            (_HirotaModel(rm_g2, pts), dict(U=U, V=V, W=W, d=0.3 - 0.8j), ("W", "d"),
+             lambda D, p: _hirota_linear(*D, p["U"], p["W"], p["d"])),
+            (_OnePointModel(rm_g2, pts), dict(U=U, V=V, c=0.4 + 0.2j, a=a), ("V", "c"),
+             lambda D, p: _one_point_linear(*D, p["V"], p["c"])),
+        ]
+        for model, p, free, linear in cases:
+            sources = model.sources(p)
+            zero = {**p, **{n: 0j if n in ("c", "d") else np.zeros(2, dtype=complex)
+                            for n in free}}
+            columns = model.term_tangents(sources, zero, search._tangents(free, 2, (1.0,)))
+            x = np.eye(3, dtype=complex)
+            want = np.stack([linear(sources, {**zero, **{free[0]: e[:2], free[1]: e[2]}})
+                             - linear(sources, zero) for e in x], axis=-1)
+            rows = len(want)
+            assert not columns[:-rows].any()
+            assert np.abs(columns[-rows:] - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestEvaluations:
-    """``evaluations`` counts every call of the objective and residual vector."""
+    """``evaluations`` counts every call of the objective, residual vector and Jacobian."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -215,11 +314,15 @@ class TestEvaluations:
                 k = len(counts)
                 counts.append(0)
 
-                def counted(x):
-                    counts[k] += 1
-                    return fun(x)
+                def counted(f):
+                    def call(x):
+                        counts[k] += 1
+                        return f(x)
+                    return call
 
-                return solver(counted, x0, *args, **kwargs)
+                if "jac" in kwargs:
+                    kwargs["jac"] = counted(kwargs["jac"])
+                return solver(counted(fun), x0, *args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(search, "minimize", counting(search.minimize))
@@ -232,7 +335,7 @@ class TestEvaluations:
         assert len(calls) == 4
         assert res.evaluations == [calls[0] + calls[1], calls[2] + calls[3]]
 
-    def test_fit_hierarchy_counts_difference_columns(self, calls, g1_fit):
+    def test_fit_hierarchy_counts_jacobian_calls(self, calls, g1_fit):
         res = fit_hierarchy(SearchProblem(
             tau=TAU1, target="hierarchy", jet=g1_fit.best_jet, free_vars=(),
             sample_count=60, seed=7, restarts=2, iterations=40, tolerance=1e-6,
@@ -427,6 +530,16 @@ class TestProblemValidation:
         # (V, W, d) at genus 1 is six real parameters -> at least 60 samples
         with pytest.raises(InvalidInputError):
             fit(g1_problem(sample_count=59))
+
+    @pytest.mark.parametrize("target", ["hirota", "hierarchy"])
+    def test_negative_seed(self, target):
+        # numpy's SeedSequence refuses it with a bare ValueError
+        problem = g1_problem(target=target, seed=-1, jet_order=2,
+                             jet=DirectionJet(U=U1, V=np.array([0.4 - 0.3j])))
+        if target == "hierarchy":
+            problem.free_vars = ()
+        with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            fit(problem)
 
     def test_empty_budget(self):
         with pytest.raises(InvalidInputError):
