@@ -672,8 +672,9 @@ class TestFitHierarchy:
                 iterations=100, tolerance=1e-6, jet_order=3))
 
     def test_germ_grid_is_bound_once_per_germ(self, g1_chain, monkeypatch):
-        # LM's difference columns along the d-coefficients and repeated
-        # evaluations at one germ reuse the last germ's grid of shifted bases
+        # the IRLS start, the Jacobian at the germ just evaluated and steps
+        # that move only the d-coefficients reuse the last germ's grid of
+        # shifted bases, bound once at orders 1-3
         stage1, _ = g1_chain
         bound = []
         init = BoundBatch.__init__
