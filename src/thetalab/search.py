@@ -1,40 +1,38 @@
 """Direction-vector searches: fitting bilinear-residual minimizers.
 
 ``fit`` and ``fit_hierarchy`` share one multi-start driver
-(``_Multistart``): seeded restarts in order, each an optional Nelder-Mead
-stage followed by one Levenberg-Marquardt polish of the full parameter
-vector with its exact Jacobian, and the best restart chosen with ties
-broken by restart index.  ``fit`` runs the simplex over the parameters
-that enter the residual nonlinearly; the hierarchy fit polishes only.  Two
-structural tricks keep the objective cheap and well-conditioned:
+(``_Multistart``): seeded restarts in order, each one Levenberg-Marquardt
+run (``_levenberg_marquardt``, numpy only) over the full parameter vector
+with its exact Jacobian, and the best restart chosen with ties broken by
+restart index.  Two structural tricks keep each restart cheap and
+well-conditioned:
 
 * all theta jets at the (fixed) training points are precomputed once, on an
   evaluator sized for the basis requests at the engine's default target
   error, as symmetric basis-derivative tensors flattened so that contracting
   one direction is one matrix product; changing direction vectors costs a
-  few such products, not a lattice sum.  Each candidate (one objective or
-  residual-vector evaluation) reads them through its own derivative source,
-  which keeps its prefix contractions, so the IRLS rounds and the final
-  ratios contract U and V once;
+  few such products, not a lattice sum.  Each candidate (one residual-vector
+  evaluation) reads them through its own derivative source, which keeps its
+  prefix contractions, so its ratios and its Jacobian contract U and V once;
 * fields that enter the residual linearly (W and d for the four-direction
   form, V and c for the one-point form, the d-coefficients for the
-  hierarchy germ) are solved inside the objective, shrinking the search
-  dimension seen by the simplex.  Each form's term stack in ``bilinear`` is
-  a base block joined to a block affine in those fields, and one
-  iteratively reweighted least-squares solve (``_solve_affine``) serves
-  all three: it reads the stack at zero and its columns, the stack's
+  hierarchy germ) are solved before each restart's Levenberg-Marquardt run,
+  which starts from the solved values.  Each form's term stack in
+  ``bilinear`` is a base block joined to a block affine in those fields,
+  and one iteratively reweighted least-squares solve (``_solve_affine``)
+  serves all three: it reads the stack at zero and its columns, the stack's
   derivatives along those fields, and weights each sample by the inverse
   of its term-sum normalizer.
 
-The Jacobian of the polish comes from the same place.  Each form's
-field-derivative routine in ``bilinear`` differentiates its monomials
-along every field (along the shift a, the shifted basis one order up), and
-the chain rule carries those derivatives through U's chart on its gauge
-slice, the Galilean representative of a KP candidate (not holomorphic in
-U) and the hierarchy's fold (linear in its coefficients) to the real
-parameters; the term-sum normalizer moves by d|t| = Re(conj(t) dt)/|t|.
-The Jacobian at a point reuses the derivative sources of the residual
-vector just evaluated there.
+The Jacobian comes from the same place.  Each form's field-derivative
+routine in ``bilinear`` differentiates its monomials along every field
+(along the shift a, the shifted basis one order up), and the chain rule
+carries those derivatives through U's chart on its gauge slice, the
+Galilean representative of a KP candidate (not holomorphic in U) and the
+hierarchy's fold (linear in its coefficients) to the real parameters; the
+term-sum normalizer moves by d|t| = Re(conj(t) dt)/|t|.  The Jacobian is
+asked for only at the point whose residual vector was just accepted, and
+reuses that evaluation's derivative sources.
 
 The four-direction form is invariant under the Galilean move (V, W) ->
 (V + nu U, W + 2 nu V + nu^2 U) and its term-sum normalizer is not, so a
@@ -52,13 +50,9 @@ genus 1 a point: U is kept as given), and U is never a free field.
 Objectives are means of squared term-normalized residuals over seeded
 training samples; reported residuals always come from a fresh holdout set
 whose seed stream is disjoint from training by construction.
-``SearchResult.evaluations`` counts, per restart, the driver's calls of the
-Nelder-Mead objective, of the residual vector and of its Jacobian; the
-polish's ``iterations`` budget counts residual vectors only.  scipy itself
-is imported by the first ``fit`` or ``fit_hierarchy`` of a process, through
-the module's ``minimize`` and ``least_squares`` forwarders; every other
-entry point of thetalab, and every CLI subcommand but ``kp-search`` and
-``one-point-search``, runs on numpy alone.
+``SearchResult.evaluations`` counts, per restart, the calls of the
+residual vector and of its Jacobian; the ``iterations`` budget counts
+residual vectors only.
 """
 
 from __future__ import annotations
@@ -75,8 +69,10 @@ from .bilinear import (
     _galilean_tangents,
     _hierarchy_fold,
     _hirota_derivatives,
+    _hirota_residuals,
     _hirota_terms,
     _one_point_derivatives,
+    _one_point_residuals,
     _one_point_terms,
     _series,
     _term_ratio_tangents,
@@ -89,26 +85,13 @@ from .engine import _check_vector, _evaluator_for, box_points, canonical_request
 from .errors import DegenerateJetError, InvalidInputError
 
 
-# imported on first use: scipy.optimize would be most of ``import thetalab``'s time
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``."""
-    import scipy.optimize
-
-    return scipy.optimize.minimize(*args, **kwargs)
-
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``."""
-    import scipy.optimize
-
-    return scipy.optimize.least_squares(*args, **kwargs)
-
-
 TARGETS = ("hirota", "one_point", "hierarchy")
 GAUGE_COLLAPSE_NORM = 1e-6
 SAMPLES_PER_PARAMETER = 10  # the training floor of a search, per real free parameter
 EPSILON_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 IRLS_ROUNDS = 3
+LM_DAMPING = 1e-3  # the first Levenberg-Marquardt damping, relative to the column scales D^2
+LM_REDUCTION = 1e-8  # stop once the relative actual and predicted reductions are both below it
 
 
 @dataclass
@@ -361,7 +344,7 @@ class _OnePointModel(_Model):
         """Basis jets at the points shifted by each of ``shifts``; the last stack's are kept.
 
         A fixed shift is bound once per model, a free one once per
-        objective evaluation (the IRLS solve and the ratios share it).  The
+        residual-vector evaluation (the Jacobian at that point shares it).  The
         hierarchy fit passes its grid of germ shifts, which a candidate that
         moves only the d-coefficients leaves as it is.  The kept stack
         serves any ``orders`` it holds: the Jacobian along a free shift needs
@@ -462,6 +445,46 @@ def _keep_last(make):
     return at
 
 
+def _levenberg_marquardt(resvec, jac, x, max_nfev):
+    """The point reached by minimizing |resvec(x)|^2 from x, and its residual vector.
+
+    Each step h solves [J; sqrt(mu) D] h = [-r; 0] in the least-squares
+    sense, D the running maximum of J's column norms (MINPACK's scaling,
+    Moré 1978).  The damping mu starts at ``LM_DAMPING`` and follows
+    Nielsen's gain-ratio update (Madsen, Nielsen & Tingleff 2004): a step
+    with gain ratio rho > 0 is accepted and scales mu by
+    max(1/3, 1 - (2 rho - 1)^3); a rejected one scales it by nu = 2, 4, ...
+    ``jac`` is asked for only at the point whose residual vector was just
+    accepted.  It stops after ``max_nfev`` residual vectors, once the
+    relative actual and predicted reductions are both at most
+    ``LM_REDUCTION``, or at a step below roundoff.
+    """
+    r, nfev, mu, nu, scale, accepted = resvec(x), 1, LM_DAMPING, 2.0, 0.0, True
+    while nfev < max_nfev and r @ r > 0.0:
+        if accepted:
+            J = jac(x)
+            scale = np.maximum(scale, np.linalg.norm(J, axis=0))
+            D = np.where(scale > 0.0, scale, 1.0)
+        h = np.linalg.lstsq(np.vstack([J, np.sqrt(mu) * np.diag(D)]),
+                            np.concatenate([-r, np.zeros(len(x))]), rcond=None)[0]
+        if np.linalg.norm(D * h) <= np.finfo(float).eps * np.linalg.norm(D * x):
+            break
+        trial, nfev = resvec(x + h), nfev + 1
+        cost, Jh, Dh = r @ r, J @ h, D * h
+        actual = 1.0 - (trial @ trial) / cost
+        predicted = (Jh @ Jh + 2.0 * mu * (Dh @ Dh)) / cost
+        rho = actual / predicted
+        accepted = rho > 0.0
+        if accepted:
+            x, r = x + h, trial
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+        if abs(actual) <= LM_REDUCTION and predicted <= LM_REDUCTION:
+            break
+    return x, r
+
+
 def _validate_problem(problem, rm):
     """The model class of the problem's target and its real parameter count."""
     if problem.target not in TARGETS:
@@ -511,21 +534,17 @@ class _Multistart:
         self.z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
         self.history, self.evaluations = [], []
 
-    def run(self, start, resvec, jac, objective=None, finish=lambda x: x):
-        """The polished x of the best restart, ties broken by restart index.
+    def run(self, start, resvec, jac):
+        """The x reached by the best restart, ties broken by restart index.
 
-        Restart k starts at ``start(k, rng)``, rng drawn from its own stream.
-        With an ``objective``, a Nelder-Mead stage minimizes it from there.
-        ``finish`` maps the point reached to the start of the polish, one
-        Levenberg-Marquardt call on ``resvec`` with its exact Jacobian
-        ``jac`` (MINPACK's lmder) and ``max_nfev`` = ``problem.iterations``,
-        which counts ``resvec`` calls only; "lm" scales the parameters by the
-        Jacobian's column norms (``x_scale="jac"``).  The restart scores
-        2 mean(polish.fun^2), the mean squared modulus of the complex
-        residuals, and ``evaluations`` counts its calls of the objective, of
-        ``resvec`` and of ``jac``.
+        Restart k starts at ``start(k, rng)``, rng drawn from its own stream,
+        and makes one ``_levenberg_marquardt`` run on ``resvec`` with its
+        exact Jacobian ``jac`` and ``max_nfev`` = ``problem.iterations``
+        residual vectors.  The restart scores 2 mean(r^2) at the point
+        reached, the mean squared modulus of the complex residuals, and
+        ``evaluations`` counts its calls of ``resvec`` and of ``jac``.
         """
-        problem, calls, xs = self.problem, 0, []
+        calls, xs = 0, []
 
         def counted(f):
             def call(x):
@@ -534,22 +553,13 @@ class _Multistart:
                 return f(x)
             return call
 
-        # scipy asks again for the Jacobian at the returned x, after later trial points
-        resvec, jac = counted(resvec), counted(_keep_last(jac))
-        objective = objective and counted(objective)
+        resvec, jac = counted(resvec), counted(jac)
         for k, stream in enumerate(self.streams):
             first = calls
-            x = start(k, np.random.default_rng(stream))
-            if objective:
-                x = minimize(objective, x, method="Nelder-Mead",
-                             options={"maxiter": problem.iterations,
-                                      "maxfev": 4 * problem.iterations,
-                                      "xatol": 1e-12, "fatol": 1e-16,
-                                      "adaptive": True}).x
-            polish = least_squares(resvec, finish(x), jac=jac, method="lm",
-                                   max_nfev=problem.iterations)
-            self.history.append(float(np.mean(polish.fun ** 2) * 2.0))
-            xs.append(polish.x)
+            x, r = _levenberg_marquardt(resvec, jac, start(k, np.random.default_rng(stream)),
+                                        self.problem.iterations)
+            self.history.append(float(np.mean(r ** 2) * 2.0))
+            xs.append(x)
             self.evaluations.append(calls - first)
         return xs[min(range(len(xs)), key=self.history.__getitem__)]
 
@@ -572,9 +582,9 @@ def fit(problem: SearchProblem) -> SearchResult:
     """Minimize the chosen residual over the freed jet parameters.
 
     Deterministic for a fixed problem (see ``_Multistart``).  Each restart
-    runs Nelder-Mead over U's chart and the nonlinear fields, if there are
-    any, with the linear fields solved by IRLS inside the objective, then
-    polishes every free field; the best restart is scored on the holdout
+    draws U's slice point and the nonlinear fields, solves the linear
+    fields there by IRLS, and makes one Levenberg-Marquardt run over every
+    free field from that start; the best restart is scored on the holdout
     cloud.
     """
     rm = as_riemann_matrix(problem.tau)
@@ -595,7 +605,7 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     fixed = {n: fixed_value(n) for n in model_cls.fields if n not in problem.free_vars}
     linear = tuple(n for n in problem.free_vars if n in model_cls.linear_fields)
-    nl_named = tuple(n for n in problem.free_vars if n not in linear)
+    nonlinear = tuple(n for n in problem.free_vars if n not in linear)
 
     jet.require("U")
     base_U = np.asarray(jet.U, dtype=complex)
@@ -605,10 +615,11 @@ def fit(problem: SearchProblem) -> SearchResult:
     pivot = int(np.argmax(np.abs(base_U)))
     w_base = np.delete(base_U / base_U[pivot], pivot)
 
-    def decode_u(x):
+    def decode_u(w):
+        """U at the slice coordinates w: w with 1 inserted at the pivot, normalized."""
         if not u_len:
             return base_U
-        raw = np.insert(x[:u_len] + 1j * x[u_len:2 * u_len], pivot, 1.0)
+        raw = np.insert(w, pivot, 1.0)
         return raw / np.linalg.norm(raw)
 
     # d(field)/dx: the free fields' unit columns, and U's chart before normalizing
@@ -625,81 +636,57 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     model = model_cls(rm, driver.z_train)
 
-    def with_linear_solved(vals):
-        """The candidate's field values, its linear fields solved by IRLS.
-
-        Returns the values and the candidate's derivative sources, which
-        its ratios reuse.
-        """
-        p = model.canonical({**fixed, **vals}, problem.free_vars)
-        sources = model.sources(p)
-        if linear:
-            p = model.solve_linear(sources, p, linear)
-        return p, sources
-
-    def decode_nonlinear(x):
-        return {"U": decode_u(x), **_unpack(x[2 * u_len:], nl_named, g)}
-
-    def decode_full(x):
-        return {**fixed, "U": decode_u(x), **_unpack(x[2 * u_len:], problem.free_vars, g)}
-
-    def objective_nonlinear(x):
-        p, sources = with_linear_solved(decode_nonlinear(x))
-        return float(np.mean(np.abs(model.ratios(sources, p)) ** 2))
+    def decode(x):
+        u = decode_u(x[:u_len] + 1j * x[u_len:2 * u_len])
+        return {**fixed, "U": u, **_unpack(x[2 * u_len:], problem.free_vars, g)}
 
     @_keep_last
-    def polish_candidate(x):
-        """The polish's fields at x and their sources, which serve its Jacobian at x too."""
-        p = model.canonical(decode_full(x), problem.free_vars)
+    def candidate(x):
+        """The fields at x and their sources, which serve the Jacobian at x too."""
+        p = model.canonical(decode(x), problem.free_vars)
         return p, model.sources(p, along=problem.free_vars)
 
-    def resvec_full(x):
-        p, sources = polish_candidate(x)
+    def resvec(x):
+        p, sources = candidate(x)
         return _real_stack(model.ratios(sources, p))
 
-    def jac_full(x):
-        p, sources = polish_candidate(x)
-        raw = decode_full(x)
+    def jacobian(x):
+        p, sources = candidate(x)
+        raw = decode(x)
         dp = model.canonical_tangents(raw, problem.free_vars, tangents(raw["U"]))
         return _real_stack(model.ratio_tangents(sources, p, dp))
 
-    def polish_start(x):
-        p, _ = with_linear_solved(decode_nonlinear(x))
-        w = np.delete(p["U"] / p["U"][pivot], pivot)  # U's slice coordinates
+    def start(k, rng):
+        """Restart k's x: U's slice point and the nonlinear fields drawn, the linear ones solved."""
+        w = w_base
+        if u_len and k % 2:
+            w = w_base + 1.2 * (rng.standard_normal(u_len) + 1j * rng.standard_normal(u_len))
+        elif u_len and k:  # an even restart draws U afresh
+            raw = rng.standard_normal(g) + 1j * rng.standard_normal(g)
+            piv = raw[pivot]
+            if abs(piv) < 0.2:  # keep the chart coordinate bounded
+                piv = 0.2 * np.exp(2j * np.pi * rng.uniform())
+            w = np.delete(raw / piv, pivot)
+        drawn = {**fixed, "U": decode_u(w), **_initial_values(problem, rm, rng, k, nonlinear)}
+        p = model.canonical(drawn, problem.free_vars)
+        if linear:
+            p = model.solve_linear(model.sources(p), p, linear)
+        w = np.delete(p["U"] / p["U"][pivot], pivot)
         return np.concatenate([w.real, w.imag, _pack(p, problem.free_vars)])
 
-    def initial_x(k, rng):
-        parts = []
-        if u_len:
-            if k == 0:
-                w = w_base
-            elif k % 2:
-                w = w_base + 1.2 * (rng.standard_normal(u_len)
-                                    + 1j * rng.standard_normal(u_len))
-            else:
-                raw = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-                piv = raw[pivot]
-                if abs(piv) < 0.2:  # keep the chart coordinate bounded
-                    piv = 0.2 * np.exp(2j * np.pi * rng.uniform())
-                w = np.delete(raw / piv, pivot)
-            parts.extend([np.real(w), np.imag(w)])
-        vals0 = _initial_values(problem, rm, rng, k, nl_named)
-        return np.concatenate(parts + [_pack(vals0, nl_named)])
-
-    n_nl = 2 * u_len + sum(2 * _field_size(n, g) for n in nl_named)
-    best_x = driver.run(initial_x, resvec_full, jac_full,
-                        objective_nonlinear if n_nl else None, polish_start)
-
-    final = model.canonical(decode_full(best_x), problem.free_vars)
-    hold_model = model_cls(rm, driver.z_hold)
-    hold = hold_model.ratios(hold_model.sources(final), final)
+    final = model.canonical(decode(driver.run(start, resvec, jacobian)), problem.free_vars)
     best_jet = replace(jet, **{n: v for n, v in final.items() if n != "a"})
+    if problem.target == "hirota":
+        hold = _hirota_residuals(rm, best_jet, driver.z_hold)
+    else:
+        hold = _one_point_residuals(rm, driver.z_hold, final["U"], final["V"], final["c"],
+                                    final["a"])
     note = model_cls.note
     if u_len:
         # report the canonical gauge representative; residuals are invariant
         best_jet = gauge_normalize(best_jet)
 
-    best_residual = float(np.minimum(np.abs(hold), 1.0).max())
+    best_residual = float(hold.max())
     converged = best_residual <= problem.tolerance
     if not converged:
         extra = "no solution found within budget (not a proof of non-existence)"
@@ -806,10 +793,6 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         return _real_stack(np.concatenate([model.ratio_tangents(src, q, dq) * w for src, q, dq, w
                                            in zip(sources, fields, x_tangents, weights)]))
 
-    # Near the optimum the weighted residual is almost linear in every germ
-    # coefficient (the shift enters analytically and the d-terms exactly
-    # linearly), so the restarts polish with no simplex stage, which would
-    # crawl on the strongly anisotropic epsilon weighting.
     p = _unpack(driver.run(start, resvec, jacobian), names, g) if names else {}
     fitted = replace(jet, zeta_coeffs=[U] + [p[n] for n in zeta_names],
                      d_coeffs=[p[n] for n in d_names])

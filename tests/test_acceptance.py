@@ -334,6 +334,20 @@ def test_criterion_09_negative_control_g4():
     )
 
 
+def test_criterion_09_positive_twin_g3():
+    # criterion 9's fit on a genus-3 tau, which is a Jacobian: the same search
+    # must close the KP identity there, so a weaker minimizer cannot pass the
+    # negative control merely by stopping early
+    problem = SearchProblem(
+        tau=random_tau(3, seed=900), target="hirota", jet=DirectionJet(U=np.eye(3)[0]),
+        free_vars=("V", "W", "d"), sample_count=180, seed=0,
+        restarts=8, iterations=500, tolerance=1e-9,
+    )
+    result = fit(problem)
+    assert result.converged, result.best_residual
+    assert max(result.history) < 1e-20, result.history
+
+
 def test_criterion_10_equivalence_suite(rm_g1, rm_g2, g1_kp, g2_one_point):
     # (i) the dressed form equals the plain form after folding A, B
     fold_worst = 0.0

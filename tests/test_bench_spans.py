@@ -1,9 +1,10 @@
 """The benchmark's tracer (``bench/spans.py``) still finds what it wraps.
 
-``spans`` wraps ``BoundBatch.__init__``, ``BoundBatch.jets`` and the
-``minimize`` and ``least_squares`` that ``thetalab.search`` calls by name, so
-a rename, or a search that called scipy directly, would quietly turn the
-per-layer table's engine or search rows to zeros.
+``spans`` wraps ``BoundBatch.__init__`` and ``BoundBatch.jets``, so a rename
+would quietly turn the per-layer table's engine rows to zeros.  It also looks
+for the ``minimize`` and ``least_squares`` that ``thetalab.search`` once
+called; the search is one Levenberg-Marquardt loop of its own now, so those
+two targets are listed as absent and their rows read 0.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def test_tracer_finds_every_target_and_uninstalls_cleanly(monkeypatch):
     init, jets = BoundBatch.__init__, BoundBatch.jets
     tracer.install()
     try:
-        assert tracer.absent == []
+        assert tracer.absent == ["search.nm", "search.lm"]
         engine.theta_eval([0.1], RiemannMatrix([[1j]]), [(np.array([1.0]),)])
     finally:
         tracer.uninstall()
@@ -41,21 +42,20 @@ def test_tracer_finds_every_target_and_uninstalls_cleanly(monkeypatch):
     assert metrics["engine.jets_terms"] == 2 * metrics["engine.bind_terms"] > 0
 
 
-def test_tracer_records_both_search_stages(monkeypatch):
+def test_search_stage_rows_read_zero(monkeypatch):
     spans, tracer = _tracer(monkeypatch)
-    nm, lm = search.minimize, search.least_squares
     tracer.install()
     try:
-        assert tracer.absent == []
-        search.fit(search.SearchProblem(
+        assert tracer.absent == ["search.nm", "search.lm"]
+        result = search.fit(search.SearchProblem(
             tau=[[1j]], target="hirota", jet=DirectionJet(U=[1.0]),
             free_vars=("V", "W", "d"), sample_count=60, seed=42, restarts=1,
             iterations=300, tolerance=1e-9))
     finally:
         tracer.uninstall()
-    assert search.minimize is nm and search.least_squares is lm
-    for name in ("search.nm", "search.lm"):
-        stage = [s for s in tracer.spans if s.name == name]
-        assert stage and all(s.counts["nfev"] > 0 for s in stage), name
+    assert result.converged
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["search.nm_nfev"] > 0 and metrics["search.lm_nfev"] > 0
+    assert [s.name for s in tracer.spans if s.layer == "search"] == ["search.fit"]
+    assert metrics["search.self_s"] > 0 and metrics["engine.jets_calls"] > 0
+    for name in ("search.nm_s", "search.nm_nfev", "search.lm_s", "search.lm_nfev"):
+        assert metrics[name] == 0, name

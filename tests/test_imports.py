@@ -1,7 +1,7 @@
-"""scipy is imported by the first search, not by ``import thetalab``.
+"""thetalab runs on numpy alone: no import, subcommand or search loads scipy.
 
-Each check runs in a fresh interpreter: this test process already holds
-scipy through other test modules.
+Each check runs in a fresh interpreter, so a module that another test (or
+a test dependency) imported cannot hide one that thetalab imports.
 """
 
 from __future__ import annotations
@@ -63,15 +63,27 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
     assert reports[2]["count"] == 8 and reports[2]["pass"] is False
 
 
-def test_first_fit_loads_scipy_optimize(tmp_path):
-    code = """
+def test_searches_run_without_scipy(tmp_path):
+    (tmp_path / "tau1.json").write_text(json.dumps({"tau": [[[0.0, 1.0]]]}))
+    (tmp_path / "tau2.json").write_text(json.dumps(
+        {"tau": [[[z.real, z.imag] for z in row] for row in GENERIC_G2_TAU]}))
+    code = f"""
 import json, sys
-from thetalab import DirectionJet, SearchProblem, fit
-before = "scipy.optimize" in sys.modules
-result = fit(SearchProblem(tau=[[1j]], target="hirota", jet=DirectionJet(U=[1.0]),
-                           free_vars=("V", "W", "d"), sample_count=60, seed=42,
-                           restarts=2, iterations=300, tolerance=1e-9))
-print(json.dumps({"before": before, "after": "scipy.optimize" in sys.modules,
-                  "converged": result.converged}))
+from thetalab import DirectionJet, SearchProblem, cli, fit, fit_hierarchy
+kp = fit(SearchProblem(tau=[[1j]], target="hirota", jet=DirectionJet(U=[1.0]),
+                       free_vars=("V", "W", "d"), sample_count=60, seed=42,
+                       restarts=2, iterations=300, tolerance=1e-9))
+germ = fit_hierarchy(SearchProblem(tau=[[1j]], target="hierarchy", jet=kp.best_jet,
+                                   free_vars=(), sample_count=60, seed=7, restarts=1,
+                                   iterations=40, tolerance=1e-6, jet_order=2))
+codes = [
+    cli.main(["kp-search", "--tau", "tau1.json", "--seed", "42", "--restarts", "2",
+              "--iterations", "300", "--tol", "1e-9", "--out", "kp.json"]),
+    cli.main(["one-point-search", "--tau", "tau2.json", "--seed", "5", "--restarts", "1",
+              "--iterations", "50", "--tol", "1e-7", "--out", "op.json"]),
+]
+print(json.dumps({{"converged": kp.converged, "exponent": germ.scaling_exponent > 1.5,
+                  "codes": codes, "loaded": {LOADED}}}))
 """
-    assert fresh(code, tmp_path) == {"before": False, "after": True, "converged": True}
+    result = fresh(code, tmp_path)
+    assert result == {"converged": True, "exponent": True, "codes": [0, 0], "loaded": []}

@@ -22,7 +22,7 @@ from thetalab.engine import (
     theta_eval,
 )
 from thetalab.errors import DegenerateJetError, InvalidInputError
-from thetalab import search
+from thetalab import search, serialize
 from thetalab.search import (
     EPSILON_GRID,
     SearchProblem,
@@ -205,15 +205,15 @@ class TestSharedSolve:
                    [("V",), ("c",), ("V", "c")])
 
 
-def polishes(problem, monkeypatch):
-    """Run the search; return the residual vector, its start and its Jacobian per polish."""
-    seen, solver = [], search.least_squares
+def lm_runs(problem, monkeypatch):
+    """Run the search; return the residual vector, its start and its Jacobian per LM run."""
+    seen, solver = [], search._levenberg_marquardt
 
-    def capture(fun, x0, *args, **kwargs):
-        seen.append((fun, np.array(x0), kwargs["jac"]))
-        return solver(fun, x0, *args, **kwargs)
+    def capture(resvec, jac, x, max_nfev):
+        seen.append((resvec, np.array(x), jac))
+        return solver(resvec, jac, x, max_nfev)
 
-    monkeypatch.setattr(search, "least_squares", capture)
+    monkeypatch.setattr(search, "_levenberg_marquardt", capture)
     fit(problem)
     return seen
 
@@ -230,7 +230,7 @@ def central_differences(fun, x, step=1e-6):
 
 
 class TestExactJacobian:
-    """The polish's Jacobian is the derivative of its residual vector, at every target."""
+    """The search's Jacobian is the derivative of its residual vector, at every target."""
 
     G2_U = np.array([1.0 + 0.0j, 0.3 - 0.2j])
 
@@ -255,7 +255,7 @@ class TestExactJacobian:
     ], ids=["kp-galilean", "kp-v-held", "one-point-fixed-shift", "one-point-free-shift",
             "kp-genus-1"])
     def test_matches_central_differences(self, monkeypatch, problem, n_real):
-        (fun, x0, jac), = polishes(SearchProblem(**problem, restarts=1, iterations=8),
+        (fun, x0, jac), = lm_runs(SearchProblem(**problem, restarts=1, iterations=8),
                                    monkeypatch)
         rng = np.random.default_rng(4)
         for x in (x0, x0 + 0.05 * rng.standard_normal(len(x0))):
@@ -268,7 +268,7 @@ class TestExactJacobian:
     def test_hierarchy_matches_central_differences(self, monkeypatch, g1_fit, order):
         # the zeta columns move the grid's shifts, the d columns its constants;
         # the rows weighted by up to 1e-3^-(order+1) want a wider difference step
-        (fun, x0, jac), = polishes(SearchProblem(
+        (fun, x0, jac), = lm_runs(SearchProblem(
             tau=TAU1, target="hierarchy", jet=g1_fit.best_jet, free_vars=(), sample_count=80,
             seed=7, restarts=1, iterations=4, jet_order=order), monkeypatch)
         rng = np.random.default_rng(5)
@@ -303,37 +303,32 @@ class TestExactJacobian:
 
 
 class TestEvaluations:
-    """``evaluations`` counts every call of the objective, residual vector and Jacobian."""
+    """``evaluations`` counts every call of the residual vector and of its Jacobian."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = []
+        counts, solver = [], search._levenberg_marquardt
 
-        def counting(solver):
-            def wrapped(fun, x0, *args, **kwargs):
-                k = len(counts)
-                counts.append(0)
+        def counting(resvec, jac, x, max_nfev):
+            k = len(counts)
+            counts.append(0)
 
-                def counted(f):
-                    def call(x):
-                        counts[k] += 1
-                        return f(x)
-                    return call
+            def counted(f):
+                def call(x):
+                    counts[k] += 1
+                    return f(x)
+                return call
 
-                if "jac" in kwargs:
-                    kwargs["jac"] = counted(kwargs["jac"])
-                return solver(counted(fun), x0, *args, **kwargs)
-            return wrapped
+            return solver(counted(resvec), counted(jac), x, max_nfev)
 
-        monkeypatch.setattr(search, "minimize", counting(search.minimize))
-        monkeypatch.setattr(search, "least_squares", counting(search.least_squares))
+        monkeypatch.setattr(search, "_levenberg_marquardt", counting)
         return counts
 
-    def test_fit_counts_both_stages(self, calls):
+    def test_fit_counts_residual_and_jacobian_calls(self, calls):
         res = fit(g1_problem(restarts=2, iterations=60))
-        # each restart runs one Nelder-Mead stage, then one LM stage
-        assert len(calls) == 4
-        assert res.evaluations == [calls[0] + calls[1], calls[2] + calls[3]]
+        # each restart makes one Levenberg-Marquardt run
+        assert len(calls) == 2
+        assert res.evaluations == calls
 
     def test_fit_hierarchy_counts_jacobian_calls(self, calls, g1_fit):
         res = fit_hierarchy(SearchProblem(
@@ -342,6 +337,65 @@ class TestEvaluations:
             jet_order=2))
         assert len(calls) == 2
         assert res.evaluations == calls
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestLevenbergMarquardt:
+    """The one minimizer of both searches, on problems with known answers."""
+
+    def run(self, resvec, jac, x0, max_nfev):
+        """The LM result, with every residual-vector and Jacobian call recorded."""
+        log = []
+
+        def logged(kind, f):
+            def call(x):
+                log.append((kind, np.array(x)))
+                return f(x)
+            return call
+
+        x, r = search._levenberg_marquardt(logged("r", resvec), logged("J", jac),
+                                           np.asarray(x0, dtype=float), max_nfev)
+        return x, r, log
+
+    def test_rosenbrock(self):
+        x, r, log = self.run(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], 200)
+        assert np.abs(x - 1.0).max() <= 1e-12
+        assert np.array_equal(r, rosenbrock(x))
+        assert sum(kind == "r" for kind, _ in log) < 200
+
+    def test_budget_counts_residual_vectors(self):
+        for budget in (1, 2, 5):
+            _, _, log = self.run(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], budget)
+            assert sum(kind == "r" for kind, _ in log) == budget
+
+    def test_jacobian_only_where_the_last_residual_vector_was_read(self):
+        # the searches' candidate caches rely on it
+        _, _, log = self.run(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], 200)
+        for (kind, x), (before, at) in zip(log[1:], log):
+            if kind == "J":
+                assert before == "r" and np.array_equal(x, at)
+
+    def test_stops_at_a_zero_residual(self):
+        x, r, log = self.run(rosenbrock, rosenbrock_jacobian, [1.0, 1.0], 200)
+        assert np.array_equal(x, [1.0, 1.0]) and not r.any() and len(log) == 1
+
+    def test_nonzero_minimum_stops_on_its_reductions(self):
+        # a line fit with a residual left over: the relative reductions
+        # vanish at the least-squares solution, long before the budget
+        t = np.linspace(0.0, 1.0, 7)
+        y = 2.0 * t + 1.0 + 0.1 * np.cos(9.0 * t)
+        design = np.column_stack([t, np.ones_like(t)])
+        x, r, log = self.run(lambda x: design @ x - y, lambda x: design, [0.0, 0.0], 400)
+        least = design @ np.linalg.lstsq(design, y, rcond=None)[0] - y
+        assert r @ r <= (1.0 + search.LM_REDUCTION) * (least @ least)
+        assert sum(kind == "r" for kind, _ in log) < 40
 
 
 class TestFitHirota:
@@ -437,6 +491,23 @@ class TestGalileanOrbit:
         assert np.array_equal(res.best_jet.V, [0.0])
 
 
+class TestDeterminism:
+    def test_repeat_runs_in_one_process_agree(self):
+        # criterion 9's problem cut to 2 restarts: the result must not depend
+        # on what the heap held before, so unrelated arrays are kept alive
+        # between the runs
+        problem = SearchProblem(
+            tau=random_tau(4, seed=900), target="hirota", jet=DirectionJet(U=np.eye(4)[0]),
+            free_vars=("V", "W", "d"), sample_count=240, seed=0, restarts=2, iterations=500,
+            tolerance=1e-9)
+        rng, clutter, runs = np.random.default_rng(1), [], []
+        for size in (0, 1001, 77777):
+            clutter.extend([rng.standard_normal(size), np.full(size // 3 + 5, np.nan)])
+            res = fit(problem)
+            runs.append((res.history, res.evaluations, serialize.jet_to_dict(res.best_jet)))
+        assert runs[0] == runs[1] == runs[2]
+
+
 class TestFitOnePoint:
     def test_g2_converges(self, g2_one_point_fit, rm_g2):
         res = g2_one_point_fit
@@ -478,20 +549,16 @@ class TestFitOnePoint:
 
 class TestStarts:
     def test_restart_zero_starts_from_the_given_value(self, monkeypatch):
-        # a KP fit that frees V starts restart 0 at the jet's V (U is fixed
-        # at genus 1, so the simplex start is V's real and imaginary part)
-        starts, minimize = [], search.minimize
-
-        def recording(fun, x0, *args, **kwargs):
-            starts.append(np.array(x0))
-            return minimize(fun, x0, *args, **kwargs)
-
-        monkeypatch.setattr(search, "minimize", recording)
-        V0 = np.array([0.4 - 0.3j])
-        fit(g1_problem(jet=DirectionJet(U=U1, V=V0), restarts=2, iterations=20))
+        # a KP fit that frees V starts restart 0 at the jet's V; W is held,
+        # so V is not moved to its Galilean representative, and U is fixed
+        # at genus 1, so the LM start is V's then d's real and imaginary part
+        V0, W0 = np.array([0.4 - 0.3j]), np.array([0.2 + 0.1j])
+        runs = lm_runs(g1_problem(jet=DirectionJet(U=U1, V=V0, W=W0), free_vars=("V", "d"),
+                                  restarts=2, iterations=20), monkeypatch)
+        starts = [x0 for _, x0, _ in runs]
         assert len(starts) == 2
-        assert np.array_equal(starts[0], [V0.real[0], V0.imag[0]])
-        assert not np.array_equal(starts[1], starts[0])
+        assert np.array_equal(starts[0][:2], [V0.real[0], V0.imag[0]])
+        assert not np.array_equal(starts[1][:2], starts[0][:2])
 
     def test_one_point_fit_runs_at_c_zero_when_c_is_neither_set_nor_freed(self):
         res = fit(SearchProblem(
