@@ -32,8 +32,8 @@ Each form has one vectorized term stack over a derivative source
 (``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
 residual at one point (a batch of one), the sweeps and the search models.
 A sweep binds all of its points at once; the shifted forms bind z and z + a
-together.  The two stacks the searches fit have one field-derivative
-routine each (``_hirota_derivatives``, ``_one_point_derivatives``).
+together.  Each stack is written once; the searches differentiate the two
+they fit, the KP and one-point stacks, in forward mode (``_Dual``).
 """
 
 from __future__ import annotations
@@ -258,95 +258,62 @@ def _residuals(terms):
 # Term stacks.  Each form's monomials are stacked (terms, P) from a
 # derivative source D: D(h_1, .., h_k) is the (P,) array of D_{h_1..h_k}
 # theta on the stored scale and D() the values.  The sweeps read D from
-# evaluator jets, the search models from basis tensors.  The KP and
-# one-point stacks are a base block joined to a block affine in the fields
-# the searches solve for linearly.
-#
-# Each stack has one field-derivative routine: per field named in
-# ``fields``, the (terms, size, P) derivatives of its monomials along the
-# field's components (size 1 for a scalar).  It reads the source's gradients
-# too: D.grad(h_1, .., h_m) is the (g, P) array whose row j is
-# D(h_1, .., h_m, e_j), so a monomial's derivative along a direction is the
-# same product with one more direction contracted.  Along the shift a of the
-# one-point form the shifted factors move one order up, d/da_j Da(h..) =
-# Da(h.., e_j).  The searches read their Levenberg-Marquardt Jacobians and
-# their IRLS columns from these routines.
+# evaluator jets, the search models from basis tensors.  Each stack is
+# written once and differentiated in forward mode, exactly, as it is a
+# polynomial in the fields and in source values multilinear in their
+# directions: on ``_Dual`` fields it returns its tangents beside values bit
+# for bit the plain stack's.  The searches' Jacobians and IRLS columns read it.
 
-def _derivative_rows(count, rows):
-    """A (count, size, P) stack holding ``rows`` {index: (size, P) or (P,)}, zero elsewhere."""
-    first = np.atleast_2d(next(iter(rows.values())))
-    out = np.zeros((count, *first.shape), dtype=complex)
-    for index, row in rows.items():
-        out[index] = row
-    return out
+class _Dual:
+    """A value and its tangents along n real parameters, (n, *value.shape) or (n, 1) for
+    a scalar value.  Only products and negation are defined, all a term stack uses."""
+
+    __array_ufunc__ = None  # numpy defers every operator to the class
+
+    def __init__(self, value, tangent):
+        self.value, self.tangent = value, tangent
+
+    def __mul__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.value * other.value,
+                         self.tangent * other.value + self.value * other.tangent)
+        return _Dual(self.value * other, self.tangent * other)
+
+    def __rmul__(self, other):
+        return _Dual(other * self.value, other * self.tangent)
+
+    def __neg__(self):
+        return _Dual(-self.value, -self.tangent)
+
+
+def _stack(rows):
+    """np.stack of the rows; with ``_Dual`` rows, a ``_Dual`` of tangents (n, rows, P)."""
+    tangents = [row.tangent for row in rows if isinstance(row, _Dual)]
+    if not tangents:
+        return np.stack(rows)
+    zero = np.zeros_like(tangents[0])
+    return _Dual(np.stack([getattr(row, "value", row) for row in rows]),
+                 np.stack([getattr(row, "tangent", zero) for row in rows], axis=1))
 
 
 def _hirota_terms(D, U, V, W, d):
     """The eight monomials of the four-term bilinear KP form."""
-    return np.concatenate([_hirota_base(D, U, V), _hirota_linear(D, U, W, d)])
-
-
-def _hirota_derivatives(D, U, V, W, d, fields):
-    """The derivatives of ``_hirota_terms`` along the fields named (of U, V, W, d)."""
-    t, G, d1 = D(), D.grad, D(U)
-    rows = {
-        "U": lambda: {0: 4.0 * G(U, U, U) * t, 1: -4.0 * (3.0 * G(U, U) * d1 + D(U, U, U) * G()),
-                      2: 12.0 * D(U, U) * G(U), 5: -3.0 * G(W) * t, 6: 3.0 * D(W) * G()},
-        "V": lambda: {3: 6.0 * G(V) * t, 4: -6.0 * D(V) * G()},
-        "W": lambda: {5: -3.0 * G(U) * t, 6: 3.0 * d1 * G()},
-        "d": lambda: {7: -t * t},
-    }
-    return {name: _derivative_rows(8, rows[name]()) for name in fields}
-
-
-def _hirota_base(D, U, V):
-    """The five KP monomials free of W and d."""
     t = D()
     d1, d2, dV = D(U), D(U, U), D(V)
-    return np.stack([
+    return _stack([
         D(U, U, U, U) * t, -4.0 * D(U, U, U) * d1, 3.0 * d2 * d2,
         3.0 * D(V, V) * t, -3.0 * dV * dV,
+        -3.0 * D(U, W) * t, 3.0 * D(W) * d1, -d * t * t,
     ])
-
-
-def _hirota_linear(D, U, W, d):
-    """The three KP monomials affine in (W, d), exactly 0 at W = 0, d = 0."""
-    t = D()
-    return np.stack([-3.0 * D(U, W) * t, 3.0 * D(W) * D(U), -d * t * t])
 
 
 def _one_point_terms(Dz, Da, U, V, c):
     """The six monomials of the one-point form, Dz at z and Da at z + a."""
-    return np.concatenate([_one_point_base(Dz, Da, U), _one_point_linear(Dz, Da, V, c)])
-
-
-def _one_point_base(Dz, Da, U):
-    """The three one-point monomials free of V and c."""
     tz, ta = Dz(), Da()
-    return np.stack([Dz(U, U) * ta, tz * Da(U, U), -2.0 * Dz(U) * Da(U)])
-
-
-def _one_point_linear(Dz, Da, V, c):
-    """The three one-point monomials affine in (V, c), exactly 0 at V = 0, c = 0."""
-    tz, ta = Dz(), Da()
-    return np.stack([Dz(V) * ta, -tz * Da(V), c * tz * ta])
-
-
-def _one_point_derivatives(Dz, Da, U, V, c, fields):
-    """The derivatives of ``_one_point_terms`` along the fields named (of U, V, c, a).
-
-    Along a, Da needs one order more than the terms do: order 3.
-    """
-    tz, ta, Gz, Ga = Dz(), Da(), Dz.grad, Da.grad
-    rows = {
-        "U": lambda: {0: 2.0 * Gz(U) * ta, 1: 2.0 * tz * Ga(U),
-                      2: -2.0 * (Gz() * Da(U) + Dz(U) * Ga())},
-        "V": lambda: {3: Gz() * ta, 4: -tz * Ga()},
-        "c": lambda: {5: tz * ta},
-        "a": lambda: {0: Dz(U, U) * Ga(), 1: tz * Ga(U, U), 2: -2.0 * Dz(U) * Ga(U),
-                      3: Dz(V) * Ga(), 4: -tz * Ga(V), 5: c * tz * Ga()},
-    }
-    return {name: _derivative_rows(6, rows[name]()) for name in fields}
+    return _stack([
+        Dz(U, U) * ta, tz * Da(U, U), -2.0 * Dz(U) * Da(U),
+        Dz(V) * ta, -tz * Da(V), c * tz * ta,
+    ])
 
 
 def _longeq_terms(D, U, V):
@@ -532,6 +499,7 @@ def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> co
     rm = as_riemann_matrix(tau)
     jet.require("U", "V")
     av = _check_vector(a, rm.g, "a")
+    A, B = _check_scalar(A, "A"), _check_scalar(B, "B")
     base = x * jet.U + y * jet.V + _check_vector(z, rm.g)
     res = _evaluator_for(rm, []).jets([base, base + av], [])  # one bind for both rows
     den, num = res[()].tolist()
@@ -539,7 +507,7 @@ def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> co
     if abs(den) <= POLE_REL_TOL * res[("abs", ())][0]:
         raise PoleError(f"theta vanishes at the denominator argument (|T| = {abs(den):.3e})")
     ratio = math.exp(num_scale - den_scale) * (num / den)
-    return cmath.exp(complex(A) * x + complex(B) * y) * ratio
+    return cmath.exp(A * x + B * y) * ratio
 
 
 def kp_standard_time_direction(jet: DirectionJet) -> DirectionJet:
@@ -577,6 +545,7 @@ class ResidualReport:
 
 def build_report(points, residuals, tolerance: float) -> ResidualReport:
     """The term-sum normalized sweep of these residuals, noted as vacuous when empty."""
+    _check_scalar(tolerance, "tolerance")
     residuals = [float(r) for r in residuals]
     note = None
     if residuals:

@@ -18,21 +18,19 @@ well-conditioned:
   form, V and c for the one-point form, the d-coefficients for the
   hierarchy germ) are solved before each restart's Levenberg-Marquardt run,
   which starts from the solved values.  Each form's term stack in
-  ``bilinear`` is a base block joined to a block affine in those fields,
-  and one iteratively reweighted least-squares solve (``_solve_affine``)
-  serves all three: it reads the stack at zero and its columns, the stack's
-  derivatives along those fields, and weights each sample by the inverse
-  of its term-sum normalizer.
+  ``bilinear`` is affine in those fields, and one iteratively reweighted
+  least-squares solve (``_solve_affine``) serves all three: it reads the
+  stack at zero and its tangents along those fields, and weights each
+  sample by the inverse of its term-sum normalizer.
 
-The Jacobian comes from the same place.  Each form's field-derivative
-routine in ``bilinear`` differentiates its monomials along every field
-(along the shift a, the shifted basis one order up), and the chain rule
-carries those derivatives through U's chart on its gauge slice, the
-Galilean representative of a KP candidate (not holomorphic in U) and the
-hierarchy's fold (linear in its coefficients) to the real parameters; the
-term-sum normalizer moves by d|t| = Re(conj(t) dt)/|t|.  The Jacobian is
-asked for only at the point whose residual vector was just accepted, and
-reuses that evaluation's derivative sources.
+The Jacobian comes from the same place: each form's one term stack in
+forward mode (``bilinear._Dual``; along the shift a, a source bound one
+order up).  The chain rule carries its tangents through U's chart on its
+gauge slice, the Galilean representative of a KP candidate (not
+holomorphic in U) and the hierarchy's fold (linear in its coefficients)
+to the real parameters; the term-sum normalizer moves by d|t| =
+Re(conj(t) dt)/|t|.  The Jacobian is asked for only where the residual
+vector was just accepted, and reuses that evaluation's derivative sources.
 
 The four-direction form is invariant under the Galilean move (V, W) ->
 (V + nu U, W + 2 nu V + nu^2 U) and its term-sum normalizer is not, so a
@@ -57,21 +55,21 @@ residual vectors only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from .bilinear import (
     DirectionJet,
+    GAUGE_DEGENERATE_TOL,
     NORMALIZER_FLOOR,
+    _Dual,
     _galilean,
     _galilean_tangents,
     _hierarchy_fold,
-    _hirota_derivatives,
     _hirota_residuals,
     _hirota_terms,
-    _one_point_derivatives,
     _one_point_residuals,
     _one_point_terms,
     _series,
@@ -81,12 +79,11 @@ from .bilinear import (
     gauge_normalize,
     hierarchy_scan,
 )
-from .engine import _check_vector, _evaluator_for, box_points, canonical_request
+from .engine import _check_scalar, _check_vector, _evaluator_for, box_points, canonical_request
 from .errors import DegenerateJetError, InvalidInputError
 
 
 TARGETS = ("hirota", "one_point", "hierarchy")
-GAUGE_COLLAPSE_NORM = 1e-6
 SAMPLES_PER_PARAMETER = 10  # the training floor of a search, per real free parameter
 EPSILON_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 IRLS_ROUNDS = 3
@@ -181,16 +178,29 @@ class _Contractions:
     array identity, because a caller may change an array in place.  A source
     is made per candidate and dropped with it, which bounds its memory by
     one candidate.
+
+    Directions may be ``_Dual``: D(h_1..h_k) moves by sum_i dh_i @ grad(h without h_i),
+    one term per distinct direction times its count, the tensors being symmetric.  A
+    source whose points move by tangents ``shift`` (n, g) adds shift @ grad(h_1..h_k).
     """
 
-    def __init__(self, basis):
-        self.basis = basis
-        self._memo = {}
+    def __init__(self, basis, shift=None, memo=None):
+        self.basis, self.shift = basis, shift
+        self._memo = {} if memo is None else memo
 
     def __call__(self, *directions):
-        if not directions:
-            return self.basis.value
-        return self.contract(len(directions), *directions)
+        hs = [h.value if isinstance(h, _Dual) else h for h in directions]
+        value = self.contract(len(hs), *hs) if hs else self.basis.value
+        tangents = [directions.count(h) * (h.tangent @ self.grad(*hs[:i], *hs[i + 1:]))
+                    for i, h in enumerate(directions)
+                    if isinstance(h, _Dual) and directions.index(h) == i]
+        if self.shift is not None:
+            tangents.append(self.shift @ self.grad(*hs))
+        return _Dual(value, sum(tangents)) if tangents else value
+
+    def moving(self, shift):
+        """This source with its points moving by tangents ``shift``; it shares the memo."""
+        return _Contractions(self.basis, shift, self._memo)
 
     def contract(self, k, *directions):
         """h_1..h_j . T_k: shape (g, g^(k-j-1)*P) for j < k, (P,) for j = k."""
@@ -236,11 +246,9 @@ class _Model:
     """A form's term stack at fixed sample points, read by field name.
 
     A subclass names the form's ``fields`` (a search may free any of them)
-    and the ``linear_fields`` its stack is affine in.  Its ``terms`` and
-    ``derivatives`` (the form's field-derivative routine in ``bilinear``)
-    read one candidate's derivative sources and a dict p of field values.
-    The IRLS columns and the Levenberg-Marquardt Jacobians both come from
-    ``term_tangents``.
+    and the ``linear_fields`` its stack is affine in.  Its ``terms`` read
+    one candidate's derivative sources and a dict p of field values; the
+    IRLS columns and the Jacobians read them in forward mode (``term_tangents``).
     """
 
     def canonical(self, p, free):
@@ -255,20 +263,20 @@ class _Model:
         return _term_ratios(self.terms(sources, p))
 
     def term_tangents(self, sources, p, dp):
-        """The terms' derivatives (T, P, n) along field tangents dp {name: (n, size)}."""
-        derivatives = self.derivatives(sources, p, tuple(dp))
-        return sum(np.matmul(derivatives[name].transpose(0, 2, 1), dp[name].T) for name in dp)
+        """The terms and their derivatives (T, P, n) along field tangents dp {name: (n, size)}."""
+        duals = {name: _Dual(p[name], t) for name, t in dp.items()}
+        stack = self.terms(sources, {**p, **duals})
+        return stack.value, np.moveaxis(stack.tangent, 0, -1)
 
     def ratio_tangents(self, sources, p, dp):
         """The ratios' derivatives (P, n) along field tangents dp {name: (n, size)}."""
-        return _term_ratio_tangents(self.terms(sources, p), self.term_tangents(sources, p, dp))
+        return _term_ratio_tangents(*self.term_tangents(sources, p, dp))
 
     def solve_linear(self, sources, p, free):
         """p with the linear fields ``free`` solved by IRLS, the rest as in p."""
         zero = {**p, **{name: 0j if _scalar(name) else np.zeros(self.g, dtype=complex)
                         for name in free}}
-        x = _solve_affine(self.terms(sources, zero),
-                          self.term_tangents(sources, zero, _tangents(free, self.g, (1.0,))), 1.0)
+        x = _solve_affine(*self.term_tangents(sources, zero, _tangents(free, self.g, (1.0,))), 1.0)
         out, pos = dict(p), 0
         for name in free:
             size = _field_size(name, self.g)
@@ -313,9 +321,6 @@ class _HirotaModel(_Model):
 
     def terms(self, sources, p):
         return _hirota_terms(*sources, p["U"], p["V"], p["W"], p["d"])
-
-    def derivatives(self, sources, p, fields):
-        return _hirota_derivatives(*sources, p["U"], p["V"], p["W"], p["d"], fields)
 
 
 class _OnePointModel(_Model):
@@ -369,8 +374,11 @@ class _OnePointModel(_Model):
     def terms(self, sources, p):
         return _one_point_terms(*sources, p["U"], p["V"], p["c"])
 
-    def derivatives(self, sources, p, fields):
-        return _one_point_derivatives(*sources, p["U"], p["V"], p["c"], fields)
+    def term_tangents(self, sources, p, dp):
+        """As ``_Model.term_tangents``; a shift tangent dp["a"] moves the source at z + a."""
+        if "a" in dp:
+            sources = sources[0], sources[1].moving(dp["a"])
+        return super().term_tangents(sources, p, {n: t for n, t in dp.items() if n != "a"})
 
 
 _MODELS = {"hirota": _HirotaModel, "one_point": _OnePointModel}
@@ -511,14 +519,15 @@ class _Multistart:
     """The restart loop of both searches.
 
     It checks the sample floor (``SAMPLES_PER_PARAMETER`` per real
-    parameter) and the budget, and spawns the problem's seed into the
-    training cloud ``z_train``, the holdout cloud ``z_hold`` and one stream
-    per restart, so the holdout is disjoint from training by construction.
+    parameter), the budget and the tolerance, and spawns the problem's seed
+    into the training cloud ``z_train``, the holdout cloud ``z_hold`` and one
+    stream per restart, so the holdout is disjoint from training by construction.
     ``run`` then runs the restarts in order; ``history`` and ``evaluations``
     record them.
     """
 
     def __init__(self, problem, rm, n_real):
+        _check_scalar(problem.tolerance, "tolerance")
         if problem.sample_count < SAMPLES_PER_PARAMETER * n_real:
             raise InvalidInputError(
                 f"sample_count {problem.sample_count} is below {SAMPLES_PER_PARAMETER}x "
@@ -609,7 +618,7 @@ def fit(problem: SearchProblem) -> SearchResult:
 
     jet.require("U")
     base_U = np.asarray(jet.U, dtype=complex)
-    if float(np.linalg.norm(base_U)) < GAUGE_COLLAPSE_NORM:
+    if float(np.linalg.norm(base_U)) < GAUGE_DEGENERATE_TOL:
         raise DegenerateJetError("starting direction U has near-zero norm")
     u_len = g - 1  # U's slice: w -> (w with 1 inserted at the pivot), normalized
     pivot = int(np.argmax(np.abs(base_U)))
@@ -718,7 +727,7 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         raise InvalidInputError("hierarchy jet_order must lie in 1..4")
     jet = problem.jet
     jet.require("U", "V")
-    if float(np.linalg.norm(jet.U)) < GAUGE_COLLAPSE_NORM:
+    if float(np.linalg.norm(jet.U)) < GAUGE_DEGENERATE_TOL:
         raise DegenerateJetError(
             "zero leading germ coefficient: the shift collapses to a = 0")
     U, V = jet.U, jet.V
@@ -755,9 +764,8 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         sources = sources_for(shifts)
         dx = _tangents(d_names, g, (1.0,))
         tangents = [{"c": _series([dx[n] for n in d_names], eps, 3)} for eps in eps_grid]
-        terms = np.concatenate([model.terms(src, q) for src, q in zip(sources, fields)], axis=1)
-        columns = np.concatenate([model.term_tangents(src, q, dq)
-                                  for src, q, dq in zip(sources, fields, tangents)], axis=1)
+        stacks = [model.term_tangents(src, q, dq) for src, q, dq in zip(sources, fields, tangents)]
+        terms, columns = (np.concatenate(part, axis=1) for part in zip(*stacks))
         return dict(zip(d_names, _solve_affine(terms, columns,
                                                np.repeat(weights, model.basis_z.count))))
 

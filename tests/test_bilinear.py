@@ -11,11 +11,9 @@ from thetalab import RiemannMatrix, bilinear, theta_eval
 from thetalab.bilinear import (
     DirectionJet,
     _galilean,
-    _hirota_base,
-    _hirota_linear,
+    _hirota_terms,
     _jets,
-    _one_point_base,
-    _one_point_linear,
+    _one_point_terms,
     _source,
     ResidualReport,
     baker_akhiezer,
@@ -611,14 +609,13 @@ def _assert_affine(block, fields, alpha):
 def test_kp_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, W, d, alpha):
     jet = DirectionJet(U=U, V=V, W=W[0], d=d[0])
     res, terms = _swept_stack(lambda: sweep_residual("kp", rm_g2, jet, _PTS_G2, 1.0))
-    D = _source(res)
     V0, W0 = _galilean(U, V, W[0])  # the sweep reads the Galilean representative
-    assert np.array_equal(terms, np.concatenate([_hirota_base(D, U, V0),
-                                                 _hirota_linear(D, U, W0, d[0])]))
+    assert np.array_equal(terms, _hirota_terms(_source(res), U, V0, W0, d[0]))
     # every W on one evaluator, so the jets are linear in W up to roundoff
     mixed = alpha * W[0] + (1.0 - alpha) * W[1]
-    D = _source(_jets(rm_g2, _PTS_G2, [(U,)] + [r for w in (*W, mixed) for r in ((w,), (U, w))]))
-    _assert_affine(lambda w, c: _hirota_linear(D, U, w, c), zip(W, d), alpha)
+    fixed = [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,)]
+    D = _source(_jets(rm_g2, _PTS_G2, fixed + [r for w in (*W, mixed) for r in ((w,), (U, w))]))
+    _assert_affine(lambda w, c: _hirota_terms(D, U, V, w, c), zip(W, d), alpha)
 
 
 @settings(max_examples=20)
@@ -629,12 +626,12 @@ def test_one_point_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, 
     count = len(_PTS_G2)
     res, terms = _swept_stack(lambda: sweep_residual("one-point", rm_g2, jet, _PTS_G2, 1.0, a=a))
     Dz, Da = _source(res, slice(None, count)), _source(res, slice(count, None))
-    assert np.array_equal(terms, np.concatenate([_one_point_base(Dz, Da, U),
-                                                 _one_point_linear(Dz, Da, V[0], c[0])]))
+    assert np.array_equal(terms, _one_point_terms(Dz, Da, U, V[0], c[0]))
     mixed = alpha * V[0] + (1.0 - alpha) * V[1]
-    res = _jets(rm_g2, np.concatenate([_PTS_G2, _PTS_G2 + a]), [(v,) for v in (*V, mixed)])
+    res = _jets(rm_g2, np.concatenate([_PTS_G2, _PTS_G2 + a]),
+                [(U, U), (U,)] + [(v,) for v in (*V, mixed)])
     Dz, Da = _source(res, slice(None, count)), _source(res, slice(count, None))
-    _assert_affine(lambda v, k: _one_point_linear(Dz, Da, v, k), zip(V, c), alpha)
+    _assert_affine(lambda v, k: _one_point_terms(Dz, Da, U, v, k), zip(V, c), alpha)
 
 
 def _mp_hirota_terms(z, tau, jet):

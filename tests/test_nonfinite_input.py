@@ -2,7 +2,8 @@
 
 A NaN shift or a NaN field of a direction jet must be refused where it
 enters the library, before any lattice sum, and the CLI must report it on
-the error channel as INVALID_INPUT.
+the error channel as INVALID_INPUT.  So must a non-finite exponent
+coefficient of the Baker-Akhiezer function and a non-finite tolerance.
 """
 
 import json
@@ -11,8 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import GENERIC_G2_TAU
-from thetalab import DirectionJet, InvalidInputError, SearchProblem, fit, flex_scan, half_points
-from thetalab.bilinear import p_residual, sweep_residual
+from thetalab import (
+    DirectionJet,
+    InvalidInputError,
+    SearchProblem,
+    fit,
+    flex_scan,
+    flex_test,
+    half_points,
+)
+from thetalab.bilinear import baker_akhiezer, p_residual, sweep_residual
 from thetalab.cli import main
 from thetalab.divisor import (
     DivisorKind,
@@ -21,7 +30,7 @@ from thetalab.divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from thetalab.engine import AbelianPoint
+from thetalab.engine import AbelianPoint, RiemannMatrix
 
 NAN_A = np.array([np.nan, 0.0])
 JET = DirectionJet(U=[1.0, 0.0], V=[0.2 - 0.1j, 0.3j], c=0.4, A=0.1, B=0.2)
@@ -79,3 +88,30 @@ def test_cli_nan_shift_exits_with_invalid_input(tmp_path, capsys, command):
     err = json.loads(capsys.readouterr().err)
     assert code == 2
     assert err["error"] == "INVALID_INPUT"
+
+
+@pytest.mark.parametrize("A, B, name", [(np.nan, 0.0, "A"), (0.1, complex(np.inf, 0.0), "B")])
+def test_nonfinite_baker_akhiezer_coefficient_is_invalid_input(A, B, name):
+    jet = DirectionJet(U=[1.0], V=[0.2])
+    with pytest.raises(InvalidInputError, match=f"{name} has non-finite"):
+        baker_akhiezer(0.1, 0.2, [0.1], RiemannMatrix([[0.3 + 1.1j]]), jet, [0.3], A, B)
+
+
+NAN_TOLERANCE_CALLS = {
+    "sweep": lambda rm: sweep_residual("one-point", rm, JET, [Z], np.nan, a=[0.1, 0.2]),
+    "weil": lambda rm: weil_check([], rm, JET, tolerance=np.nan),
+    "fit": lambda rm: fit(SearchProblem(
+        tau=rm, target="one_point", jet=JET, free_vars=("V", "c"), sample_count=80,
+        restarts=1, iterations=1, a=[0.1, 0.2], tolerance=np.nan)),
+    "fit-hierarchy": lambda rm: fit(SearchProblem(
+        tau=rm, target="hierarchy", jet=JET, free_vars=(), sample_count=80,
+        restarts=1, iterations=1, jet_order=2, tolerance=np.inf)),
+    "flex_test": lambda rm: flex_test(Z, JET.U, JET.V, rm, tolerance=np.nan),
+    "flex_scan": lambda rm: flex_scan([0.1, 0.2], JET.U, JET.V, rm, tolerance=np.nan),
+}
+
+
+@pytest.mark.parametrize("call", NAN_TOLERANCE_CALLS.values(), ids=NAN_TOLERANCE_CALLS.keys())
+def test_nonfinite_tolerance_is_invalid_input(rm_g2, call):
+    with pytest.raises(InvalidInputError, match="tolerance has non-finite"):
+        call(rm_g2)

@@ -5,8 +5,9 @@ import pytest
 
 from thetalab.bilinear import (
     DirectionJet,
-    _hirota_linear,
-    _one_point_linear,
+    _Dual,
+    _hirota_terms,
+    _one_point_terms,
     gauge_rescale,
     hierarchy_scan,
     hirota_residual,
@@ -278,28 +279,81 @@ class TestExactJacobian:
             assert np.abs(jac(x) - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_irls_columns_are_the_affine_blocks_differences(self, rm_g2):
-        # the IRLS columns are read off the field derivatives; they are the
-        # differences linear(e_j) - linear(0) of the affine block, and 0 in the base rows
+        # the IRLS columns are read off the stack's tangents; they are the
+        # differences terms(e_j) - terms(0) of the stack, which is affine in the
+        # linear fields, and 0 in the rows free of them (all but the last three)
         U, V = np.array([0.9 + 0.1j, -0.2 + 0.3j]), np.array([0.4 - 0.6j, 0.1 + 0.2j])
         W, a = np.array([-0.7 + 0.2j, 0.5 - 0.1j]), np.array([0.21 - 0.34j, -0.17 + 0.25j])
         pts = box_points(rm_g2, np.random.default_rng(13), 7)
         cases = [
-            (_HirotaModel(rm_g2, pts), dict(U=U, V=V, W=W, d=0.3 - 0.8j), ("W", "d"),
-             lambda D, p: _hirota_linear(*D, p["U"], p["W"], p["d"])),
-            (_OnePointModel(rm_g2, pts), dict(U=U, V=V, c=0.4 + 0.2j, a=a), ("V", "c"),
-             lambda D, p: _one_point_linear(*D, p["V"], p["c"])),
+            (_HirotaModel(rm_g2, pts), dict(U=U, V=V, W=W, d=0.3 - 0.8j), ("W", "d")),
+            (_OnePointModel(rm_g2, pts), dict(U=U, V=V, c=0.4 + 0.2j, a=a), ("V", "c")),
         ]
-        for model, p, free, linear in cases:
+        for model, p, free in cases:
             sources = model.sources(p)
             zero = {**p, **{n: 0j if n in ("c", "d") else np.zeros(2, dtype=complex)
                             for n in free}}
-            columns = model.term_tangents(sources, zero, search._tangents(free, 2, (1.0,)))
+            _, columns = model.term_tangents(sources, zero, search._tangents(free, 2, (1.0,)))
             x = np.eye(3, dtype=complex)
-            want = np.stack([linear(sources, {**zero, **{free[0]: e[:2], free[1]: e[2]}})
-                             - linear(sources, zero) for e in x], axis=-1)
-            rows = len(want)
-            assert not columns[:-rows].any()
-            assert np.abs(columns[-rows:] - want).max() <= 1e-13 * np.abs(want).max()
+            want = np.stack([model.terms(sources, {**zero, free[0]: e[:2], free[1]: e[2]})
+                             - model.terms(sources, zero) for e in x], axis=-1)
+            rows = 3
+            assert not columns[:-rows].any() and not want[:-rows].any()
+            assert np.abs(columns - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestForwardMode:
+    """A term stack on ``_Dual`` fields, with a moving shifted source, is the
+    plain stack with its derivatives beside it."""
+
+    @staticmethod
+    def stack(rm, pts, p, dx=None):
+        """The KP stack (no ``a`` in p) or the one-point stack at p on basis sources;
+        with tangents dx {name: (n, size)}, on ``_Dual`` fields and a moving shift."""
+        q = dict(p)
+        for name, t in (dx or {}).items():
+            if name != "a":
+                q[name] = _Dual(p[name], t)
+        if "a" not in p:
+            D = _BasisJets(search._basis_evaluator(rm, (1, 2, 3, 4)), pts, (1, 2, 3, 4)).deriv
+            return _hirota_terms(D, q["U"], q["V"], q["W"], q["d"])
+        Dz = _Contractions(_BasisJets(search._basis_evaluator(rm, (1, 2)), pts, (1, 2)))
+        Da = _Contractions(_BasisJets(search._basis_evaluator(rm, (1, 2, 3)), pts + p["a"],
+                                      (1, 2, 3)))
+        return _one_point_terms(Dz, Da if dx is None else Da.moving(dx["a"]),
+                                q["U"], q["V"], q["c"])
+
+    @pytest.mark.parametrize("names", [("U", "V", "W", "d"), ("U", "V", "c", "a")],
+                             ids=["kp", "one-point"])
+    def test_values_are_the_plain_stack_and_tangents_its_central_differences(self, rm_g2,
+                                                                           names):
+        rng = np.random.default_rng(23)
+        pts = box_points(rm_g2, rng, 6)
+        p = {name: complex(*rng.standard_normal(2)) if name in ("c", "d")
+             else 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) for name in names}
+        dx = search._tangents(names, 2)
+        dual = self.stack(rm_g2, pts, p, dx)
+        assert np.array_equal(dual.value, self.stack(rm_g2, pts, p))
+        step = 1e-5
+
+        def moved(k, sign):
+            return {name: p[name] + sign * step * (dx[name][k, 0] if name in ("c", "d")
+                                                   else dx[name][k]) for name in names}
+
+        def at_fixed_scale(q):
+            """The stack at q; a moved shift's on the stored scale of z + a at p (a real
+            factor per point), which the tangent along a holds fixed."""
+            terms = self.stack(rm_g2, pts, q)
+            if "a" not in q:
+                return terms
+            ev = search._basis_evaluator(rm_g2, (1, 2, 3))
+            moved_scale, scale = (ev.jets(pts + b, [])["scales"] for b in (q["a"], p["a"]))
+            return terms * np.exp(moved_scale - scale)
+
+        want = np.stack([(at_fixed_scale(moved(k, 1.0)) - at_fixed_scale(moved(k, -1.0)))
+                         / (2.0 * step) for k in range(len(dx[names[0]]))])
+        assert dual.tangent.shape == want.shape == (14, len(dual.value), 6)
+        assert np.abs(dual.tangent - want).max() <= 1e-7 * np.abs(want).max()
 
 
 class TestEvaluations:
