@@ -32,8 +32,9 @@ Each form has one vectorized term stack over a derivative source
 (``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
 residual at one point (a batch of one), the sweeps and the search models.
 A sweep binds all of its points at once; the shifted forms bind z and z + a
-together.  Each stack is written once; the searches differentiate the two
-they fit, the KP and one-point stacks, in forward mode (``_Dual``).
+together.  Each stack is written once.  The searches differentiate their
+whole residual map, the Galilean representative and the term-sum ratios
+included, by running it on forward-mode values (``_Dual``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .engine import (
     AbelianPoint,
     RiemannMatrix,
     _check_points,
+    _check_real,
     _check_scalar,
     _check_vector,
     _evaluator_for,
@@ -159,21 +161,6 @@ def _galilean(U, V, W=None):
     return V - mu * U, None if W is None else W - 2.0 * mu * V + mu * mu * U
 
 
-def _galilean_tangents(U, V, W, dU, dV, dW):
-    """The tangents of ``_galilean``'s (V, W) along rows (n, g) of tangents of U, V and W.
-
-    mu = <U, V>/<U, U> is not holomorphic in U: dU enters through U and its
-    conjugate.
-    """
-    norm = np.vdot(U, U).real
-    if not norm:
-        return dV, dW
-    mu = np.vdot(U, V) / norm
-    dmu = ((np.conj(dU) @ V + dV @ np.conj(U) - 2.0 * mu * (dU @ np.conj(U)).real) / norm)[:, None]
-    return (dV - dmu * U - mu * dU,
-            dW - 2.0 * (dmu * V + mu * dV) + mu * (2.0 * dmu * U + mu * dU))
-
-
 def gauge_rescale(jet: DirectionJet, lam: complex) -> DirectionJet:
     """The scaling (U, V, W, c, d) -> (lam U, lam^2 V, lam^3 W, lam^2 c, lam^4 d).
 
@@ -223,31 +210,13 @@ def gauge_normalize(jet: DirectionJet) -> DirectionJet:
 
 
 def _term_ratios(terms):
-    """Complex term-sum ratios sum(terms) / sum(|terms|) per point (column), 0/0 -> 0."""
-    total = np.sum(terms, axis=0)
-    normalizer = np.sum(np.abs(terms), axis=0)
-    out = np.zeros_like(total)
-    live = normalizer != 0.0
-    if np.any(live & (normalizer < NORMALIZER_FLOOR)):
+    """Complex term-sum ratios sum(terms) / sum(|terms|) per point (column), plain or
+    ``_Dual``; where every term is 0 the sum is divided by 1, not 0."""
+    total, normalizer = terms.sum(axis=0), abs(terms).sum(axis=0)
+    scale = getattr(normalizer, "value", normalizer)
+    if np.any((scale != 0.0) & (scale < NORMALIZER_FLOOR)):
         raise DegenerateSampleError("residual normalizer underflowed; resample")
-    out[live] = total[live] / normalizer[live]
-    return out
-
-
-def _term_ratio_tangents(terms, tangents):
-    """The derivatives (P, n) of ``_term_ratios`` along tangents (terms, P, n) of the terms.
-
-    With S = sum(t) and N = sum(|t|), d(S/N) = (dS - (S/N) dN) / N and
-    d|t| = Re(conj(t) dt) / |t|, taken as 0 where t = 0; the derivative is 0
-    where N = 0, as the ratio is.
-    """
-    ratios = _term_ratios(terms)
-    moduli = np.abs(terms)
-    unit = np.divide(np.conj(terms), moduli, out=np.zeros_like(terms), where=moduli > 0.0)
-    normalizer = moduli.sum(axis=0)
-    inverse = np.divide(1.0, normalizer, out=np.zeros_like(normalizer), where=normalizer > 0.0)
-    d_norm = np.einsum("tp,tpn->pn", unit, tangents).real
-    return (tangents.sum(axis=0) - ratios[:, None] * d_norm) * inverse[:, None]
+    return total / (normalizer + (scale == 0.0))
 
 
 def _residuals(terms):
@@ -259,19 +228,34 @@ def _residuals(terms):
 # derivative source D: D(h_1, .., h_k) is the (P,) array of D_{h_1..h_k}
 # theta on the stored scale and D() the values.  The sweeps read D from
 # evaluator jets, the search models from basis tensors.  Each stack is
-# written once and differentiated in forward mode, exactly, as it is a
-# polynomial in the fields and in source values multilinear in their
-# directions: on ``_Dual`` fields it returns its tangents beside values bit
-# for bit the plain stack's.  The searches' Jacobians and IRLS columns read it.
+# written once.  A search's Jacobian is its residual map run on ``_Dual``
+# values: U's chart, the Galilean representative, the hierarchy fold, the
+# stack and the term-sum ratios take dual inputs, and forward mode
+# differentiates their composition exactly (Griewank & Walther, 2008).
 
 class _Dual:
-    """A value and its tangents along n real parameters, (n, *value.shape) or (n, 1) for
-    a scalar value.  Only products and negation are defined, all a term stack uses."""
+    """A value and its tangents along n real parameters, (n, *value.shape), or (n, 1) for
+    a scalar value, which meets only scalars and 1-d values.  Each operation computes
+    its value as the plain operation does, so a dual's value is the plain value bit for
+    bit; np.vdot and np.linalg.norm take dual vectors through ``__array_function__``."""
 
     __array_ufunc__ = None  # numpy defers every operator to the class
 
     def __init__(self, value, tangent):
         self.value, self.tangent = value, tangent
+
+    def __add__(self, other):
+        if isinstance(other, _Dual):
+            return _Dual(self.value + other.value, self.tangent + other.tangent)
+        return _Dual(self.value + other, self.tangent + np.zeros(np.shape(other)))
+
+    __radd__ = __add__  # a + b and b + a, a - b and a + (-b) are equal bit for bit
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, _Dual):
@@ -282,8 +266,42 @@ class _Dual:
     def __rmul__(self, other):
         return _Dual(other * self.value, other * self.tangent)
 
+    def __truediv__(self, other):
+        if isinstance(other, _Dual):
+            ratio = self.value / other.value
+            return _Dual(ratio, (self.tangent - ratio * other.tangent) / other.value)
+        return _Dual(self.value / other, self.tangent / other)
+
     def __neg__(self):
         return _Dual(-self.value, -self.tangent)
+
+    def __abs__(self):
+        """|t| moves by Re(conj(t) dt)/|t|, taken as 0 where t = 0."""
+        modulus = abs(self.value)
+        unit = np.divide(np.conj(self.value), modulus, out=np.zeros_like(self.value),
+                         where=modulus > 0.0)
+        return _Dual(modulus, (unit * self.tangent).real)
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def sum(self, axis):
+        value = self.value.sum(axis=axis)
+        return _Dual(value, self.tangent.sum(axis=axis + 1).reshape(-1, *np.shape(value) or (1,)))
+
+    def __array_function__(self, func, types, args, kwargs):
+        """<a, b> = np.vdot(a, b) and |x| = np.linalg.norm(x) of vectors, plain or dual."""
+        values = [getattr(x, "value", x) for x in args]
+        tangents = [getattr(x, "tangent", np.zeros((len(self.tangent), np.size(v))))
+                    for x, v in zip(args, values)]
+        if func is np.vdot and not kwargs:
+            (a, b), (da, db) = values, tangents
+            return _Dual(np.vdot(a, b), (np.conj(da) @ b + db @ np.conj(a))[:, None])
+        if func is np.linalg.norm and not kwargs:
+            (x,), (dx,) = values, tangents
+            norm = np.linalg.norm(x)
+            return _Dual(norm, (dx @ np.conj(x)).real[:, None] / (norm or 1.0))
+        return NotImplemented
 
 
 def _stack(rows):
@@ -545,7 +563,7 @@ class ResidualReport:
 
 def build_report(points, residuals, tolerance: float) -> ResidualReport:
     """The term-sum normalized sweep of these residuals, noted as vacuous when empty."""
-    _check_scalar(tolerance, "tolerance")
+    tolerance = _check_real(tolerance, "tolerance")
     residuals = [float(r) for r in residuals]
     note = None
     if residuals:
@@ -561,7 +579,7 @@ def build_report(points, residuals, tolerance: float) -> ResidualReport:
         normalization="term-sum",
         max_residual=max_r,
         mean_residual=mean_r,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=max_r <= tolerance,
         note=note,
     )
@@ -575,8 +593,9 @@ def sweep_residual(kind: str, tau, jet: DirectionJet, points, tolerance: float,
     (exponential-dressed one-point form), "longeq", "hierarchy".  Every
     point is bound at once (z and z + a together for the shifted forms).
     The "kp" and "longeq" sweeps read the jet's Galilean representative
-    (see the module docstring).
+    (see the module docstring).  The tolerance is checked before any lattice sum.
     """
+    _check_real(tolerance, "tolerance")
     rm = as_riemann_matrix(tau)
     if kind in ("kp", "longeq") and jet.V is not None:
         V, W = _galilean(jet.U, jet.V, jet.W)

@@ -36,6 +36,7 @@ import numpy as np
 from .bilinear import NORMALIZER_FLOOR, ResidualReport, _galilean, as_riemann_matrix, build_report
 from .engine import (
     AbelianPoint,
+    _check_real,
     _check_vector,
     _evaluator_for,
     _reduce_coords,
@@ -324,6 +325,7 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
     and weil2 uses |(D1^2 + D2) theta| vs |theta(z + a)| on the D1 locus.
     An empty point list passes vacuously, flagged in the report note.
     """
+    _check_real(tolerance, "tolerance")
     if which not in _WEIL_KIND:
         raise InvalidInputError(f"unknown Weil relation {which!r}")
     rm = as_riemann_matrix(tau)

@@ -213,6 +213,14 @@ def _check_scalar(x, what):
     return complex(_check_vector(x, 1, what)[0])
 
 
+def _check_real(x, what):
+    """x as a finite real number, else InvalidInputError."""
+    value = _check_scalar(x, what)
+    if value.imag:
+        raise InvalidInputError(f"{what} must be a real number, got {value}")
+    return value.real
+
+
 def _check_points(points, g):
     """Points (AbelianPoints or vectors) as validated rows of a (P, g) array."""
     rows = [_check_vector(p, g) for p in points]

@@ -35,7 +35,7 @@ from .engine import (
     DEFAULT_TARGET_ABS_ERR,
     RiemannMatrix,
     _check_points,
-    _check_scalar,
+    _check_real,
     _check_vector,
     _evaluator_for,
     _normalize_requests,
@@ -201,7 +201,7 @@ def flex_test(b, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6,
     numerical rank <= 2 (sigma_3/sigma_1 <= tolerance after row
     normalization).
     """
-    _check_scalar(tolerance, "tolerance")
+    tolerance = _check_real(tolerance, "tolerance")
     rm = as_riemann_matrix(tau)
     germ = _flex_germ(rm, U, V, order, W)
     point = as_point(b)
@@ -236,7 +236,7 @@ def flex_scan(a, U, V, tau, order: int = 2, W=None, tolerance: float = 1e-6) -> 
     verdicts are kept in tested_halves, ordered by (m, n).  Every half-point
     is bound on one evaluator at 2 tau and decided by one stacked SVD.
     """
-    _check_scalar(tolerance, "tolerance")
+    tolerance = _check_real(tolerance, "tolerance")
     rm = as_riemann_matrix(tau)
     germ = _flex_germ(rm, U, V, order, W)
     halves = half_points(a, rm)

@@ -20,17 +20,18 @@ well-conditioned:
   which starts from the solved values.  Each form's term stack in
   ``bilinear`` is affine in those fields, and one iteratively reweighted
   least-squares solve (``_solve_affine``) serves all three: it reads the
-  stack at zero and its tangents along those fields, and weights each
-  sample by the inverse of its term-sum normalizer.
+  stack on those fields as ``bilinear._Dual`` values at zero, whose
+  tangents are the solve's columns, and weights each sample by the inverse
+  of its term-sum normalizer.
 
-The Jacobian comes from the same place: each form's one term stack in
-forward mode (``bilinear._Dual``; along the shift a, a source bound one
-order up).  The chain rule carries its tangents through U's chart on its
-gauge slice, the Galilean representative of a KP candidate (not
-holomorphic in U) and the hierarchy's fold (linear in its coefficients)
-to the real parameters; the term-sum normalizer moves by d|t| =
-Re(conj(t) dt)/|t|.  The Jacobian is asked for only where the residual
-vector was just accepted, and reuses that evaluation's derivative sources.
+The Jacobian is the residual vector's own map run in forward mode: the
+real parameters x enter as ``_Dual`` values along x, and U's chart on its
+gauge slice, the Galilean representative of a KP candidate, the
+hierarchy's fold, the term stack (along the shift a, a source bound one
+order up) and the term-sum ratios carry the tangents to the Jacobian's
+columns.  Every dual value equals the plain one bit for bit, so the
+Jacobian, asked for only where the residual vector was just accepted,
+reuses that evaluation's derivative sources and their contractions.
 
 The four-direction form is invariant under the Galilean move (V, W) ->
 (V + nu U, W + 2 nu V + nu^2 U) and its term-sum normalizer is not, so a
@@ -66,20 +67,18 @@ from .bilinear import (
     NORMALIZER_FLOOR,
     _Dual,
     _galilean,
-    _galilean_tangents,
     _hierarchy_fold,
     _hirota_residuals,
     _hirota_terms,
     _one_point_residuals,
     _one_point_terms,
     _series,
-    _term_ratio_tangents,
     _term_ratios,
     as_riemann_matrix,
     gauge_normalize,
     hierarchy_scan,
 )
-from .engine import _check_scalar, _check_vector, _evaluator_for, box_points, canonical_request
+from .engine import _check_real, _check_vector, _evaluator_for, box_points, canonical_request
 from .errors import DegenerateJetError, InvalidInputError
 
 
@@ -98,7 +97,8 @@ class SearchProblem:
     ``jet`` supplies U, whose direction starts the search on its gauge
     slice, and the fixed field values; ``free_vars`` names the other fields
     being optimized — for the one-point target the shift ``a`` may be freed
-    as well, with base value taken from ``a``.  ``restarts``/``iterations``
+    as well, with base value taken from ``a``; a hierarchy fit frees its germ
+    coefficients and no field.  ``restarts``/``iterations``
     bound the budget per the multi-start scheme; ``jet_order`` is the germ
     order for hierarchy fits.
     """
@@ -247,36 +247,24 @@ class _Model:
 
     A subclass names the form's ``fields`` (a search may free any of them)
     and the ``linear_fields`` its stack is affine in.  Its ``terms`` read
-    one candidate's derivative sources and a dict p of field values; the
-    IRLS columns and the Jacobians read them in forward mode (``term_tangents``).
+    one candidate's derivative sources and a dict p of field values, plain or
+    ``_Dual``; on dual fields the stack carries its tangents, which are the
+    IRLS columns and, through ``ratios``, the Jacobian.
     """
 
     def canonical(self, p, free):
         """p itself: the form has no symmetry that moves its fields."""
         return p
 
-    def canonical_tangents(self, p, free, dp):
-        """The field tangents dp at p, carried to ``canonical(p, free)``: as they are."""
-        return dp
-
     def ratios(self, sources, p):
         return _term_ratios(self.terms(sources, p))
 
-    def term_tangents(self, sources, p, dp):
-        """The terms and their derivatives (T, P, n) along field tangents dp {name: (n, size)}."""
-        duals = {name: _Dual(p[name], t) for name, t in dp.items()}
-        stack = self.terms(sources, {**p, **duals})
-        return stack.value, np.moveaxis(stack.tangent, 0, -1)
-
-    def ratio_tangents(self, sources, p, dp):
-        """The ratios' derivatives (P, n) along field tangents dp {name: (n, size)}."""
-        return _term_ratio_tangents(*self.term_tangents(sources, p, dp))
-
     def solve_linear(self, sources, p, free):
         """p with the linear fields ``free`` solved by IRLS, the rest as in p."""
-        zero = {**p, **{name: 0j if _scalar(name) else np.zeros(self.g, dtype=complex)
-                        for name in free}}
-        x = _solve_affine(*self.term_tangents(sources, zero, _tangents(free, self.g, (1.0,))), 1.0)
+        zero = {name: _Dual(0j if _scalar(name) else np.zeros(self.g, dtype=complex), t)
+                for name, t in _tangents(free, self.g, (1.0,)).items()}
+        stack = self.terms(sources, {**p, **zero})
+        x = _solve_affine(stack.value, np.moveaxis(stack.tangent, 0, -1), 1.0)
         out, pos = dict(p), 0
         for name in free:
             size = _field_size(name, self.g)
@@ -310,14 +298,6 @@ class _HirotaModel(_Model):
             return p
         V, W = _galilean(p["U"], p["V"], p.get("W"))
         return {**p, "V": V} if W is None else {**p, "V": V, "W": W}
-
-    def canonical_tangents(self, p, free, dp):
-        """The field tangents dp at p, carried to ``canonical(p, free)``; a fixed U has none."""
-        if "V" not in free or "W" not in free:
-            return dp
-        dU = dp.get("U", np.zeros_like(dp["V"]))
-        dV, dW = _galilean_tangents(p["U"], p["V"], p["W"], dU, dp["V"], dp["W"])
-        return {**dp, "V": dV, "W": dW}
 
     def terms(self, sources, p):
         return _hirota_terms(*sources, p["U"], p["V"], p["W"], p["d"])
@@ -372,13 +352,11 @@ class _OnePointModel(_Model):
         return _Contractions(self.basis_z), _Contractions(self.basis_at([p["a"]], orders)[0])
 
     def terms(self, sources, p):
-        return _one_point_terms(*sources, p["U"], p["V"], p["c"])
-
-    def term_tangents(self, sources, p, dp):
-        """As ``_Model.term_tangents``; a shift tangent dp["a"] moves the source at z + a."""
-        if "a" in dp:
-            sources = sources[0], sources[1].moving(dp["a"])
-        return super().term_tangents(sources, p, {n: t for n, t in dp.items() if n != "a"})
+        """The stack at p; a ``_Dual`` shift a moves the source at z + a along its tangents."""
+        Dz, Da = sources
+        if isinstance(p["a"], _Dual):
+            Da = Da.moving(p["a"].tangent)
+        return _one_point_terms(Dz, Da, p["U"], p["V"], p["c"])
 
 
 _MODELS = {"hirota": _HirotaModel, "one_point": _OnePointModel}
@@ -498,6 +476,7 @@ def _validate_problem(problem, rm):
     if problem.target not in TARGETS:
         raise InvalidInputError(f"unknown search target {problem.target!r}")
     model_cls = _MODELS[problem.target]
+    _check_vector(problem.jet.U, rm.g, "U")
     if "U" in problem.free_vars:
         raise InvalidInputError("U cannot be freed: its direction is always searched on its slice")
     for name in problem.free_vars:
@@ -527,7 +506,7 @@ class _Multistart:
     """
 
     def __init__(self, problem, rm, n_real):
-        _check_scalar(problem.tolerance, "tolerance")
+        _check_real(problem.tolerance, "tolerance")
         if problem.sample_count < SAMPLES_PER_PARAMETER * n_real:
             raise InvalidInputError(
                 f"sample_count {problem.sample_count} is below {SAMPLES_PER_PARAMETER}x "
@@ -624,30 +603,29 @@ def fit(problem: SearchProblem) -> SearchResult:
     pivot = int(np.argmax(np.abs(base_U)))
     w_base = np.delete(base_U / base_U[pivot], pivot)
 
-    def decode_u(w):
+    # d(field)/dx: U's chart before normalizing, and the free fields' unit columns
+    chart = np.eye(g, dtype=complex)[np.arange(g) != pivot]
+    raw_dx = np.zeros((n_real, g), dtype=complex)
+    raw_dx[:2 * u_len] = np.vstack([chart, 1j * chart])
+    field_dx = _tangents(problem.free_vars, g, offset=2 * u_len)
+
+    def decode_u(w, dual=False):
         """U at the slice coordinates w: w with 1 inserted at the pivot, normalized."""
         if not u_len:
             return base_U
         raw = np.insert(w, pivot, 1.0)
+        if dual:
+            raw = _Dual(raw, raw_dx)
         return raw / np.linalg.norm(raw)
-
-    # d(field)/dx: the free fields' unit columns, and U's chart before normalizing
-    field_dx = _tangents(problem.free_vars, g, offset=2 * u_len)
-    chart = np.eye(g, dtype=complex)[np.arange(g) != pivot]
-    raw_dx = np.zeros((n_real, g), dtype=complex)
-    raw_dx[:2 * u_len] = np.vstack([chart, 1j * chart])
-
-    def tangents(U):
-        """d(field)/dx at U: U = raw/|raw| moves by (d raw - U Re<U, d raw>) U_pivot."""
-        if not u_len:
-            return field_dx
-        return {**field_dx, "U": (raw_dx - np.outer((raw_dx @ np.conj(U)).real, U)) * U[pivot].real}
 
     model = model_cls(rm, driver.z_train)
 
-    def decode(x):
-        u = decode_u(x[:u_len] + 1j * x[u_len:2 * u_len])
-        return {**fixed, "U": u, **_unpack(x[2 * u_len:], problem.free_vars, g)}
+    def decode(x, dual=False):
+        """The fields at x; with ``dual``, U and the free fields are ``_Dual`` along x."""
+        fields = _unpack(x[2 * u_len:], problem.free_vars, g)
+        if dual:
+            fields = {name: _Dual(v, field_dx[name]) for name, v in fields.items()}
+        return {**fixed, "U": decode_u(x[:u_len] + 1j * x[u_len:2 * u_len], dual), **fields}
 
     @_keep_last
     def candidate(x):
@@ -660,10 +638,8 @@ def fit(problem: SearchProblem) -> SearchResult:
         return _real_stack(model.ratios(sources, p))
 
     def jacobian(x):
-        p, sources = candidate(x)
-        raw = decode(x)
-        dp = model.canonical_tangents(raw, problem.free_vars, tangents(raw["U"]))
-        return _real_stack(model.ratio_tangents(sources, p, dp))
+        p = model.canonical(decode(x, dual=True), problem.free_vars)
+        return _real_stack(model.ratios(candidate(x)[1], p).tangent.T)
 
     def start(k, rng):
         """Restart k's x: U's slice point and the nonlinear fields drawn, the linear ones solved."""
@@ -725,8 +701,12 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
     K = problem.jet_order
     if not 1 <= K <= 4:
         raise InvalidInputError("hierarchy jet_order must lie in 1..4")
+    if problem.free_vars:
+        raise InvalidInputError("the hierarchy fit frees its germ coefficients only; "
+                                f"free_vars must be empty, got {problem.free_vars}")
     jet = problem.jet
     jet.require("U", "V")
+    _check_vector(jet.U, g, "U")
     if float(np.linalg.norm(jet.U)) < GAUGE_DEGENERATE_TOL:
         raise DegenerateJetError(
             "zero leading germ coefficient: the shift collapses to a = 0")
@@ -743,29 +723,30 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
     # germ, so misfit at ANY lower order dominates from the small-eps side
     weights = eps_grid ** (-(K + 1.0))
 
-    def grid(zetas, dvals):
-        """Per grid eps, the one-point fields and shift of the folded form (zeta_1 = U)."""
-        folds = [_hierarchy_fold(U, V, eps, _series([U, *zetas], eps, 1), _series(dvals, eps, 3))
+    def grid(p):
+        """Per grid eps, the one-point fields and shift a of the folded form at the germ p."""
+        zetas, dvals = [U, *(p[n] for n in zeta_names)], [p[n] for n in d_names]
+        folds = [_hierarchy_fold(U, V, eps, _series(zetas, eps, 1), _series(dvals, eps, 3))
                  for eps in eps_grid]
-        return [{"U": u, "V": v, "c": c} for u, v, c, _ in folds], [a for *_, a in folds]
+        return [dict(zip(("U", "V", "c", "a"), fold)) for fold in folds]
 
-    def sources_for(shifts):
+    def sources_for(fields):
         """Derivative sources of one candidate: at z, and at z + a per grid shift a.
 
         The grid is bound at orders 1-3, so one bind per germ serves the IRLS
         solve, the residual vector and the Jacobian along the shifts.
         """
         Dz = _Contractions(model.basis_z)
+        shifts = [q["a"] for q in fields]
         return [(Dz, _Contractions(basis_a)) for basis_a in model.basis_at(shifts, (1, 2, 3))]
 
     def solve_d(zetas):
-        """The d-coefficients enter every row's constant linearly; IRLS solve."""
-        fields, shifts = grid(zetas, ())
-        sources = sources_for(shifts)
-        dx = _tangents(d_names, g, (1.0,))
-        tangents = [{"c": _series([dx[n] for n in d_names], eps, 3)} for eps in eps_grid]
-        stacks = [model.term_tangents(src, q, dq) for src, q, dq in zip(sources, fields, tangents)]
-        terms, columns = (np.concatenate(part, axis=1) for part in zip(*stacks))
+        """The d-coefficients enter every row's constant linearly; IRLS solve at d = 0."""
+        d_dx = _tangents(d_names, g, (1.0,))
+        fields = grid({**zetas, **{n: _Dual(0j, d_dx[n]) for n in d_names}})
+        stacks = [model.terms(src, q) for src, q in zip(sources_for(fields), fields)]
+        terms = np.concatenate([stack.value for stack in stacks], axis=1)
+        columns = np.concatenate([np.moveaxis(stack.tangent, 0, -1) for stack in stacks], axis=1)
         return dict(zip(d_names, _solve_affine(terms, columns,
                                                np.repeat(weights, model.basis_z.count))))
 
@@ -777,19 +758,16 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
         if k > 0:
             zetas = [z + 0.5 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
                      for z in zetas]
-        return _pack({**dict(zip(zeta_names, zetas)), **solve_d(zetas)}, names)
+        zetas = dict(zip(zeta_names, zetas))
+        return _pack({**zetas, **solve_d(zetas)}, names)
 
     @_keep_last
     def candidate(x):
         """The grid's one-point fields at x and their sources, which serve the Jacobian at x."""
-        p = _unpack(x, names, g)
-        fields, shifts = grid([p[n] for n in zeta_names], [p[n] for n in d_names])
-        return fields, sources_for(shifts)
+        fields = grid(_unpack(x, names, g))
+        return fields, sources_for(fields)
 
-    # per grid eps, the tangents of a = 2 zeta(eps) and c = d(eps): the fold is linear in x
     dx = _tangents(names, g)
-    x_tangents = [{"a": 2.0 * _series([dx[n] for n in zeta_names], eps, 2),
-                   "c": _series([dx[n] for n in d_names], eps, 3)} for eps in eps_grid]
 
     def resvec(x):
         fields, sources = candidate(x)
@@ -797,9 +775,9 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
                                            zip(sources, fields, weights)]))
 
     def jacobian(x):
-        fields, sources = candidate(x)
-        return _real_stack(np.concatenate([model.ratio_tangents(src, q, dq) * w for src, q, dq, w
-                                           in zip(sources, fields, x_tangents, weights)]))
+        fields = grid({name: _Dual(v, dx[name]) for name, v in _unpack(x, names, g).items()})
+        return _real_stack(np.concatenate([model.ratios(src, q).tangent.T * w for src, q, w in
+                                           zip(candidate(x)[1], fields, weights)]))
 
     p = _unpack(driver.run(start, resvec, jacobian), names, g) if names else {}
     fitted = replace(jet, zeta_coeffs=[U] + [p[n] for n in zeta_names],

@@ -312,6 +312,15 @@ class TestSearchCommands:
         assert code == 2 and err["error"] == "INVALID_INPUT"
         assert "'zeta'" in err["message"]
 
+    @pytest.mark.parametrize("command", ["kp-search", "one-point-search"])
+    def test_jet_of_the_wrong_genus_is_input_error(self, tmp_path, capsys, command):
+        tau = write_tau(tmp_path / "tau.json", GENERIC_G2_TAU)
+        jet = tmp_path / "jet.json"
+        jet.write_text(json.dumps({"U": [1.0, 0.0, 0.0]}))
+        message = _input_error(capsys, [command, "--tau", tau, "--jet", jet,
+                                        "--restarts", 1, "--iterations", 2])
+        assert "U must be a complex vector of length 2" in message
+
     def test_one_point_report_carries_shift_and_note(self, g2_env):
         doc = g2_env["op_fit"]
         assert doc["converged"] is True and doc["best_residual"] <= 1e-7

@@ -3,7 +3,8 @@
 A NaN shift or a NaN field of a direction jet must be refused where it
 enters the library, before any lattice sum, and the CLI must report it on
 the error channel as INVALID_INPUT.  So must a non-finite exponent
-coefficient of the Baker-Akhiezer function and a non-finite tolerance.
+coefficient of the Baker-Akhiezer function and a non-finite or complex
+tolerance, which sweeps and Weil checks refuse before any lattice sum.
 """
 
 import json
@@ -16,6 +17,8 @@ from thetalab import (
     DirectionJet,
     InvalidInputError,
     SearchProblem,
+    bilinear,
+    divisor,
     fit,
     flex_scan,
     flex_test,
@@ -97,21 +100,59 @@ def test_nonfinite_baker_akhiezer_coefficient_is_invalid_input(A, B, name):
         baker_akhiezer(0.1, 0.2, [0.1], RiemannMatrix([[0.3 + 1.1j]]), jet, [0.3], A, B)
 
 
-NAN_TOLERANCE_CALLS = {
-    "sweep": lambda rm: sweep_residual("one-point", rm, JET, [Z], np.nan, a=[0.1, 0.2]),
-    "weil": lambda rm: weil_check([], rm, JET, tolerance=np.nan),
-    "fit": lambda rm: fit(SearchProblem(
+TOLERANCE_CALLS = {
+    "sweep": lambda rm, tol: sweep_residual("one-point", rm, JET, [Z], tol, a=[0.1, 0.2]),
+    "weil": lambda rm, tol: weil_check([], rm, JET, tolerance=tol),
+    "fit": lambda rm, tol: fit(SearchProblem(
         tau=rm, target="one_point", jet=JET, free_vars=("V", "c"), sample_count=80,
-        restarts=1, iterations=1, a=[0.1, 0.2], tolerance=np.nan)),
-    "fit-hierarchy": lambda rm: fit(SearchProblem(
+        restarts=1, iterations=1, a=[0.1, 0.2], tolerance=tol)),
+    "fit-hierarchy": lambda rm, tol: fit(SearchProblem(
         tau=rm, target="hierarchy", jet=JET, free_vars=(), sample_count=80,
-        restarts=1, iterations=1, jet_order=2, tolerance=np.inf)),
-    "flex_test": lambda rm: flex_test(Z, JET.U, JET.V, rm, tolerance=np.nan),
-    "flex_scan": lambda rm: flex_scan([0.1, 0.2], JET.U, JET.V, rm, tolerance=np.nan),
+        restarts=1, iterations=1, jet_order=2, tolerance=tol)),
+    "flex_test": lambda rm, tol: flex_test(Z, JET.U, JET.V, rm, tolerance=tol),
+    "flex_scan": lambda rm, tol: flex_scan([0.1, 0.2], JET.U, JET.V, rm, tolerance=tol),
 }
 
 
-@pytest.mark.parametrize("call", NAN_TOLERANCE_CALLS.values(), ids=NAN_TOLERANCE_CALLS.keys())
+@pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
 def test_nonfinite_tolerance_is_invalid_input(rm_g2, call):
-    with pytest.raises(InvalidInputError, match="tolerance has non-finite"):
-        call(rm_g2)
+    for tolerance in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="tolerance has non-finite"):
+            call(rm_g2, tolerance)
+
+
+@pytest.mark.parametrize("call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+def test_complex_tolerance_is_invalid_input(rm_g2, call):
+    with pytest.raises(InvalidInputError, match="tolerance must be a real number"):
+        call(rm_g2, 1e-6 + 1j)
+
+
+KP_JET = DirectionJet(U=[1.0, 0.0], V=[0.2 - 0.1j, 0.3j], W=[0.1, 0.2], d=0.3,
+                      zeta_coeffs=[[1.0, 0.0]])
+SUM_CALLS = {
+    "kp": lambda rm, tol: sweep_residual("kp", rm, KP_JET, [Z] * 4, tol),
+    "hierarchy": lambda rm, tol: sweep_residual("hierarchy", rm, KP_JET, [Z] * 4, tol,
+                                                epsilon=0.01),
+    "weil": lambda rm, tol: weil_check(_points(DivisorKind.D1_THETA), rm, JET, tolerance=tol),
+    "weil1": lambda rm, tol: weil_check(_points(DivisorKind.THETA_CAP_THETA_A), rm, JET,
+                                        a=[0.1, 0.2], which="weil1", tolerance=tol),
+}
+
+
+@pytest.mark.parametrize("call", SUM_CALLS.values(), ids=SUM_CALLS.keys())
+def test_bad_tolerance_makes_no_lattice_sum(rm_g2, monkeypatch, call):
+    # sweeps and Weil checks refuse their tolerance before any jet is summed
+    sums = []
+
+    def spy(real):
+        return lambda *args: sums.append(args) or real(*args)
+
+    monkeypatch.setattr(bilinear, "_jets", spy(bilinear._jets))
+    monkeypatch.setattr(divisor, "_evaluator_for", spy(divisor._evaluator_for))
+    call(rm_g2, 1e-6)
+    assert sums, "the spies see a valid call's lattice sums"
+    sums.clear()
+    for tolerance in (np.nan, 1e-6 + 1j):
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            call(rm_g2, tolerance)
+    assert not sums

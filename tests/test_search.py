@@ -279,7 +279,7 @@ class TestExactJacobian:
             assert np.abs(jac(x) - want).max() <= 1e-6 * np.abs(want).max()
 
     def test_irls_columns_are_the_affine_blocks_differences(self, rm_g2):
-        # the IRLS columns are read off the stack's tangents; they are the
+        # the IRLS columns are the tangents of the stack on dual fields; they are the
         # differences terms(e_j) - terms(0) of the stack, which is affine in the
         # linear fields, and 0 in the rows free of them (all but the last three)
         U, V = np.array([0.9 + 0.1j, -0.2 + 0.3j]), np.array([0.4 - 0.6j, 0.1 + 0.2j])
@@ -293,7 +293,9 @@ class TestExactJacobian:
             sources = model.sources(p)
             zero = {**p, **{n: 0j if n in ("c", "d") else np.zeros(2, dtype=complex)
                             for n in free}}
-            _, columns = model.term_tangents(sources, zero, search._tangents(free, 2, (1.0,)))
+            dx = search._tangents(free, 2, (1.0,))
+            stack = model.terms(sources, {**zero, **{n: _Dual(zero[n], dx[n]) for n in free}})
+            columns = np.moveaxis(stack.tangent, 0, -1)
             x = np.eye(3, dtype=complex)
             want = np.stack([model.terms(sources, {**zero, free[0]: e[:2], free[1]: e[2]})
                              - model.terms(sources, zero) for e in x], axis=-1)
@@ -676,6 +678,25 @@ class TestProblemValidation:
     def test_nothing_to_fit(self):
         with pytest.raises(InvalidInputError):
             fit(g1_problem(free_vars=()))
+
+    @pytest.mark.parametrize("target, jet, free_vars", [
+        ("hirota", DirectionJet(U=[1.0, 0.0, 0.0]), ("V", "W", "d")),
+        ("hirota", DirectionJet(U=[1.0, 0.0, 0.0], V=[0.4, 0.1j, 0.2]), ("W", "d")),
+        ("one_point", DirectionJet(U=[1.0, 0.0, 0.0]), ("V", "a", "c")),
+        ("hierarchy", DirectionJet(U=[1.0, 0.0, 0.0], V=[0.4, 0.1j, 0.2]), ()),
+    ], ids=["kp", "kp-v-held", "one-point", "hierarchy"])
+    def test_jet_of_the_wrong_genus(self, target, jet, free_vars):
+        problem = SearchProblem(tau=GENERIC_G2_TAU, target=target, jet=jet, free_vars=free_vars,
+                                sample_count=200, restarts=1, iterations=2, jet_order=2)
+        with pytest.raises(InvalidInputError, match="U must be a complex vector of length 2"):
+            fit(problem)
+
+    def test_hierarchy_refuses_free_vars(self):
+        # the hierarchy fit frees its germ coefficients, never a jet field
+        problem = g1_problem(target="hierarchy", free_vars=("V",), jet_order=2,
+                             jet=DirectionJet(U=U1, V=np.array([0.4 - 0.3j])))
+        with pytest.raises(InvalidInputError, match="free_vars must be empty"):
+            fit_hierarchy(problem)
 
 
 # ---------------------------------------------------------------------------
