@@ -487,6 +487,7 @@ def kp_field_values(xyt, z, tau, jet: DirectionJet):
     """
     rm = as_riemann_matrix(tau)
     jet.require("U", "V", "W", "c")
+    _check_vector(jet.U, rm.g, "U")  # V and W share U's length
     xyt = np.asarray(xyt, dtype=float).reshape(-1, 3)
     x, y, t = xyt[:, :1], xyt[:, 1:2], xyt[:, 2:]
     args = x * jet.U + y * jet.V + t * jet.W + _check_vector(as_point(z).z, rm.g)
@@ -516,6 +517,7 @@ def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> co
     """exp(Ax + By) * T(xU + yV + a + z) / T(xU + yV + z)."""
     rm = as_riemann_matrix(tau)
     jet.require("U", "V")
+    _check_vector(jet.U, rm.g, "U")  # V shares U's length
     av = _check_vector(a, rm.g, "a")
     A, B = _check_scalar(A, "A"), _check_scalar(B, "B")
     base = x * jet.U + y * jet.V + _check_vector(z, rm.g)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -466,7 +467,13 @@ def _add_common(sub, jet=False, samples=None, tol=None, seed=False, threads=Fals
     sub.add_argument("--out", help="output path (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves the parser unchanged (each call fills a fresh namespace),
+    so callers must not modify the returned parser either.
+    """
     parser = _Parser(prog="thetalab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")

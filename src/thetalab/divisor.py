@@ -2,12 +2,17 @@
 
 Three loci are sampled by one seeded, budgeted Newton driver on the batched
 evaluator, every start advancing in lockstep on k complex unknowns s with
-points origin + frame s:
+points origin + frame s, each start on its own line or plane:
 
-* the divisor {theta = 0} (k = 1, each start on its own random complex line),
+* the divisor {theta = 0} (k = 1, a random complex line per start),
 * the locus {theta = 0, D_U theta = 0} (k = 2; the full space for genus 2,
-  a random 2-plane slice shared by all starts above that),
-* the intersection {theta(z) = 0} cap {theta(z + a) = 0} (k = 2, same plane).
+  a random 2-plane per start above that),
+* the intersection {theta(z) = 0} cap {theta(z + a) = 0} (k = 2, likewise).
+
+Newton's steps are damped: a step longer than ``TRUST_RADIUS`` in s (a
+quarter of a real period, since lines and frame columns have unit norm) is
+shortened to that length, so a start far from a root walks towards one
+instead of being flung many periods out.
 
 One root pass then lattice-reduces the converged points, re-verifies the
 defining constraints at the reduced points it returns, keeps those within
@@ -47,7 +52,7 @@ from .errors import DegenerateSampleError, InvalidInputError
 
 KEEP_TOL = 1e-10
 DEDUP_DISTANCE = 1e-6
-MAX_NEWTON_STEP = 10.0
+TRUST_RADIUS = 0.25
 
 
 class DivisorKind(Enum):
@@ -61,7 +66,7 @@ class UnderSampledWarning(UserWarning):
 
 
 class SamplingNote(UserWarning):
-    """Informational notes: empty loci, slice-based sampling for g >= 3."""
+    """Informational notes: empty loci, plane-based sampling for g >= 3."""
 
 
 @dataclass
@@ -98,18 +103,20 @@ class DivisorPoint:
 
 
 def _newton(plan, origin, frame, s, evaluate):
-    """Lockstep Newton on k = 1 or 2 complex unknowns per start.
+    """Lockstep damped Newton on k = 1 or 2 complex unknowns per start.
 
-    Start p sits at origin + frame s[p], where ``origin`` is (P, g) or (g,)
-    and ``frame`` (P, g, k) or (g, k): a line or plane per start, or one
+    Start p sits at origin[p] + frame[p] s[p], where ``origin`` is (P, g) or
+    (g,) and ``frame`` (P, g, k) or (g, k): a line or plane per start, or one
     shared by all.  ``s`` (P, k) holds the starting coordinates and is
-    advanced in place.  ``evaluate(points, idx)`` returns, at the points of
-    the starts ``idx``, the k stored residuals F (n, k), their Jacobian
-    J (n, k, k) with respect to s and the per-equation normalizers (n, k);
-    row scales may differ, they cancel within each equation.  A start stops
-    once every |F| is at most ``plan.tol`` times its normalizer, and is
-    dropped on a singular or non-finite step or one above MAX_NEWTON_STEP.
-    Returns the converged points and their start indices.
+    advanced in place.  ``evaluate(points)`` returns the k stored residuals
+    F (n, k), their gradients (n, k, g) with respect to z and the
+    per-equation normalizers (n, k); row scales may differ, they cancel
+    within each equation.  The gradients are contracted with each start's
+    frame into the Jacobian with respect to s.  A start stops once every |F|
+    is at most ``plan.tol`` times its normalizer.  A Newton step longer than
+    TRUST_RADIUS (Euclidean norm in s) is shortened to that length; a start
+    is dropped only when its step is singular or non-finite.  Returns the
+    converged points and their start indices.
     """
     count, k = s.shape
     frame = np.broadcast_to(frame, (count, *frame.shape[-2:]))
@@ -124,23 +131,24 @@ def _newton(plan, origin, frame, s, evaluate):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        F, J, norms = evaluate(at(idx), idx)
+        F, grad, norms = evaluate(at(idx))
         converged = (np.abs(F) <= plan.tol * norms).all(axis=1)
         done[idx[converged]] = True
         active[idx[converged]] = False
         live = ~converged
-        F, J, idx = F[live], J[live], idx[live]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        F, idx = F[live], idx[live]
+        J = grad[live] @ frame[idx]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if k == 1:
                 step = F / J[:, 0]
             else:
                 det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
                 step = np.column_stack([F[:, 0] * J[:, 1, 1] - F[:, 1] * J[:, 0, 1],
                                         J[:, 0, 0] * F[:, 1] - J[:, 1, 0] * F[:, 0]]) / det[:, None]
-        size = np.abs(step).max(axis=1)
-        bad = ~np.isfinite(size) | (size > MAX_NEWTON_STEP)
-        active[idx[bad]] = False
-        s[idx[~bad]] -= step[~bad]
+            size = np.linalg.norm(step, axis=1)
+        ok = np.isfinite(size)
+        active[idx[~ok]] = False
+        s[idx[ok]] -= step[ok] * (TRUST_RADIUS / np.maximum(size[ok], TRUST_RADIUS))[:, None]
     hits = np.flatnonzero(done)
     return at(hits), hits
 
@@ -155,7 +163,7 @@ def _roots(rm, plan, found, evaluate, names, kind, what):
     """
     pts, hits = found
     z0 = _reduce_coords(pts, rm)[0]
-    F, _, norms = evaluate(z0, hits)
+    F, _, norms = evaluate(z0)
     mags = np.abs(F) / norms
     keep = (mags <= KEEP_TOL).all(axis=1)
     z0, mags = z0[keep], mags[keep]
@@ -208,6 +216,11 @@ def _normalized(value, norm):
     return np.abs(value) / norm
 
 
+def _gradient_keys(g):
+    """Derivative requests along the coordinate axes e_1, ..., e_g."""
+    return [canonical_request((e,)) for e in np.eye(g)]
+
+
 def sample_theta_divisor(tau, jet, plan: SamplePlan) -> list:
     """Locate points with theta = 0 by 1-D Newton along random lines.
 
@@ -219,33 +232,38 @@ def sample_theta_divisor(tau, jet, plan: SamplePlan) -> list:
     rng = np.random.default_rng(plan.seed)
     base = box_points(rm, rng, plan.starts)
     lines = _unit_directions(rng, plan.starts, rm.g)
-    grads = [canonical_request((e,)) for e in np.eye(rm.g)]
+    grads = _gradient_keys(rm.g)
     ev = _evaluator_for(rm, grads)
 
-    def evaluate(pts, idx):
+    def evaluate(pts):
         res = ev.jets(pts, grads)
         grad = np.column_stack([res[key] for key in grads])
-        fp = np.einsum("pg,pg->p", lines[idx], grad)
-        return res[()][:, None], fp[:, None, None], res[("abs", ())][:, None]
+        return res[()][:, None], grad[:, None, :], res[("abs", ())][:, None]
 
     found = _newton(plan, base, lines[:, :, None],
                     np.zeros((plan.starts, 1), dtype=complex), evaluate)
     return _roots(rm, plan, found, evaluate, ["theta"], DivisorKind.THETA, "theta-divisor")
 
 
-def _slice_starts(rm, rng, plan):
-    """The 2-plane of the 2-unknown samplers (full space when g = 2) and the starts in it."""
+def _plane_starts(rm, rng, plan):
+    """The 2-planes of the 2-unknown samplers and the starts in them.
+
+    For g = 2 every start works in the full space (origin 0, identity
+    frame); above that each start gets its own random origin in the box and
+    its own orthonormal complex 2-frame.
+    """
     if rm.g == 2:
         origin, frame = np.zeros(rm.g, dtype=complex), np.eye(rm.g, dtype=complex)
     else:
         warnings.warn(
-            f"genus {rm.g}: sampling on a random 2-plane slice; the locus is "
-            "not exhausted and results are slice-relative",
+            f"genus {rm.g}: sampling on one random plane per start; the locus "
+            "is not exhausted",
             SamplingNote,
         )
-        frame = rng.standard_normal((rm.g, 2)) + 1j * rng.standard_normal((rm.g, 2))
+        frame = rng.standard_normal((plan.starts, rm.g, 2)) \
+            + 1j * rng.standard_normal((plan.starts, rm.g, 2))
         frame, _ = np.linalg.qr(frame)
-        origin = box_points(rm, rng, 1)[0]
+        origin = box_points(rm, rng, plan.starts)
     s = rng.uniform(-0.5, 0.5, size=(plan.starts, 2)) \
         + 1j * rng.uniform(-0.5, 0.5, size=(plan.starts, 2))
     return origin, frame, s
@@ -265,17 +283,17 @@ def sample_D1_theta(tau, jet, plan: SamplePlan) -> list:
             SamplingNote,
         )
         return []
-    origin, frame, s = _slice_starts(rm, np.random.default_rng(plan.seed), plan)
+    origin, frame, s = _plane_starts(rm, np.random.default_rng(plan.seed), plan)
     k_u = canonical_request((U,))
-    k_b = [canonical_request((f,)) for f in frame.T]
-    k_ub = [canonical_request((U, f)) for f in frame.T]
+    k_b = _gradient_keys(rm.g)
+    k_ub = [canonical_request((U, e)) for e in np.eye(rm.g)]
     keys = [*k_b, k_u, *k_ub]
     ev = _evaluator_for(rm, keys)
 
-    def evaluate(pts, idx):
+    def evaluate(pts):
         res = ev.jets(pts, keys)
-        J = np.moveaxis(np.array([[res[key] for key in row] for row in (k_b, k_ub)]), -1, 0)
-        return (np.column_stack([res[()], res[k_u]]), J,
+        grad = np.moveaxis(np.array([[res[key] for key in row] for row in (k_b, k_ub)]), -1, 0)
+        return (np.column_stack([res[()], res[k_u]]), grad,
                 np.column_stack([res[("abs", ())], res[("abs", k_u)]]))
 
     found = _newton(plan, origin, frame, s, evaluate)
@@ -294,14 +312,14 @@ def sample_theta_intersection(tau, jet, a, plan: SamplePlan) -> list:
             SamplingNote,
         )
         return []
-    origin, frame, s = _slice_starts(rm, np.random.default_rng(plan.seed), plan)
-    k_b = [canonical_request((f,)) for f in frame.T]
+    origin, frame, s = _plane_starts(rm, np.random.default_rng(plan.seed), plan)
+    k_b = _gradient_keys(rm.g)
     ev = _evaluator_for(rm, k_b)
 
-    def evaluate(pts, idx):
+    def evaluate(pts):
         res = ev.jets(np.concatenate([pts, pts + a]), k_b)
-        J = np.stack([_pair(res, key) for key in k_b], axis=-1).transpose(1, 0, 2)
-        return _pair(res, ()).T, J, _pair(res, ("abs", ())).T
+        grad = np.stack([_pair(res, key) for key in k_b], axis=-1).transpose(1, 0, 2)
+        return _pair(res, ()).T, grad, _pair(res, ("abs", ())).T
 
     found = _newton(plan, origin, frame, s, evaluate)
     return _roots(rm, plan, found, evaluate, ["theta", "theta-shifted"],

@@ -42,7 +42,7 @@ from thetalab.errors import (
 
 from thetalab.engine import BoundBatch, box_points, lattice_coords
 
-from conftest import random_points, random_tau
+from conftest import GENERIC_G2_TAU, random_points, random_tau
 from test_engine import _oracle_case, mp_theta_jet
 
 G1_TAU = np.array([[0.3 + 1.1j]])
@@ -424,6 +424,16 @@ def test_baker_akhiezer_solves_linear_problem(rm_kdv, one_point_jet):
     residual = p_xx - p_y + uval * psi(0, 0)
     scale = abs(p_xx) + abs(p_y) + abs(uval * psi(0, 0))
     assert abs(residual) / scale <= 1e-4
+
+
+def test_grid_and_baker_akhiezer_refuse_a_jet_of_the_wrong_genus():
+    # a genus-3 jet on a genus-2 tau: input error before any broadcasting
+    rm = RiemannMatrix(GENERIC_G2_TAU)
+    jet = DirectionJet(U=[1.0, 0.2, 0.1j], V=[0.4, 0.1j, 0.2], W=[0.3, 0.0, 0.1], c=0.1)
+    with pytest.raises(InvalidInputError, match="U must be a complex vector of length 2"):
+        kp_field_values([(0.1, 0.2, 0.3)], [0.1, 0.2j], rm, jet)
+    with pytest.raises(InvalidInputError, match="U must be a complex vector of length 2"):
+        baker_akhiezer(0.1, 0.1, [0.1, 0.2j], rm, jet, [0.3, 0.1j], 0.1, 0.1)
 
 
 def test_degenerate_sample_error(rm_kdv):

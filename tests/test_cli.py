@@ -482,6 +482,37 @@ class TestGrid:
         assert [float(v) for v in rows[6][:3]] == pytest.approx([1.1, 2.0, 3.0])
 
 
+class TestRepeatedCalls:
+    def test_grid_refuses_a_jet_of_the_wrong_genus(self, tmp_path, capsys):
+        tau = write_tau(tmp_path / "tau.json", GENERIC_G2_TAU)
+        jet = tmp_path / "jet.json"
+        jet.write_text(json.dumps({"U": [1.0, 0.0, 0.0], "V": [0.4, 0.0, 0.2],
+                                   "W": [0.3, 0.1, 0.0], "c": 0.1}))
+        out = tmp_path / "g.csv"
+        message = _input_error(capsys, ["grid", "--tau", tau, "--jet", jet, "--out", out])
+        assert "U must be a complex vector of length 2" in message
+        assert not out.exists()
+
+    def test_calls_in_a_row_match_fresh_calls(self, g1_env, g2_env, capsys):
+        # the parser is shared between calls; each call still parses only its own argv
+        calls = [
+            ["decomp", "--tau", g2_env["tau"]],
+            ["kp-residual", "--tau", g1_env["tau"], "--jet", g1_env["jet"],
+             "--samples", 4, "--seed", 3],
+            ["decomp", "--tau", g2_env["tau"], "--tol", "nan"],
+            ["kp-residual", "--tau", g1_env["tau"], "--jet", g1_env["jet"], "--samples", 4],
+        ]
+        outputs = []
+        for argv in calls:
+            code = main([str(a) for a in argv])
+            outputs.append((code, *capsys.readouterr()))
+        assert [code for code, _, _ in outputs] == [0, 0, 2, 0]
+        for argv, first in zip(calls, outputs):
+            proc = subprocess.run([sys.executable, "-m", "thetalab.cli", *map(str, argv)],
+                                  capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == first
+
+
 class TestRoundTrip:
     def test_emitted_reports_reparse(self, g1_env, g2_env, tmp_path):
         _, residual = run(["kp-residual", "--tau", g1_env["tau"],

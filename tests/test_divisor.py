@@ -177,6 +177,57 @@ class TestSliceSamplersGenus3:
             assert abs(j1.value) / j1.abs_sum() <= 1e-10
 
 
+    @pytest.mark.parametrize("sample", [
+        lambda rm, plan: sample_D1_theta(
+            rm, DirectionJet(U=np.array([1.0, 0.2 - 0.3j, -0.4 + 0.1j])), plan),
+        lambda rm, plan: sample_theta_intersection(rm, None, 0.3 * (1 + 0.2j) * np.ones(3), plan),
+    ], ids=["D1", "intersection"])
+    def test_one_plane_per_start_fills_a_distinct_quota(self, sample):
+        # damped steps keep each start near its own plane's origin, so a
+        # plane shared by all starts would find only a few distinct points
+        rm = RiemannMatrix(random_tau(3, seed=31))
+        with pytest.warns(SamplingNote, match="one random plane per start"):
+            pts = sample(rm, SamplePlan(count=40, seed=3))
+        assert len(pts) == 40
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                diff, _, _ = reduce_point(pts[i].z.z - pts[j].z.z, rm)
+                assert np.abs(diff.z).max() > 1e-6
+
+
+class TestDampedNewton:
+    """Steps beyond the trust radius are shortened, so every start settles."""
+
+    SAMPLERS = {
+        "theta": lambda rm, plan: sample_theta_divisor(rm, None, plan),
+        "D1": lambda rm, plan: sample_D1_theta(rm, DirectionJet(U=U2), plan),
+        "intersection": lambda rm, plan: sample_theta_intersection(
+            rm, None, np.array([0.27 - 0.11j, -0.13 + 0.21j]), plan),
+    }
+
+    def test_intersection_settles_in_few_binds(self, rm_g2, monkeypatch):
+        # one bind per Newton round plus the re-verification: all 200
+        # starts converge well inside the 50-round budget
+        binds = []
+
+        class CountedBatch(engine.BoundBatch):
+            def __init__(self, *args):
+                binds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "BoundBatch", CountedBatch)
+        plan = SamplePlan(count=200, seed=2, starts=200, distinct=False)
+        self.SAMPLERS["intersection"](rm_g2, plan)
+        assert len(binds) <= 30
+
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    def test_nearly_every_start_is_kept(self, rm_g2, name):
+        pts = self.SAMPLERS[name](rm_g2, SamplePlan(count=200, seed=2, starts=200,
+                                                   distinct=False))
+        assert len(pts) >= 190
+        assert all(mag <= 1e-10 for p in pts for _, mag in p.constraints_met)
+
+
 class TestIntersection:
     def test_g2_points(self, rm_g2, cap_points):
         a, pts = cap_points
