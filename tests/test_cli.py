@@ -481,9 +481,7 @@ class TestGrid:
         assert [float(v) for v in rows[3][:3]] == pytest.approx([1.0, 2.2, 3.0])
         assert [float(v) for v in rows[6][:3]] == pytest.approx([1.1, 2.0, 3.0])
 
-
-class TestRepeatedCalls:
-    def test_grid_refuses_a_jet_of_the_wrong_genus(self, tmp_path, capsys):
+    def test_jet_of_the_wrong_genus_is_input_error(self, tmp_path, capsys):
         tau = write_tau(tmp_path / "tau.json", GENERIC_G2_TAU)
         jet = tmp_path / "jet.json"
         jet.write_text(json.dumps({"U": [1.0, 0.0, 0.0], "V": [0.4, 0.0, 0.2],
@@ -493,6 +491,8 @@ class TestRepeatedCalls:
         assert "U must be a complex vector of length 2" in message
         assert not out.exists()
 
+
+class TestRepeatedCalls:
     def test_calls_in_a_row_match_fresh_calls(self, g1_env, g2_env, capsys):
         # the parser is shared between calls; each call still parses only its own argv
         calls = [

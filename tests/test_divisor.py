@@ -151,7 +151,7 @@ class TestD1Locus:
 
 
 class TestSliceSamplersGenus3:
-    """At g >= 3 Newton moves in a random 2-plane; its Jacobian must use that frame."""
+    """At g >= 3 each start moves in its own random 2-plane; its Jacobian must use that frame."""
 
     def test_d1_locus_points_found_and_verified(self):
         rm = RiemannMatrix(random_tau(3, seed=31))
