@@ -11,8 +11,8 @@ Conventions (used everywhere in this package):
 with eps, delta having entries in {0, 1/2}.
 
 There is one evaluation path.  ``BatchThetaEvaluator`` sizes a lattice for
-a declared worst case (derivative order, direction norm, target error);
-``BoundBatch`` prepares a fixed set of points (reduction, scales, phase
+the derivative requests it will serve (their direction norms) and a target
+error; ``BoundBatch`` prepares a fixed set of points (reduction, scales, phase
 tables); ``BoundBatch.jets`` builds the lattice terms one row block at a
 time and adds each block into the sums of every requested direction list
 at once.  The evaluator's ``jets`` and ``characteristic_jets`` bind a whole
@@ -25,7 +25,8 @@ Input checks and lattice sizing have one owner each: ``_check_vector``
 (and ``_check_scalar``, ``_check_points``) refuses wrong-length or
 non-finite input with ``InvalidInputError``, as ``BoundBatch`` does for any
 non-finite point it is asked to bind, and ``_evaluator_for`` sizes every
-library evaluator from the derivative requests it will serve.
+library evaluator from the derivative requests it will serve, each request
+charged for its own directions.
 
 Every point is first reduced modulo the lattice Z^g + tau Z^g and the
 exponential growth is factored into a real ``scale_exponent``:
@@ -54,9 +55,14 @@ largest lattice coordinate) plus one block (see ``BoundBatch``).
 Truncation: lattice points with |n + c| <= R are summed (c the imaginary
 lattice coordinate of the reduced argument), with R chosen so that a Gaussian
 tail bound -- using the smallest eigenvalue of Im tau and a polynomial margin
-factor for the derivative weights -- is below the requested target.  R is
-capped at 40 / sqrt(lambda_min); beyond the cap evaluation fails rather than
-silently degrade.  Every point carries its own error bound on stored numbers,
+factor for the derivative weights -- is below the requested target.  Every
+request is charged for its own directions: on a shell of radius r the weight
+of a request along h_1..h_k is at most prod_j max(1, 2*pi |h_j| r), and the
+margin is the largest of these over the requests (Deconinck, Heil, Bobenko,
+van Hoeij & Schmies, Math. Comp. 2004), so a long direction read only at low
+order costs no more than that order needs.  R is capped at
+40 / sqrt(lambda_min); beyond the cap evaluation fails rather than silently
+degrade.  Every point carries its own error bound on stored numbers,
 (tail + 4e-16 * largest absolute term sum * sqrt(lattice size)) times the
 largest growth prod_j (1 + |L(h_j)|) of the linear correction over the
 requests.  Enumeration order is fixed (lexicographic shells in the sup norm)
@@ -289,28 +295,59 @@ def _ball_volume_coeff(g: int) -> float:
     return PI ** (g / 2.0) / math.gamma(g / 2.0 + 1.0)
 
 
-def _tail_bound(rm: RiemannMatrix, radius: float, weight_scale: float, weight_order: int) -> float:
-    """Upper bound on sum_{|n+c| > radius} weight(|n+c|) * exp(-pi lambda_min |n+c|^2).
+def _weight_envelope(profiles) -> list:
+    """Coefficients q_m with max over profiles of prod_j max(1, 2*pi h_j r) = max_m q_m r^m.
+
+    A profile is a request's direction norms (|h_1|, ..., |h_k|).  Each
+    factor max(1, x) is the larger of leaving x out and taking it, so a
+    profile's weight at r is the largest r^m times the product of its m
+    largest scaled norms 2*pi h_j, m = 0..k; the maximum over profiles then
+    takes q_m as the largest such product.  So a dominated profile -- no
+    longer than another and, both sorted in descending order, elementwise at
+    most it -- changes no q_m, and the cost of a shell weight is set by the
+    largest order, not by the number of requests.
+    """
+    envelope = [1.0] + [0.0] * max(map(len, profiles), default=0)
+    for profile in profiles:
+        product = 1.0
+        for m, h in enumerate(sorted(profile, reverse=True), 1):
+            product *= 2.0 * PI * h
+            if product > envelope[m]:
+                envelope[m] = product
+    return envelope
+
+
+def _tail_bound(rm: RiemannMatrix, radius: float, envelope, shells=None) -> float:
+    """Upper bound on sum_{|n+c| > radius} weight(n) * exp(-pi lambda_min |n+c|^2).
 
     Lattice points in the Euclidean shell [t, t+1) are bounded by the volume
-    of the ball of radius t + 1 + sqrt(g); the derivative weight of total
-    order k is bounded by max(1, weight_scale * r)^k on the shell.
+    of the ball of radius r = t + 1 + sqrt(g).  Each request is charged for
+    its own directions: the weight |prod_j 2*pi*i <n, h_j>| of a request is
+    at most prod_j max(1, 2*pi |h_j| r) on the shell, and the shell's weight
+    is the largest of these over the requests, max_m q_m r^m for the
+    ``_weight_envelope`` q of their norm profiles.  Shells are summed from
+    t = floor(radius) until one adds at most 1e-9 of the total; ``shells``,
+    when given, memoizes their terms by t across calls on one rm and envelope.
     """
-    lam = rm.lambda_min
-    vg = _ball_volume_coeff(rm.g)
+    lam, vg, root_g = rm.lambda_min, _ball_volume_coeff(rm.g), math.sqrt(rm.g)
+    shells, coeffs = {} if shells is None else shells, envelope[1:]
     total = 0.0
     t0 = max(int(math.floor(radius)), 0)
     for t in range(t0, t0 + 800):
-        r_out = t + 1.0 + math.sqrt(rm.g)
-        count = vg * r_out ** rm.g
-        try:
-            weight = max(1.0, weight_scale * r_out) ** weight_order
-        except OverflowError:
-            raise PrecisionUnreachableError(
-                f"derivative weight overflows (direction scale {weight_scale:.2e}, "
-                f"order {weight_order}); no truncation radius bounds it"
-            ) from None
-        term = count * weight * math.exp(-PI * lam * t * t)
+        term = shells.get(t)
+        if term is None:
+            r_out = t + 1.0 + root_g
+            weight = power = 1.0
+            for q in coeffs:  # max_m q_m r_out^m
+                power *= r_out
+                if q * power > weight:
+                    weight = q * power
+            if weight == math.inf:
+                raise PrecisionUnreachableError(
+                    f"derivative weight overflows (order {len(envelope) - 1}, weight "
+                    f"coefficients up to {max(envelope):.2e}); no truncation radius bounds it"
+                )
+            term = shells[t] = vg * r_out ** rm.g * weight * math.exp(-PI * lam * t * t)
         total += term
         if term <= 1e-9 * total:
             break
@@ -320,12 +357,12 @@ def _tail_bound(rm: RiemannMatrix, radius: float, weight_scale: float, weight_or
 MAX_LATTICE_POINTS = 2e7
 
 
-def _choose_radius(rm: RiemannMatrix, target: float, weight_scale: float,
-                   weight_order: int) -> tuple[float, float]:
-    """The truncation radius and its tail bound (at most ``target``)."""
+def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[float, float]:
+    """The truncation radius and its tail bound (at most ``target``) for these norm profiles."""
+    envelope, shells = _weight_envelope(profiles), {}
     cap = RADIUS_CAP_FACTOR / math.sqrt(rm.lambda_min)
     radius = max(1.5, math.sqrt(max(-math.log(target), 1.0) / (PI * rm.lambda_min)))
-    while (tail := _tail_bound(rm, radius, weight_scale, weight_order)) > target:
+    while (tail := _tail_bound(rm, radius, envelope, shells)) > target:
         radius = max(radius * 1.2, radius + 0.5)
         if radius > cap:
             raise PrecisionUnreachableError(
@@ -397,10 +434,9 @@ def _subset_closure(keys):
                               for idx in _REST_INDICES[len(key)] if idx))
 
 
-def _request_weight_scale(keys) -> tuple[float, int]:
-    """Largest direction norm and largest order among the requests."""
-    h_max = max((math.hypot(*(abs(x) for x in h)) for key in keys for h in key), default=0.0)
-    return h_max, max((len(key) for key in keys), default=0)
+def _request_profiles(keys) -> set:
+    """The requests' direction-norm profiles (|h_1|, ..., |h_k|)."""
+    return {tuple([math.hypot(*map(abs, h)) for h in key]) for key in keys}
 
 
 def _linear_correction(keys, gradient, rows, sums, abs_sums):
@@ -436,10 +472,15 @@ def _linear_correction(keys, gradient, rows, sums, abs_sums):
 
 
 def _evaluator_for(rm, keys, target_abs_err=DEFAULT_TARGET_ABS_ERR):
-    """The evaluator sized for these canonical requests: their largest order and direction norm."""
-    h_max, k_max = _request_weight_scale(keys)
-    return BatchThetaEvaluator(rm, max_order=k_max, max_direction_norm=h_max,
-                               target_abs_err=target_abs_err)
+    """The evaluator sized for these canonical requests, each charged for its own directions.
+
+    It passes the requests' norm profiles, so a large norm met only at low
+    order costs no more than that order needs.  The tail bound covers every
+    request among ``keys`` and every sub-request (the rows of a linear
+    correction), whose profile is dominated by its request's.
+    """
+    return BatchThetaEvaluator(rm, target_abs_err=target_abs_err,
+                               profiles=_request_profiles(keys))
 
 
 def _single_jet(res, keys) -> ThetaJet:
@@ -488,21 +529,28 @@ def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=()) -> T
 class BatchThetaEvaluator:
     """Theta jets at many points sharing one cached lattice.
 
-    The lattice is sized once for a caller-declared worst case (maximum
-    derivative order, maximum direction norm, target error), then reused for
-    every point bound to it, which keeps repeated sweeps (residual sampling,
-    Newton iterations, search objectives) cheap.  Accumulation order is
-    fixed by the lattice ordering and the row blocks of ``BoundBatch.jets``.
+    The lattice is sized once for the derivative requests the caller will
+    make, then reused for every point bound to it, which keeps repeated
+    sweeps (residual sampling, Newton iterations, search objectives) cheap.
+    ``profiles`` lists the requests' direction norms (|h_1|, ..., |h_k|),
+    and every request is charged for its own directions (see
+    ``_tail_bound``); without it the evaluator serves the
+    single profile (max_direction_norm,) * max_order, that is every request
+    of order at most ``max_order`` along directions of norm at most
+    ``max_direction_norm``.  The tail bound covers the requests and their
+    sub-requests at ``target_abs_err``.  Accumulation order is fixed by the
+    lattice ordering and the row blocks of ``BoundBatch.jets``.
     """
 
     def __init__(self, rm: RiemannMatrix, max_order: int = MAX_DERIVATIVE_ORDER,
                  max_direction_norm: float = 1.0,
-                 target_abs_err: float = DEFAULT_TARGET_ABS_ERR):
+                 target_abs_err: float = DEFAULT_TARGET_ABS_ERR, profiles=None):
         if not 0.0 < target_abs_err < math.inf:
             raise InvalidInputError("target_abs_err must be positive and finite")
         self.rm = rm
-        weight_scale = 2.0 * PI * max(max_direction_norm, 1e-300)
-        radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, weight_scale, max_order)
+        if profiles is None:
+            profiles = [(max_direction_norm,) * max_order]
+        radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, profiles)
         lattice = self.lattice = _lattice_points(rm.g, radius)
         # per lattice row n: the phase exp(pi*i n.X.n), the rows of the
         # real-exponent product [n, -pi n.Y.n, 1] (see BoundBatch) and the

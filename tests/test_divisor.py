@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetalab import engine
+from thetalab import divisor, engine
 from thetalab.bilinear import DirectionJet, gauge_rescale
 from thetalab.divisor import (
     DivisorKind,
@@ -219,6 +219,37 @@ class TestDampedNewton:
         plan = SamplePlan(count=200, seed=2, starts=200, distinct=False)
         self.SAMPLERS["intersection"](rm_g2, plan)
         assert len(binds) <= 30
+
+    @staticmethod
+    def _theta_run(rm, plan, monkeypatch):
+        """(Newton rounds, converged start indices, points) of one theta-sampler run."""
+        newton, record = divisor._newton, {"rounds": 0}
+
+        def counted(plan, origin, frame, s, evaluate):
+            def each_round(points):
+                record["rounds"] += 1
+                return evaluate(points)
+
+            record["found"] = newton(plan, origin, frame, s, each_round)
+            return record["found"]
+
+        with monkeypatch.context() as m:
+            m.setattr(divisor, "_newton", counted)
+            points = sample_theta_divisor(rm, None, plan)
+        return record["rounds"], record["found"][1], points
+
+    def test_a_cycling_start_is_dropped(self, rm_g2, monkeypatch):
+        # the theta-sampling plan of the genus-2 benchmark chain at run seed
+        # 14: 199 of 200 starts converge by round 16, and the last one
+        # alternates between two points for the rest of the round budget
+        plan = SamplePlan(count=50, seed=1056103194)
+        rounds, hits, points = self._theta_run(rm_g2, plan, monkeypatch)
+        assert rounds <= 30
+        monkeypatch.setattr(divisor, "STALL_ROUNDS", plan.max_iterations)  # no start stalls out
+        full_rounds, full_hits, full_points = self._theta_run(rm_g2, plan, monkeypatch)
+        assert full_rounds == plan.max_iterations
+        assert len(hits) == 199 and np.array_equal(hits, full_hits)
+        assert [p.z.z.tolist() for p in points] == [p.z.z.tolist() for p in full_points]
 
     @pytest.mark.parametrize("name", list(SAMPLERS))
     def test_nearly_every_start_is_kept(self, rm_g2, name):

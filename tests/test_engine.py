@@ -7,6 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from thetalab import (
     AbelianPoint,
@@ -366,6 +367,83 @@ def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners()
         errs = _stored_errors([res[()][p]] + [res[k][p] for k in keys],
                               res["scales"][p], oracle)
         assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
+
+
+def _kp_holdout_requests(g, seed, w_norm=13.5):
+    """The eight requests of a KP holdout: unit U and V, |W| = w_norm."""
+    rng = np.random.default_rng(seed)
+    u, v, w = (rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(3))
+    u, v, w = u / np.linalg.norm(u), v / np.linalg.norm(v), w_norm * w / np.linalg.norm(w)
+    return [(u, u, u, u), (u, u, u), (u, u), (u,), (v, v), (v,), (u, w), (w,)]
+
+
+def test_kp_holdout_requests_get_the_lattice_of_the_unit_order_4_basis():
+    # W is read only at order 1 and beside U at order 2, so its norm must
+    # not be raised to the fourth power: the holdout sums the training
+    # model's lattice, not the 11,281 points of max(1, 2 pi |W| r)^4
+    from thetalab.search import _basis_evaluator
+
+    rm = RiemannMatrix(random_tau(4, seed=900))
+    keys = engine._normalize_requests(_kp_holdout_requests(4, seed=31), rm.g)
+    holdout = engine._evaluator_for(rm, keys)
+    basis = _basis_evaluator(rm, (1, 2, 3, 4))
+    assert len(basis.lattice) == 3457
+    assert np.array_equal(holdout.lattice, basis.lattice)
+    assert len(BatchThetaEvaluator(rm, max_order=4, max_direction_norm=13.5).lattice) == 11281
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_mixed_norm_requests_stay_within_error_of_mpmath_oracle(g):
+    rm, points, _, _ = _oracle_case(g)
+    requests = _kp_holdout_requests(g, seed=41 + g)
+    keys = engine._normalize_requests(requests, g)
+    ev = engine._evaluator_for(rm, keys)
+    # the lattice is sized per request, below the worst-case power's
+    assert len(ev.lattice) < len(BatchThetaEvaluator(rm, 4, 13.5).lattice)
+    res = ev.jets(points, keys)
+    for p, z in enumerate(points):
+        assert np.abs(lattice_coords(z, rm)[1]).max() > 0.5  # needs a tau-shift
+        oracle = mp_theta_jet(z, rm.tau, requests)
+        errs = _stored_errors([res[()][p]] + [res[k][p] for k in keys], res["scales"][p], oracle)
+        assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
+
+
+def _worst_case_tail(rm, radius, h_max, k_max):
+    """The tail bound with every request charged max(1, 2 pi h_max r)^k_max on a shell."""
+    total = 0.0
+    t0 = max(int(math.floor(radius)), 0)
+    for t in range(t0, t0 + 800):
+        r_out = t + 1.0 + math.sqrt(rm.g)
+        term = engine._ball_volume_coeff(rm.g) * r_out ** rm.g \
+            * max(1.0, 2.0 * math.pi * h_max * r_out) ** k_max * math.exp(-math.pi * rm.lambda_min * t * t)
+        total += term
+        if term <= 1e-9 * total:
+            break
+    return total
+
+
+_PROFILES = st.lists(st.lists(st.floats(0.0, 20.0), max_size=4).map(
+    lambda p: tuple(sorted(p, reverse=True))), min_size=1, max_size=6)
+
+
+def _dominated(p, q):
+    """p is no longer than q and, both sorted in descending order, elementwise at most it."""
+    return p != q and len(p) <= len(q) and all(a <= b for a, b in zip(p, q))
+
+
+@given(profiles=_PROFILES, radius=st.floats(1.5, 6.0), seed=st.sampled_from([2, 3, 4]))
+def test_per_request_tail_is_at_most_the_worst_case_tail(profiles, radius, seed):
+    rm = RiemannMatrix(random_tau(2 + seed % 2, seed=seed))
+    tail = engine._tail_bound(rm, radius, engine._weight_envelope(profiles))
+    h_max = max((h for p in profiles for h in p), default=0.0)
+    # the shells summed may differ by the 1e-9 cut-off, so allow that much
+    assert tail <= _worst_case_tail(rm, radius, h_max, max(map(len, profiles))) * (1 + 1e-8)
+    for p in profiles:  # one profile (h,) * k is the worst case itself
+        single = (max(p, default=0.0),) * len(p)
+        assert engine._tail_bound(rm, radius, engine._weight_envelope([single])) == \
+            pytest.approx(_worst_case_tail(rm, radius, *single[:1] or (0.0,), len(p)), rel=1e-12)
+    kept = [p for p in profiles if not any(_dominated(p, q) for q in profiles)]
+    assert engine._tail_bound(rm, radius, engine._weight_envelope(kept)) == tail
 
 
 def test_genus4_jets_peak_memory_is_a_fraction_of_its_term_matrix():
