@@ -414,8 +414,9 @@ def _worst_case_tail(rm, radius, h_max, k_max):
     t0 = max(int(math.floor(radius)), 0)
     for t in range(t0, t0 + 800):
         r_out = t + 1.0 + math.sqrt(rm.g)
-        term = engine._ball_volume_coeff(rm.g) * r_out ** rm.g \
-            * max(1.0, 2.0 * math.pi * h_max * r_out) ** k_max * math.exp(-math.pi * rm.lambda_min * t * t)
+        weight = max(1.0, 2.0 * math.pi * h_max * r_out) ** k_max
+        term = engine._ball_volume_coeff(rm.g) * r_out ** rm.g * weight \
+            * math.exp(-math.pi * rm.lambda_min * t * t)
         total += term
         if term <= 1e-9 * total:
             break
@@ -439,9 +440,9 @@ def test_per_request_tail_is_at_most_the_worst_case_tail(profiles, radius, seed)
     # the shells summed may differ by the 1e-9 cut-off, so allow that much
     assert tail <= _worst_case_tail(rm, radius, h_max, max(map(len, profiles))) * (1 + 1e-8)
     for p in profiles:  # one profile (h,) * k is the worst case itself
-        single = (max(p, default=0.0),) * len(p)
-        assert engine._tail_bound(rm, radius, engine._weight_envelope([single])) == \
-            pytest.approx(_worst_case_tail(rm, radius, *single[:1] or (0.0,), len(p)), rel=1e-12)
+        h = max(p, default=0.0)
+        assert engine._tail_bound(rm, radius, engine._weight_envelope([(h,) * len(p)])) == \
+            pytest.approx(_worst_case_tail(rm, radius, h, len(p)), rel=1e-12)
     kept = [p for p in profiles if not any(_dominated(p, q) for q in profiles)]
     assert engine._tail_bound(rm, radius, engine._weight_envelope(kept)) == tail
 
