@@ -596,6 +596,8 @@ def sweep_residual(kind: str, tau, jet: DirectionJet, points, tolerance: float,
     point is bound at once (z and z + a together for the shifted forms).
     The "kp" and "longeq" sweeps read the jet's Galilean representative
     (see the module docstring).  The tolerance is checked before any lattice sum.
+    A sweep with no points, or a hierarchy sweep at epsilon = 0, where every
+    term vanishes, passes with a note that says it is vacuous.
     """
     _check_real(tolerance, "tolerance")
     rm = as_riemann_matrix(tau)
@@ -621,7 +623,10 @@ def sweep_residual(kind: str, tau, jet: DirectionJet, points, tolerance: float,
     else:
         raise InvalidInputError(f"unknown residual kind {kind!r}")
     pts = [as_point(p) for p in points]
-    return build_report(pts, fn(_check_points(pts, rm.g)), tolerance)
+    report = build_report(pts, fn(_check_points(pts, rm.g)), tolerance)
+    if kind == "hierarchy" and pts and complex(epsilon) == 0.0:
+        report.note = "vacuous: every term of the hierarchy form vanishes at epsilon = 0"
+    return report
 
 
 def hierarchy_scan(tau, jet: DirectionJet, epsilons, points):

@@ -286,7 +286,7 @@ def cmd_residual(args):
 # searches
 
 
-_SEARCH_TARGETS = {
+_SEARCH_COMMANDS = {
     "kp-search": ("hirota", "V,W,d"),
     "one-point-search": ("one_point", "V,a,c"),
 }
@@ -301,7 +301,7 @@ def _write_history_csv(path, result):
 
 
 def cmd_search(args):
-    target, default_free = _SEARCH_TARGETS[args.command]
+    target, default_free = _SEARCH_COMMANDS[args.command]
     rm = _load_tau(args)
     jet, extras = _load_jet(args, default_unit_u=True, genus=rm.g)
     free_vars = tuple(v.strip() for v in (args.free or default_free).split(",") if v.strip())
@@ -512,7 +512,7 @@ def build_parser() -> _Parser:
         p.add_argument("--samples", type=int, help="training points (default: "
                        f"{SAMPLES_PER_PARAMETER}x the real degrees of freedom, at least 40; "
                        "an equal holdout set is always drawn)")
-        target, default_free = _SEARCH_TARGETS[name]
+        target, default_free = _SEARCH_COMMANDS[name]
         p.add_argument("--free", help="comma-separated fields to optimize, from "
                        f"{','.join(_MODELS[target].fields)} (default {default_free}); never U, "
                        "whose direction is always searched on its unit slice")

@@ -328,6 +328,7 @@ def _tail_bound(rm: RiemannMatrix, radius: float, envelope, shells=None) -> floa
     ``_weight_envelope`` q of their norm profiles.  Shells are summed from
     t = floor(radius) until one adds at most 1e-9 of the total; ``shells``,
     when given, memoizes their terms by t across calls on one rm and envelope.
+    A shell term past the float range raises ``PrecisionUnreachableError``.
     """
     lam, vg, root_g = rm.lambda_min, _ball_volume_coeff(rm.g), math.sqrt(rm.g)
     shells, coeffs = {} if shells is None else shells, envelope[1:]
@@ -342,12 +343,13 @@ def _tail_bound(rm: RiemannMatrix, radius: float, envelope, shells=None) -> floa
                 power *= r_out
                 if q * power > weight:
                     weight = q * power
-            if weight == math.inf:
+            term = vg * r_out ** rm.g * weight * math.exp(-PI * lam * t * t)
+            if not math.isfinite(term):  # inf, or inf * 0.0 = nan past exp's underflow
                 raise PrecisionUnreachableError(
                     f"derivative weight overflows (order {len(envelope) - 1}, weight "
                     f"coefficients up to {max(envelope):.2e}); no truncation radius bounds it"
                 )
-            term = shells[t] = vg * r_out ** rm.g * weight * math.exp(-PI * lam * t * t)
+            shells[t] = term
         total += term
         if term <= 1e-9 * total:
             break
@@ -362,7 +364,7 @@ def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[float, f
     envelope, shells = _weight_envelope(profiles), {}
     cap = RADIUS_CAP_FACTOR / math.sqrt(rm.lambda_min)
     radius = max(1.5, math.sqrt(max(-math.log(target), 1.0) / (PI * rm.lambda_min)))
-    while (tail := _tail_bound(rm, radius, envelope, shells)) > target:
+    while not (tail := _tail_bound(rm, radius, envelope, shells)) <= target:
         radius = max(radius * 1.2, radius + 0.5)
         if radius > cap:
             raise PrecisionUnreachableError(
@@ -537,7 +539,8 @@ class BatchThetaEvaluator:
     ``_tail_bound``); without it the evaluator serves the
     single profile (max_direction_norm,) * max_order, that is every request
     of order at most ``max_order`` along directions of norm at most
-    ``max_direction_norm``.  The tail bound covers the requests and their
+    ``max_direction_norm``.  A NaN, infinite or negative norm, given either
+    way, is refused.  The tail bound covers the requests and their
     sub-requests at ``target_abs_err``.  Accumulation order is fixed by the
     lattice ordering and the row blocks of ``BoundBatch.jets``.
     """
@@ -550,6 +553,9 @@ class BatchThetaEvaluator:
         self.rm = rm
         if profiles is None:
             profiles = [(max_direction_norm,) * max_order]
+        norms = [max_direction_norm, *(h for profile in profiles for h in profile)]
+        if not all(0.0 <= h < math.inf for h in norms):
+            raise InvalidInputError("direction norms must be finite and non-negative")
         radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, profiles)
         lattice = self.lattice = _lattice_points(rm.g, radius)
         # per lattice row n: the phase exp(pi*i n.X.n), the rows of the

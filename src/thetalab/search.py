@@ -19,19 +19,22 @@ well-conditioned:
   hierarchy germ) are solved before each restart's Levenberg-Marquardt run,
   which starts from the solved values.  Each form's term stack in
   ``bilinear`` is affine in those fields, and one iteratively reweighted
-  least-squares solve (``_solve_affine``) serves all three: it reads the
-  stack on those fields as ``bilinear._Dual`` values at zero, whose
-  tangents are the solve's columns, and weights each sample by the inverse
-  of its term-sum normalizer.
+  least-squares solve (``_Model.solve_linear``) serves all three: it reads
+  the model's stack on those fields as ``bilinear._Dual`` values at zero,
+  whose tangents are the solve's columns, and weights each sample by the
+  model's ``row_weight`` over its term-sum normalizer.
 
-The Jacobian is the residual vector's own map run in forward mode: the
-real parameters x enter as ``_Dual`` values along x, and U's chart on its
-gauge slice, the Galilean representative of a KP candidate, the
-hierarchy's fold, the term stack (along the shift a, a source bound one
-order up) and the term-sum ratios carry the tangents to the Jacobian's
-columns.  Every dual value equals the plain one bit for bit, so the
-Jacobian, asked for only where the residual vector was just accepted,
-reuses that evaluation's derivative sources and their contractions.
+A search is a model (``_HirotaModel``, ``_OnePointModel``, or
+``_HierarchyModel``, the one-point form on the germ's epsilon grid) and a
+``decode`` of the real parameters x into its fields.  ``_Multistart.run``
+holds the one residual map, the model's term-sum ratios at the decoded
+candidate, and its Jacobian, the same map run in forward mode on
+``decode(x, dual=True)``: U's chart on its gauge slice, the Galilean
+representative of a KP candidate, the hierarchy's fold, the term stack
+(along the shift a, a source bound one order up) and the ratios carry the
+tangents to the Jacobian's columns.  Every dual value equals the plain one
+bit for bit, so the Jacobian, asked for only where the residual vector was
+just accepted, reuses that candidate's derivative sources.
 
 The four-direction form is invariant under the Galilean move (V, W) ->
 (V + nu U, W + 2 nu V + nu^2 U) and its term-sum normalizer is not, so a
@@ -82,7 +85,6 @@ from .engine import _check_real, _check_vector, _evaluator_for, box_points, cano
 from .errors import DegenerateJetError, InvalidInputError
 
 
-TARGETS = ("hirota", "one_point", "hierarchy")
 SAMPLES_PER_PARAMETER = 10  # the training floor of a search, per real free parameter
 EPSILON_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 IRLS_ROUNDS = 3
@@ -249,8 +251,11 @@ class _Model:
     and the ``linear_fields`` its stack is affine in.  Its ``terms`` read
     one candidate's derivative sources and a dict p of field values, plain or
     ``_Dual``; on dual fields the stack carries its tangents, which are the
-    IRLS columns and, through ``ratios``, the Jacobian.
+    IRLS columns and, through ``ratios``, the Jacobian.  ``row_weight``
+    weights each sample of the stack in the IRLS solve.
     """
+
+    row_weight = 1.0
 
     def canonical(self, p, free):
         """p itself: the form has no symmetry that moves its fields."""
@@ -264,7 +269,7 @@ class _Model:
         zero = {name: _Dual(0j if _scalar(name) else np.zeros(self.g, dtype=complex), t)
                 for name, t in _tangents(free, self.g, (1.0,)).items()}
         stack = self.terms(sources, {**p, **zero})
-        x = _solve_affine(stack.value, np.moveaxis(stack.tangent, 0, -1), 1.0)
+        x = _solve_affine(stack.value, np.moveaxis(stack.tangent, 0, -1), self.row_weight)
         out, pos = dict(p), 0
         for name in free:
             size = _field_size(name, self.g)
@@ -330,7 +335,7 @@ class _OnePointModel(_Model):
 
         A fixed shift is bound once per model, a free one once per
         residual-vector evaluation (the Jacobian at that point shares it).  The
-        hierarchy fit passes its grid of germ shifts, which a candidate that
+        hierarchy model passes its grid of germ shifts, which a candidate that
         moves only the d-coefficients leaves as it is.  The kept stack
         serves any ``orders`` it holds: the Jacobian along a free shift needs
         orders 1-3, the terms orders 1-2.
@@ -359,6 +364,61 @@ class _OnePointModel(_Model):
         return _one_point_terms(Dz, Da, p["U"], p["V"], p["c"])
 
 
+class _HierarchyModel(_OnePointModel):
+    """The one-point form of a germ on the epsilon grid, its rows joined along the samples.
+
+    The fields are zeta_2..zeta_K and d_3..d_(K+1), the linear ones; zeta_1 is
+    U.  Each grid eps folds the germ into one-point fields
+    (``bilinear._hierarchy_fold``).  A germ truncated at order K leaves
+    residual O(eps^(K+1)), so a row weighted by 1/eps^(K+1) balances the
+    rows at the true germ, and a misfit at any lower order dominates from
+    the small-eps side.
+    """
+
+    def __init__(self, rm, points, U, V, order):
+        super().__init__(rm, points)
+        self.U, self.V = U, V
+        self.zeta_names = tuple(f"zeta{k}" for k in range(2, order + 1))
+        self.linear_fields = tuple(f"d{j}" for j in range(3, order + 2))
+        self.fields = self.zeta_names + self.linear_fields
+        self.weights = np.asarray(EPSILON_GRID) ** (-(order + 1.0))
+        self.row_weight = np.repeat(self.weights, self.basis_z.count)
+
+    def grid(self, p):
+        """Per grid eps, the one-point fields U, V, c and a of the germ p's fold."""
+        zetas = [self.U, *(p[n] for n in self.zeta_names)]
+        dvals = [p[n] for n in self.linear_fields]
+        return [dict(zip(("U", "V", "c", "a"), _hierarchy_fold(
+                    self.U, self.V, eps, _series(zetas, eps, 1), _series(dvals, eps, 3))))
+                for eps in EPSILON_GRID]
+
+    def sources(self, p, along=()):
+        """Derivative sources at z, and at z + a per grid shift a of the germ p.
+
+        The grid is bound at orders 1-3, so one bind per germ serves the IRLS
+        solve, the residual vector and the Jacobian along the shifts.
+        """
+        Dz = _Contractions(self.basis_z)
+        shifts = [q["a"] for q in self.grid(p)]
+        return [(Dz, _Contractions(basis)) for basis in self.basis_at(shifts, (1, 2, 3))]
+
+    def terms(self, sources, p):
+        return _join([_OnePointModel.terms(self, src, q) for src, q in zip(sources, self.grid(p))])
+
+    def ratios(self, sources, p):
+        """Each grid row's term-sum ratios, weighted by 1/eps^(K+1), joined along the samples."""
+        return _join([_term_ratios(_OnePointModel.terms(self, src, q)) * w
+                      for src, q, w in zip(sources, self.grid(p), self.weights)])
+
+
+def _join(parts):
+    """Plain or ``_Dual`` arrays joined along their last axis, the samples."""
+    if not isinstance(parts[0], _Dual):
+        return np.concatenate(parts, axis=-1)
+    return _Dual(np.concatenate([q.value for q in parts], axis=-1),
+                 np.concatenate([q.tangent for q in parts], axis=-1))
+
+
 _MODELS = {"hirota": _HirotaModel, "one_point": _OnePointModel}
 
 
@@ -371,10 +431,9 @@ def _field_size(name, g):
     return 1 if _scalar(name) else g
 
 
-def _real_parameters(names, g, gauge=True):
-    """The real parameters of the fields ``names``, with ``gauge`` plus the 2(g-1) of U's slice."""
-    n = sum(2 * _field_size(name, g) for name in names)
-    return n + 2 * (g - 1) if gauge else n
+def _real_parameters(names, g):
+    """The real parameters of the fields ``names`` plus the 2(g-1) of U's slice."""
+    return sum(2 * _field_size(name, g) for name in names) + 2 * (g - 1)
 
 
 def _pack(values, names):
@@ -419,18 +478,6 @@ def _real_stack(r):
     return np.concatenate([r.real, r.imag])
 
 
-def _keep_last(make):
-    """make(x), kept for the last x: the Jacobian at x reuses the residual vector's candidate."""
-    last = []
-
-    def at(x):
-        if not last or not np.array_equal(x, last[0]):
-            last[:] = [np.array(x), make(x)]
-        return last[1]
-
-    return at
-
-
 def _levenberg_marquardt(resvec, jac, x, max_nfev):
     """The point reached by minimizing |resvec(x)|^2 from x, and its residual vector.
 
@@ -473,7 +520,7 @@ def _levenberg_marquardt(resvec, jac, x, max_nfev):
 
 def _validate_problem(problem, rm):
     """The model class of the problem's target and its real parameter count."""
-    if problem.target not in TARGETS:
+    if problem.target not in _MODELS:
         raise InvalidInputError(f"unknown search target {problem.target!r}")
     model_cls = _MODELS[problem.target]
     _check_vector(problem.jet.U, rm.g, "U")
@@ -522,29 +569,42 @@ class _Multistart:
         self.z_hold = box_points(rm, np.random.default_rng(hold_ss), problem.sample_count)
         self.history, self.evaluations = [], []
 
-    def run(self, start, resvec, jac):
+    def run(self, start, model, decode, free):
         """The x reached by the best restart, ties broken by restart index.
 
-        Restart k starts at ``start(k, rng)``, rng drawn from its own stream,
-        and makes one ``_levenberg_marquardt`` run on ``resvec`` with its
-        exact Jacobian ``jac`` and ``max_nfev`` = ``problem.iterations``
-        residual vectors.  The restart scores 2 mean(r^2) at the point
-        reached, the mean squared modulus of the complex residuals, and
-        ``evaluations`` counts its calls of ``resvec`` and of ``jac``.
+        The residual vector at x is ``model.ratios`` at the candidate
+        p = model.canonical(decode(x), free), on ``model.sources(p, along=free)``;
+        the Jacobian is the same map on ``decode(x, dual=True)``, on the kept
+        sources of the last candidate.  Restart k starts at ``start(k, rng)``,
+        rng drawn from its own stream, and makes one ``_levenberg_marquardt``
+        run of at most ``problem.iterations`` residual vectors.  It scores
+        2 mean(r^2) at the point reached, the mean squared modulus of the
+        complex residuals; ``evaluations`` counts its residual vectors and
+        Jacobians.
         """
-        calls, xs = 0, []
+        calls, xs, last = 0, [], []
 
-        def counted(f):
-            def call(x):
-                nonlocal calls
-                calls += 1
-                return f(x)
-            return call
+        def candidate(x):
+            if not last or not np.array_equal(x, last[0]):
+                p = model.canonical(decode(x), free)
+                last[:] = [np.array(x), p, model.sources(p, along=free)]
+            return last[1], last[2]
 
-        resvec, jac = counted(resvec), counted(jac)
+        def resvec(x):
+            nonlocal calls
+            calls += 1
+            p, sources = candidate(x)
+            return _real_stack(model.ratios(sources, p))
+
+        def jacobian(x):
+            nonlocal calls
+            calls += 1
+            dual = model.canonical(decode(x, dual=True), free)
+            return _real_stack(model.ratios(candidate(x)[1], dual).tangent.T)
+
         for k, stream in enumerate(self.streams):
             first = calls
-            x, r = _levenberg_marquardt(resvec, jac, start(k, np.random.default_rng(stream)),
+            x, r = _levenberg_marquardt(resvec, jacobian, start(k, np.random.default_rng(stream)),
                                         self.problem.iterations)
             self.history.append(float(np.mean(r ** 2) * 2.0))
             xs.append(x)
@@ -627,20 +687,6 @@ def fit(problem: SearchProblem) -> SearchResult:
             fields = {name: _Dual(v, field_dx[name]) for name, v in fields.items()}
         return {**fixed, "U": decode_u(x[:u_len] + 1j * x[u_len:2 * u_len], dual), **fields}
 
-    @_keep_last
-    def candidate(x):
-        """The fields at x and their sources, which serve the Jacobian at x too."""
-        p = model.canonical(decode(x), problem.free_vars)
-        return p, model.sources(p, along=problem.free_vars)
-
-    def resvec(x):
-        p, sources = candidate(x)
-        return _real_stack(model.ratios(sources, p))
-
-    def jacobian(x):
-        p = model.canonical(decode(x, dual=True), problem.free_vars)
-        return _real_stack(model.ratios(candidate(x)[1], p).tangent.T)
-
     def start(k, rng):
         """Restart k's x: U's slice point and the nonlinear fields drawn, the linear ones solved."""
         w = w_base
@@ -659,7 +705,8 @@ def fit(problem: SearchProblem) -> SearchResult:
         w = np.delete(p["U"] / p["U"][pivot], pivot)
         return np.concatenate([w.real, w.imag, _pack(p, problem.free_vars)])
 
-    final = model.canonical(decode(driver.run(start, resvec, jacobian)), problem.free_vars)
+    final = model.canonical(decode(driver.run(start, model, decode, problem.free_vars)),
+                            problem.free_vars)
     best_jet = replace(jet, **{n: v for n, v in final.items() if n != "a"})
     if problem.target == "hirota":
         hold = _hirota_residuals(rm, best_jet, driver.z_hold)
@@ -691,10 +738,9 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
     """Fit germ coefficients zeta_2..zeta_K and d_3..d_(K+1), K = ``problem.jet_order``.
 
     The first germ coefficient is pinned to U from the supplied jet; the
-    residual is minimized jointly over a log-spaced epsilon grid, each grid
-    row weighted by 1/eps^(K+1) so all truncation orders contribute
-    comparably.  The reported scaling exponent is the log-log slope of the
-    holdout residual over the grid.
+    residual is minimized jointly over a log-spaced epsilon grid
+    (``_HierarchyModel``).  The reported scaling exponent is the log-log
+    slope of the holdout residual over the grid.
     """
     rm = as_riemann_matrix(problem.tau)
     g = rm.g
@@ -710,79 +756,30 @@ def fit_hierarchy(problem: SearchProblem) -> SearchResult:
     if float(np.linalg.norm(jet.U)) < GAUGE_DEGENERATE_TOL:
         raise DegenerateJetError(
             "zero leading germ coefficient: the shift collapses to a = 0")
-    U, V = jet.U, jet.V
+    # the free fields are zeta_2..zeta_K and d_3..d_(K+1)
+    driver = _Multistart(problem, rm, 2 * (K - 1) * (g + 1))
+    model = _HierarchyModel(rm, driver.z_train, jet.U, jet.V, K)
+    dx = _tangents(model.fields, g)
 
-    zeta_names = [f"zeta{k}" for k in range(2, K + 1)]
-    d_names = [f"d{j}" for j in range(3, K + 2)]
-    names = zeta_names + d_names
-    driver = _Multistart(problem, rm, _real_parameters(names, g, gauge=False))
-    model = _OnePointModel(rm, driver.z_train)
-    eps_grid = np.asarray(EPSILON_GRID)
-    # a germ truncated at order K leaves residual O(eps^(K+1)); dividing
-    # each grid row by that a-priori scale balances the rows at the true
-    # germ, so misfit at ANY lower order dominates from the small-eps side
-    weights = eps_grid ** (-(K + 1.0))
-
-    def grid(p):
-        """Per grid eps, the one-point fields and shift a of the folded form at the germ p."""
-        zetas, dvals = [U, *(p[n] for n in zeta_names)], [p[n] for n in d_names]
-        folds = [_hierarchy_fold(U, V, eps, _series(zetas, eps, 1), _series(dvals, eps, 3))
-                 for eps in eps_grid]
-        return [dict(zip(("U", "V", "c", "a"), fold)) for fold in folds]
-
-    def sources_for(fields):
-        """Derivative sources of one candidate: at z, and at z + a per grid shift a.
-
-        The grid is bound at orders 1-3, so one bind per germ serves the IRLS
-        solve, the residual vector and the Jacobian along the shifts.
-        """
-        Dz = _Contractions(model.basis_z)
-        shifts = [q["a"] for q in fields]
-        return [(Dz, _Contractions(basis_a)) for basis_a in model.basis_at(shifts, (1, 2, 3))]
-
-    def solve_d(zetas):
-        """The d-coefficients enter every row's constant linearly; IRLS solve at d = 0."""
-        d_dx = _tangents(d_names, g, (1.0,))
-        fields = grid({**zetas, **{n: _Dual(0j, d_dx[n]) for n in d_names}})
-        stacks = [model.terms(src, q) for src, q in zip(sources_for(fields), fields)]
-        terms = np.concatenate([stack.value for stack in stacks], axis=1)
-        columns = np.concatenate([np.moveaxis(stack.tangent, 0, -1) for stack in stacks], axis=1)
-        return dict(zip(d_names, _solve_affine(terms, columns,
-                                               np.repeat(weights, model.basis_z.count))))
+    def decode(x, dual=False):
+        p = _unpack(x, model.fields, g)
+        return {name: _Dual(v, dx[name]) for name, v in p.items()} if dual else p
 
     def start(k, rng):
         # the order-2 germ coefficient is generically close to the opposite
         # of the second flow direction; seed the first restart there and
         # jitter the rest around it
-        zetas = [-V] + [np.zeros(g, dtype=complex)] * (K - 2)
+        zetas = [-jet.V] + [np.zeros(g, dtype=complex)] * (K - 2)
         if k > 0:
             zetas = [z + 0.5 * (rng.standard_normal(g) + 1j * rng.standard_normal(g))
                      for z in zetas]
-        zetas = dict(zip(zeta_names, zetas))
-        return _pack({**zetas, **solve_d(zetas)}, names)
+        p = {**dict(zip(model.zeta_names, zetas)), **dict.fromkeys(model.linear_fields, 0j)}
+        return _pack(model.solve_linear(model.sources(p), p, model.linear_fields), model.fields)
 
-    @_keep_last
-    def candidate(x):
-        """The grid's one-point fields at x and their sources, which serve the Jacobian at x."""
-        fields = grid(_unpack(x, names, g))
-        return fields, sources_for(fields)
-
-    dx = _tangents(names, g)
-
-    def resvec(x):
-        fields, sources = candidate(x)
-        return _real_stack(np.concatenate([model.ratios(src, q) * w for src, q, w in
-                                           zip(sources, fields, weights)]))
-
-    def jacobian(x):
-        fields = grid({name: _Dual(v, dx[name]) for name, v in _unpack(x, names, g).items()})
-        return _real_stack(np.concatenate([model.ratios(src, q).tangent.T * w for src, q, w in
-                                           zip(candidate(x)[1], fields, weights)]))
-
-    p = _unpack(driver.run(start, resvec, jacobian), names, g) if names else {}
-    fitted = replace(jet, zeta_coeffs=[U] + [p[n] for n in zeta_names],
-                     d_coeffs=[p[n] for n in d_names])
-    scan, exponent = hierarchy_scan(rm, fitted, list(eps_grid), list(driver.z_hold))
+    p = decode(driver.run(start, model, decode, model.fields)) if model.fields else {}
+    fitted = replace(jet, zeta_coeffs=[jet.U] + [p[n] for n in model.zeta_names],
+                     d_coeffs=[p[n] for n in model.linear_fields])
+    scan, exponent = hierarchy_scan(rm, fitted, list(EPSILON_GRID), list(driver.z_hold))
     best_residual = float(max(r for _, r in scan))
     return SearchResult(
         best_jet=fitted,

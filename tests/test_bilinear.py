@@ -527,6 +527,14 @@ def test_empty_point_list_is_vacuous_for_every_kind(rm_kdv, bind_sizes):
         hierarchy_scan(rm_kdv, jet, [1e-2, 1e-1], [])
 
 
+def test_hierarchy_sweep_at_zero_epsilon_is_vacuous(rm_kdv):
+    # every term of the hierarchy form vanishes at eps = 0, so any jet passes there
+    report = sweep_residual("hierarchy", rm_kdv, _full_jet(1), [[0.21 + 0.05j]], 1e-6,
+                            epsilon=0.0)
+    assert report.passed and report.max_residual == 0.0
+    assert report.note.startswith("vacuous") and "epsilon" in report.note
+
+
 def test_sweeps_bind_all_points_at_once(rm_kdv, bind_sizes):
     jet = _full_jet(1)
     pts = random_points(1, 7, seed=290)

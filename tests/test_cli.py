@@ -164,6 +164,16 @@ class TestThetaEval:
         err = json.loads(capsys.readouterr().err)
         assert code == 3 and err["error"] == "PRECISION_UNREACHABLE"
 
+    def test_overflowing_shell_term_is_precision_unreachable(self, tmp_path, capsys):
+        # a finite weight whose shell term overflows: refused, not a NaN error bound
+        tau = write_tau(tmp_path / "tau.json", 1.1j * np.eye(4))
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"points": [[[0.0, 0.0]] * 4],
+                                   "derivatives": [[[1e302, 0.0, 0.0, 0.0]]]}))
+        code = main(["theta-eval", "--tau", str(tau), "--points", str(pts)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 3 and err["error"] == "PRECISION_UNREACHABLE"
+
 
 class TestErrorChannel:
     def test_non_symmetric_tau(self, tmp_path, capsys):

@@ -633,6 +633,14 @@ def test_overflowing_derivative_weight_is_precision_unreachable(rm_g1):
     assert np.isfinite(jet.d((h,) * 4)) and math.isfinite(jet.error_bound)
 
 
+def test_overflowing_shell_term_is_precision_unreachable():
+    # the weight 2 pi 1e302 r is finite, but vg r^4 times it is not; a later shell's
+    # exp(-pi lambda t^2) underflows to 0.0, and inf * 0.0 would make the tail NaN
+    rm = RiemannMatrix(1.1j * np.eye(4))
+    with pytest.raises(PrecisionUnreachableError, match="overflows"):
+        theta_eval(np.zeros(4), rm, [((1e302, 0.0, 0.0, 0.0),)])
+
+
 def test_all_zero_tau_is_not_positive_definite():
     with pytest.raises(TauNotPositiveDefiniteError):
         RiemannMatrix(np.zeros((2, 2)))

@@ -33,7 +33,7 @@ from thetalab.divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from thetalab.engine import AbelianPoint, RiemannMatrix
+from thetalab.engine import AbelianPoint, BatchThetaEvaluator, RiemannMatrix
 
 NAN_A = np.array([np.nan, 0.0])
 JET = DirectionJet(U=[1.0, 0.0], V=[0.2 - 0.1j, 0.3j], c=0.4, A=0.1, B=0.2)
@@ -156,3 +156,12 @@ def test_bad_tolerance_makes_no_lattice_sum(rm_g2, monkeypatch, call):
         with pytest.raises(InvalidInputError, match="tolerance"):
             call(rm_g2, tolerance)
     assert not sums
+
+
+@pytest.mark.parametrize("norm", [np.nan, np.inf, -1.0])
+def test_nonfinite_or_negative_direction_norm_is_invalid_input(rm_g2, norm):
+    # a NaN norm would size the lattice as order 0, far short of order 4
+    with pytest.raises(InvalidInputError, match="direction norms"):
+        BatchThetaEvaluator(rm_g2, 4, norm)
+    with pytest.raises(InvalidInputError, match="direction norms"):
+        BatchThetaEvaluator(rm_g2, profiles=[(1.0, 1.0), (0.5, norm, 1.0)])

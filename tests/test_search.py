@@ -30,6 +30,7 @@ from thetalab.search import (
     SearchResult,
     _BasisJets,
     _Contractions,
+    _HierarchyModel,
     _HirotaModel,
     _OnePointModel,
     fit,
@@ -281,25 +282,36 @@ class TestExactJacobian:
     def test_irls_columns_are_the_affine_blocks_differences(self, rm_g2):
         # the IRLS columns are the tangents of the stack on dual fields; they are the
         # differences terms(e_j) - terms(0) of the stack, which is affine in the
-        # linear fields, and 0 in the rows free of them (all but the last three)
+        # linear fields, and 0 in the rows free of them: all but the last three of
+        # the KP and one-point stacks, all but each grid block's c.theta.theta_a row
+        # (the last row of the joined stack) for the hierarchy germ's d-coefficients
         U, V = np.array([0.9 + 0.1j, -0.2 + 0.3j]), np.array([0.4 - 0.6j, 0.1 + 0.2j])
         W, a = np.array([-0.7 + 0.2j, 0.5 - 0.1j]), np.array([0.21 - 0.34j, -0.17 + 0.25j])
         pts = box_points(rm_g2, np.random.default_rng(13), 7)
+        germ = dict(zeta2=-V, zeta3=0.3 * W, d3=0.2 - 0.1j, d4=-0.4 + 0.3j)
         cases = [
-            (_HirotaModel(rm_g2, pts), dict(U=U, V=V, W=W, d=0.3 - 0.8j), ("W", "d")),
-            (_OnePointModel(rm_g2, pts), dict(U=U, V=V, c=0.4 + 0.2j, a=a), ("V", "c")),
+            (_HirotaModel(rm_g2, pts), dict(U=U, V=V, W=W, d=0.3 - 0.8j), ("W", "d"), 3),
+            (_OnePointModel(rm_g2, pts), dict(U=U, V=V, c=0.4 + 0.2j, a=a), ("V", "c"), 3),
+            (_HierarchyModel(rm_g2, pts, U, V, 3), germ, ("d3", "d4"), 1),
         ]
-        for model, p, free in cases:
+        for model, p, free, rows in cases:
             sources = model.sources(p)
-            zero = {**p, **{n: 0j if n in ("c", "d") else np.zeros(2, dtype=complex)
-                            for n in free}}
+            sizes = [search._field_size(n, 2) for n in free]
+            zero = {**p, **{n: 0j if size == 1 else np.zeros(2, dtype=complex)
+                            for n, size in zip(free, sizes)}}
             dx = search._tangents(free, 2, (1.0,))
             stack = model.terms(sources, {**zero, **{n: _Dual(zero[n], dx[n]) for n in free}})
             columns = np.moveaxis(stack.tangent, 0, -1)
-            x = np.eye(3, dtype=complex)
-            want = np.stack([model.terms(sources, {**zero, free[0]: e[:2], free[1]: e[2]})
-                             - model.terms(sources, zero) for e in x], axis=-1)
-            rows = 3
+
+            def at(e):
+                """The fields with the free ones set from the complex vector e, in order."""
+                ends = np.cumsum(sizes)
+                return {**zero, **{n: e[end - 1] if size == 1 else e[end - size:end]
+                                   for n, size, end in zip(free, sizes, ends)}}
+
+            want = np.stack([model.terms(sources, at(e)) - model.terms(sources, zero)
+                             for e in np.eye(sum(sizes), dtype=complex)], axis=-1)
+            assert columns.shape == want.shape
             assert not columns[:-rows].any() and not want[:-rows].any()
             assert np.abs(columns - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -826,14 +838,14 @@ class TestFitHierarchy:
             bound.append(np.array(points, dtype=complex).reshape(-1))
 
         calls = []
-        ratios = _OnePointModel.ratios
+        ratios = _HierarchyModel.ratios
 
         def counting(self, *args):
             calls.append(1)
             return ratios(self, *args)
 
         monkeypatch.setattr(BoundBatch, "__init__", recording)
-        monkeypatch.setattr(_OnePointModel, "ratios", counting)
+        monkeypatch.setattr(_HierarchyModel, "ratios", counting)
         fit_hierarchy(SearchProblem(
             tau=TAU1, target="hierarchy", jet=stage1.best_jet, free_vars=(),
             sample_count=60, seed=7, restarts=2, iterations=40, tolerance=1e-6,
@@ -844,9 +856,9 @@ class TestFitHierarchy:
         assert shifts and len(shifts) % n == 0
         grids = [tuple(shifts[i:i + n]) for i in range(0, len(shifts), n)]
         assert all(a != b for a, b in zip(grids, grids[1:]))
-        # without reuse, every residual-vector evaluation (one ratios call
-        # per eps) and every restart's d-solve would bind a grid
-        assert len(grids) < len(calls) // n + 2
+        # without reuse, every residual-vector evaluation and Jacobian (one
+        # ratios call each) and every restart's d-solve would bind a grid
+        assert len(grids) < len(calls) + 2
 
     def test_result_type(self, g1_chain):
         _, res = g1_chain
