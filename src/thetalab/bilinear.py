@@ -31,8 +31,9 @@ The other forms, and the single-point ``hirota_residual`` and
 Each form has one vectorized term stack over a derivative source
 (``_hirota_terms``, ``_one_point_terms``, ``_longeq_terms``), shared by the
 residual at one point (a batch of one), the sweeps and the search models.
-A sweep binds all of its points at once; the shifted forms bind z and z + a
-together.  Each stack is written once.  The searches differentiate their
+A sweep reads all of its points at once through the engine's one pointwise
+reader (``engine._reader``); the shifted forms read z and z + a in one
+bind.  Each stack is written once.  The searches differentiate their
 whole residual map, the Galilean representative and the term-sum ratios
 included, by running it on forward-mode values (``_Dual``).
 """
@@ -52,8 +53,7 @@ from .engine import (
     _check_real,
     _check_scalar,
     _check_vector,
-    _evaluator_for,
-    _normalize_requests,
+    _reader,
     as_point,
     canonical_request,
 )
@@ -345,32 +345,23 @@ def _longeq_terms(D, U, V):
     ])
 
 
-def _jets(rm, points, requests):
-    """Jets at all points (rows) through one evaluator sized for the requests."""
-    keys = _normalize_requests(requests, rm.g)
-    return _evaluator_for(rm, keys).jets(points, keys)
-
-
-def _source(res, cols=slice(None)):
-    """The derivative source D over columns ``cols`` of a jets result."""
-    return lambda *dirs: res[canonical_request(dirs)][cols]
+def _source(row):
+    """The derivative source D of an ``engine._reader`` row reader."""
+    return lambda *dirs: row(canonical_request(dirs))
 
 
 def _hirota_residuals(rm, jet, pts):
     jet.require("U", "V", "W", "d")
     U, V, W = jet.U, jet.V, jet.W
-    res = _jets(rm, pts, [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,), (U, W), (W,)])
-    return _residuals(_hirota_terms(_source(res), U, V, W, jet.d))
+    row, = _reader(rm, [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,), (U, W), (W,)])(pts)
+    return _residuals(_hirota_terms(_source(row), U, V, W, jet.d))
 
 
 def _one_point_residuals(rm, pts, U, V, c, a):
     """One-point residuals at the rows of pts: z and z + a share one bind."""
     av = _check_vector(a, rm.g, "a")
-    res = _jets(rm, np.concatenate([pts, pts + av]), [(U, U), (U,), (V,)])
-    count = len(pts)
-    terms = _one_point_terms(_source(res, slice(None, count)), _source(res, slice(count, None)),
-                             U, V, c)
-    return _residuals(terms)
+    rows = _reader(rm, [(U, U), (U,), (V,)])(pts, (None, av))
+    return _residuals(_one_point_terms(*map(_source, rows), U, V, c))
 
 
 def _p_residuals(rm, jet, pts, a):
@@ -400,8 +391,8 @@ def _hierarchy_residuals(rm, jet, pts, epsilon):
 def _longeq_residuals(rm, jet, pts):
     jet.require("U", "V")
     U, V = jet.U, jet.V
-    res = _jets(rm, pts, [(U,), (V,), (U, U), (U, V), (V, V), (U, U, U), (U, U, U, U)])
-    value, local = np.abs(res[()]), res[("abs", ())]
+    row, = _reader(rm, [(U,), (V,), (U, U), (U, V), (V, V), (U, U, U), (U, U, U, U)])(pts)
+    value, local = np.abs(row(())), row(("abs", ()))
     off = np.flatnonzero(value > DIVISOR_REL_TOL * local)
     if off.size:
         p = off[0]
@@ -409,7 +400,7 @@ def _longeq_residuals(rm, jet, pts):
             f"|theta| = {value[p]:.3e} exceeds {DIVISOR_REL_TOL:.0e} of the "
             f"local scale {local[p]:.3e}; not a divisor point"
         )
-    return _residuals(_longeq_terms(_source(res), U, V))
+    return _residuals(_longeq_terms(_source(row), U, V))
 
 
 def hirota_residual(z, tau, jet: DirectionJet) -> float:
@@ -491,10 +482,10 @@ def kp_field_values(xyt, z, tau, jet: DirectionJet):
     xyt = np.asarray(xyt, dtype=float).reshape(-1, 3)
     x, y, t = xyt[:, :1], xyt[:, 1:2], xyt[:, 2:]
     args = x * jet.U + y * jet.V + t * jet.W + _check_vector(as_point(z).z, rm.g)
-    res = _jets(rm, args, [(jet.U,), (jet.U, jet.U)])
-    D = _source(res)
+    row, = _reader(rm, [(jet.U,), (jet.U, jet.U)])(args)
+    D = _source(row)
     value, d1, d11 = D(), D(jet.U), D(jet.U, jet.U)
-    pole = np.abs(value) <= POLE_REL_TOL * res[("abs", ())]
+    pole = np.abs(value) <= POLE_REL_TOL * row(("abs", ()))
     with np.errstate(divide="ignore", invalid="ignore"):
         u = 2.0 * (d11 * value - d1 * d1) / (value * value) + jet.c
     u[pole] = np.nan
@@ -521,10 +512,10 @@ def baker_akhiezer(x: float, y: float, z, tau, jet: DirectionJet, a, A, B) -> co
     av = _check_vector(a, rm.g, "a")
     A, B = _check_scalar(A, "A"), _check_scalar(B, "B")
     base = x * jet.U + y * jet.V + _check_vector(z, rm.g)
-    res = _evaluator_for(rm, []).jets([base, base + av], [])  # one bind for both rows
-    den, num = res[()].tolist()
-    den_scale, num_scale = res["scales"].tolist()
-    if abs(den) <= POLE_REL_TOL * res[("abs", ())][0]:
+    at_z, at_za = _reader(rm, [])(base, (None, av))  # one bind for both rows
+    den, num = at_z(()).item(), at_za(()).item()  # Python scalars: the ratio is Python complex
+    den_scale, num_scale = at_z("scales").item(), at_za("scales").item()
+    if abs(den) <= POLE_REL_TOL * at_z(("abs", ()))[0]:
         raise PoleError(f"theta vanishes at the denominator argument (|T| = {abs(den):.3e})")
     ratio = math.exp(num_scale - den_scale) * (num / den)
     return cmath.exp(A * x + B * y) * ratio

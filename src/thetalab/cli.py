@@ -47,7 +47,7 @@ from .divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from .engine import _check_points, _evaluator_for, _normalize_requests, box_points, canonical_request
+from .engine import _check_points, _reader, box_points, canonical_request
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,
@@ -122,6 +122,19 @@ def _seed(text):
     return value
 
 
+def _sample_count(text):
+    """argparse type of ``--samples``: a positive integer, as no samples would pass vacuously."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"sample count must be non-negative, got {value}" if value < 0 else
+            "sample count 0 is refused: with no sample points any jet would pass vacuously")
+    return value
+
+
 def _float_list(text, flag):
     try:
         values = [float(v) for v in str(text).split(",") if v.strip()]
@@ -170,30 +183,29 @@ def _join_notes(*parts):
 
 
 def cmd_theta_eval(args):
-    """Every point bound at once, on one evaluator sized for the requests."""
+    """Every point read at once, on one evaluator sized for the requests."""
     rm = _load_tau(args)
     if args.points is None:
         pts, reqs = np.zeros((1, rm.g), dtype=complex), []
     else:
         pts, reqs = serialize.load_points(args.points)
         pts = _check_points(pts, rm.g)
-    keys = _normalize_requests(reqs, rm.g)  # refuses a bad length, entry or order
-    res = _evaluator_for(rm, keys, args.tol).jets(pts, keys)
+    row, = _reader(rm, reqs, args.tol)(pts)  # the reader refuses a bad length, entry or order
     reports = []
     for p, z in enumerate(pts):
-        scale = math.exp(res["scales"][p])
+        scale = math.exp(row("scales")[p])
         derivs = [
             {
                 "directions": [serialize.encode_vector(h) for h in req],
-                "value": serialize.encode_complex(scale * res[canonical_request(req)][p]),
+                "value": serialize.encode_complex(scale * row(canonical_request(req))[p]),
             }
             for req in reqs
         ]
         reports.append({
             "point": serialize.encode_vector(z),
-            "value": serialize.encode_complex(scale * res[()][p]),
+            "value": serialize.encode_complex(scale * row(())[p]),
             "derivs": derivs,
-            "error_bound": float(scale * res["error"][p]),
+            "error_bound": float(scale * row("error")[p]),
         })
     _emit_json({
         "schema": SCHEMA_ID,
@@ -452,7 +464,7 @@ def _add_common(sub, jet=False, samples=None, tol=None, seed=False, threads=Fals
     if jet:
         sub.add_argument("--jet", help="path to the jet JSON file")
     if samples is not None:
-        sub.add_argument("--samples", type=int, default=samples,
+        sub.add_argument("--samples", type=_sample_count, default=samples,
                          help=f"sample-point budget (default {samples})")
     if tol is not None:
         sub.add_argument("--tol", type=_finite_float, default=tol,
@@ -509,7 +521,7 @@ def build_parser() -> _Parser:
     ):
         p = commands.add_parser(name, help=help_text)
         _add_common(p, jet=True, tol=1e-8, seed=True, threads=True)
-        p.add_argument("--samples", type=int, help="training points (default: "
+        p.add_argument("--samples", type=_sample_count, help="training points (default: "
                        f"{SAMPLES_PER_PARAMETER}x the real degrees of freedom, at least 40; "
                        "an equal holdout set is always drawn)")
         target, default_free = _SEARCH_COMMANDS[name]

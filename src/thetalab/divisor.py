@@ -1,13 +1,17 @@
 """Sampling points on theta divisors and checking Weil-type containments.
 
-Three loci are sampled by one seeded, budgeted Newton driver on the batched
-evaluator, every start advancing in lockstep on k complex unknowns s with
-points origin + frame s, each start on its own line or plane:
+A locus is a (requests, shifts) table: the points z where
+D^r theta(z + shift) = 0 for every shift and request r.  One seeded,
+budgeted Newton search (``_sample``) samples three loci, every start
+advancing in lockstep on k complex unknowns s with points origin + frame s,
+each start on its own line or plane:
 
-* the divisor {theta = 0} (k = 1, a random complex line per start),
-* the locus {theta = 0, D_U theta = 0} (k = 2; the full space for genus 2,
-  a random 2-plane per start above that),
-* the intersection {theta(z) = 0} cap {theta(z + a) = 0} (k = 2, likewise).
+* the divisor {theta = 0}: [()] at (None,) (k = 1, a random complex line
+  per start),
+* the locus {theta = 0, D_U theta = 0}: [(), (U,)] at (None,) (k = 2; the
+  full space for genus 2, a random 2-plane per start above that),
+* the intersection {theta(z) = 0} cap {theta(z + a) = 0}: [()] at (None, a)
+  (k = 2, likewise).
 
 Newton's steps are damped: a step longer than ``TRUST_RADIUS`` in s (a
 quarter of a real period, since lines and frame columns have unit norm) is
@@ -20,16 +24,16 @@ One root pass then lattice-reduces the converged points, re-verifies the
 defining constraints at the reduced points it returns, keeps those within
 ``KEEP_TOL``, sorts them and drops lattice duplicates, so results are
 deterministic for a fixed plan.  ``weil_check`` evaluates the pointwise
-alternative-vanishing relations on such point lists: at each point the two
-candidate factors are term-normalized (a combination
-sum_k coef_k * D^(alpha_k) theta is divided by sum_k |coef_k| * abs_sum)
-and the smaller magnitude is the point's residual (``_normalized``).  On
-the D1 locus D_U theta = 0, so weil and weil2 are unchanged by the Galilean
-move V -> V + nu U while their normalizers are not; both read V at the
-representative orthogonal to U (``bilinear``'s Galilean rule).
-Wherever theta is read at z and at z + a, both rows share one bind.  Every
-sampler and check reads theta on an evaluator that the engine sizes for its
-derivative requests at the default target error; none takes a target.
+alternative-vanishing relations on such point lists.  A relation is a
+factor table (``_WEIL``) of (coefficient, z or z + a, request) terms: at
+each point its two factors are term-normalized (sum_k coef_k * D^(alpha_k)
+theta is divided by sum_k |coef_k| * abs_sum) and the smaller magnitude is
+the point's residual.  On the D1 locus D_U theta = 0, so weil and weil2 are
+unchanged by the Galilean move V -> V + nu U while their normalizers are
+not; both read V at the representative orthogonal to U (``bilinear``'s
+Galilean rule).  Samplers and relations read theta through the engine's
+pointwise reader, which sizes one evaluator per call at the default target
+error (none takes a target) and binds z and z + a together.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ import numpy as np
 from .bilinear import NORMALIZER_FLOOR, ResidualReport, _galilean, as_riemann_matrix, build_report
 from .engine import (
     AbelianPoint,
+    _check_points,
     _check_real,
     _check_vector,
-    _evaluator_for,
+    _reader,
     _reduce_coords,
     box_points,
     canonical_request,
@@ -169,15 +174,30 @@ def _newton(plan, origin, frame, s, evaluate):
     return at(hits), hits
 
 
-def _roots(rm, plan, found, evaluate, names, kind, what):
-    """The sampler's result from Newton's converged points and start indices.
+def _sample(rm, plan, requests, shifts, starts, names, kind, what):
+    """Points of the locus {D^r theta(z + a) = 0 for a in shifts, r in requests}.
 
-    The points are lattice-reduced, re-verified at the reduced points (one
-    ``evaluate``), kept when every normalized magnitude is at most KEEP_TOL
-    and, for a distinct plan, cleared of lattice duplicates (``_distinct``);
-    otherwise the first ``plan.count`` are returned in arrival order.
+    ``starts`` is Newton's (origin, frame, s).  The constraints run shift by
+    shift, request by request; a constraint's gradient is its request
+    extended by each coordinate axis, on the same evaluator, and each read
+    binds z and its shifted copies once.  The converged points are
+    lattice-reduced, re-verified there, kept when every normalized magnitude
+    is at most KEEP_TOL and, for a distinct plan, cleared of lattice
+    duplicates (``_distinct``); otherwise the first ``plan.count`` are
+    returned in arrival order.
     """
-    pts, hits = found
+    values = [canonical_request(r) for r in requests]
+    grads = [[canonical_request((*r, e)) for e in np.eye(rm.g)] for r in requests]
+    read = _reader(rm, [key for value, grad in zip(values, grads) for key in (value, *grad)])
+
+    def evaluate(pts):
+        rows = read(pts, shifts)
+        F = np.array([row(key) for row in rows for key in values]).T
+        grad = np.array([[row(key) for key in keys] for row in rows for keys in grads])
+        norms = np.array([row(("abs", key)) for row in rows for key in values]).T
+        return F, grad.transpose(2, 0, 1), norms
+
+    pts, _ = _newton(plan, *starts, evaluate)
     z0 = _reduce_coords(pts, rm)[0]
     F, _, norms = evaluate(z0)
     mags = np.abs(F) / norms
@@ -215,28 +235,6 @@ def _distinct(rm, z0, count):
     return chosen
 
 
-def _unit_directions(rng, count, g):
-    w = rng.standard_normal((count, g)) + 1j * rng.standard_normal((count, g))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
-
-
-def _pair(res, key):
-    """Rows (value at z, value at z + a) of ``key`` in a jets result bound at [z; z + a]."""
-    return res[key].reshape(2, -1)
-
-
-def _normalized(value, norm):
-    """The factor magnitudes |value| / norm; a normalizer below NORMALIZER_FLOOR raises."""
-    if norm.min() < NORMALIZER_FLOOR:
-        raise DegenerateSampleError("Weil factor normalizer underflowed")
-    return np.abs(value) / norm
-
-
-def _gradient_keys(g):
-    """Derivative requests along the coordinate axes e_1, ..., e_g."""
-    return [canonical_request((e,)) for e in np.eye(g)]
-
-
 def sample_theta_divisor(tau, jet, plan: SamplePlan) -> list:
     """Locate points with theta = 0 by 1-D Newton along random lines.
 
@@ -247,18 +245,11 @@ def sample_theta_divisor(tau, jet, plan: SamplePlan) -> list:
     rm = as_riemann_matrix(tau)
     rng = np.random.default_rng(plan.seed)
     base = box_points(rm, rng, plan.starts)
-    lines = _unit_directions(rng, plan.starts, rm.g)
-    grads = _gradient_keys(rm.g)
-    ev = _evaluator_for(rm, grads)
-
-    def evaluate(pts):
-        res = ev.jets(pts, grads)
-        grad = np.column_stack([res[key] for key in grads])
-        return res[()][:, None], grad[:, None, :], res[("abs", ())][:, None]
-
-    found = _newton(plan, base, lines[:, :, None],
-                    np.zeros((plan.starts, 1), dtype=complex), evaluate)
-    return _roots(rm, plan, found, evaluate, ["theta"], DivisorKind.THETA, "theta-divisor")
+    lines = rng.standard_normal((plan.starts, rm.g)) + 1j * rng.standard_normal((plan.starts, rm.g))
+    lines /= np.linalg.norm(lines, axis=1, keepdims=True)  # a unit direction per start
+    starts = base, lines[:, :, None], np.zeros((plan.starts, 1), dtype=complex)
+    return _sample(rm, plan, [()], (None,), starts, ["theta"], DivisorKind.THETA,
+                   "theta-divisor")
 
 
 def _plane_starts(rm, rng, plan):
@@ -299,22 +290,9 @@ def sample_D1_theta(tau, jet, plan: SamplePlan) -> list:
             SamplingNote,
         )
         return []
-    origin, frame, s = _plane_starts(rm, np.random.default_rng(plan.seed), plan)
-    k_u = canonical_request((U,))
-    k_b = _gradient_keys(rm.g)
-    k_ub = [canonical_request((U, e)) for e in np.eye(rm.g)]
-    keys = [*k_b, k_u, *k_ub]
-    ev = _evaluator_for(rm, keys)
-
-    def evaluate(pts):
-        res = ev.jets(pts, keys)
-        grad = np.moveaxis(np.array([[res[key] for key in row] for row in (k_b, k_ub)]), -1, 0)
-        return (np.column_stack([res[()], res[k_u]]), grad,
-                np.column_stack([res[("abs", ())], res[("abs", k_u)]]))
-
-    found = _newton(plan, origin, frame, s, evaluate)
-    return _roots(rm, plan, found, evaluate, ["theta", "D1-theta"],
-                  DivisorKind.D1_THETA, "D1-locus")
+    starts = _plane_starts(rm, np.random.default_rng(plan.seed), plan)
+    return _sample(rm, plan, [(), (U,)], (None,), starts, ["theta", "D1-theta"],
+                   DivisorKind.D1_THETA, "D1-locus")
 
 
 def sample_theta_intersection(tau, jet, a, plan: SamplePlan) -> list:
@@ -328,24 +306,18 @@ def sample_theta_intersection(tau, jet, a, plan: SamplePlan) -> list:
             SamplingNote,
         )
         return []
-    origin, frame, s = _plane_starts(rm, np.random.default_rng(plan.seed), plan)
-    k_b = _gradient_keys(rm.g)
-    ev = _evaluator_for(rm, k_b)
-
-    def evaluate(pts):
-        res = ev.jets(np.concatenate([pts, pts + a]), k_b)
-        grad = np.stack([_pair(res, key) for key in k_b], axis=-1).transpose(1, 0, 2)
-        return _pair(res, ()).T, grad, _pair(res, ("abs", ())).T
-
-    found = _newton(plan, origin, frame, s, evaluate)
-    return _roots(rm, plan, found, evaluate, ["theta", "theta-shifted"],
-                  DivisorKind.THETA_CAP_THETA_A, "intersection")
+    starts = _plane_starts(rm, np.random.default_rng(plan.seed), plan)
+    return _sample(rm, plan, [()], (None, a), starts, ["theta", "theta-shifted"],
+                   DivisorKind.THETA_CAP_THETA_A, "intersection")
 
 
-_WEIL_KIND = {
-    "weil": DivisorKind.D1_THETA,
-    "weil1": DivisorKind.THETA_CAP_THETA_A,
-    "weil2": DivisorKind.D1_THETA,
+# Per relation: its kind of point and its two factors, sums of coefficient *
+# D^request theta at z (shift 0) or z + a (shift 1), requests spelled in U, V.
+_WEIL = {
+    "weil": (DivisorKind.D1_THETA,
+             [[(1.0, 0, "UU"), (1.0, 0, "V")], [(1.0, 0, "UU"), (-1.0, 0, "V")]]),
+    "weil1": (DivisorKind.THETA_CAP_THETA_A, [[(1.0, 0, "U")], [(1.0, 1, "U")]]),
+    "weil2": (DivisorKind.D1_THETA, [[(1.0, 0, "UU"), (1.0, 0, "V")], [(1.0, 1, "")]]),
 }
 
 
@@ -356,50 +328,44 @@ def weil_check(points, tau, jet, a=None, which: str = "weil",
     Per point the residual is the smaller of the two term-normalized factor
     magnitudes: weil uses |(D1^2 + D2) theta| vs |(D1^2 - D2) theta| on the
     D1 locus, weil1 uses |D1 theta| at z vs at z + a on theta cap theta_a,
-    and weil2 uses |(D1^2 + D2) theta| vs |theta(z + a)| on the D1 locus.
-    An empty point list passes vacuously, flagged in the report note.
+    and weil2 uses |(D1^2 + D2) theta| vs |theta(z + a)| on the D1 locus;
+    weil binds z only, weil1 and weil2 bind z and z + a once.  An empty
+    point list passes vacuously, flagged in the report note.
     """
     _check_real(tolerance, "tolerance")
-    if which not in _WEIL_KIND:
+    if which not in _WEIL:
         raise InvalidInputError(f"unknown Weil relation {which!r}")
     rm = as_riemann_matrix(tau)
-    required = _WEIL_KIND[which]
+    required, factors = _WEIL[which]
     for p in points:
         if p.kind != required:
             raise InvalidInputError(
                 f"{which} expects points of kind {required.value}, got {p.kind.value}"
             )
-    jet.require(*(("U",) if which == "weil1" else ("U", "V")))
-    if which in ("weil1", "weil2"):
+    terms = [term for factor in factors for term in factor]
+    names = sorted({name for _, _, request in terms for name in request})
+    jet.require(*names)
+    shifts = (None,)
+    if any(shift for _, shift, _ in terms):
         if a is None:
             raise InvalidInputError(f"{which} requires the shift a")
-        a = _check_vector(a, rm.g, "a")
+        shifts = (None, _check_vector(a, rm.g, "a"))
     if not points:
         return build_report([], [], tolerance)
 
-    zs = np.array([p.z.z for p in points])
-    U = _check_vector(jet.U, rm.g, "U")
-    if which == "weil1":
-        ku = canonical_request((U,))
-        r = _evaluator_for(rm, [ku]).jets(np.concatenate([zs, zs + a]), [ku])
-        res = _normalized(_pair(r, ku), _pair(r, ("abs", ku))).min(axis=0)
-    else:
-        kuu = canonical_request((U, U))
-        kv = canonical_request((_galilean(U, _check_vector(jet.V, rm.g, "V"))[0],))
-        ev = _evaluator_for(rm, [kuu, kv])
-        keys = (kuu, kv, ("abs", kuu), ("abs", kv))
-        if which == "weil":
-            r = ev.jets(zs, [kuu, kv])
-            uu, v, abs_uu, abs_v = (r[key] for key in keys)
-        else:
-            # One bind of [z; z + a]: the second-order rows at z + a are
-            # evaluated too and go unread, the price of sharing the bind.
-            r = ev.jets(np.concatenate([zs, zs + a]), [kuu, kv])
-            uu, v, abs_uu, abs_v = (_pair(r, key)[0] for key in keys)
-        first = _normalized(uu + v, abs_uu + abs_v)
-        if which == "weil":
-            second = _normalized(uu - v, abs_uu + abs_v)
-        else:
-            second = _normalized(_pair(r, ())[1], _pair(r, ("abs", ()))[1])
-        res = np.minimum(first, second)
-    return build_report([p.z for p in points], [float(r) for r in res], tolerance)
+    dirs = {"U": _check_vector(jet.U, rm.g, "U")}
+    if "V" in names:
+        dirs["V"] = _galilean(dirs["U"], _check_vector(jet.V, rm.g, "V"))[0]
+    keys = {request: canonical_request([dirs[name] for name in request])
+            for _, _, request in terms}
+    rows = _reader(rm, keys.values())(_check_points([p.z for p in points], rm.g), shifts)
+
+    def factor(terms):
+        value = sum(coef * rows[shift](keys[r]) for coef, shift, r in terms)
+        norm = sum(abs(coef) * rows[shift](("abs", keys[r])) for coef, shift, r in terms)
+        if norm.min() < NORMALIZER_FLOOR:
+            raise DegenerateSampleError("Weil factor normalizer underflowed")
+        return np.abs(value) / norm
+
+    residuals = np.minimum(*map(factor, factors))
+    return build_report([p.z for p in points], [float(r) for r in residuals], tolerance)

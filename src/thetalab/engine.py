@@ -16,17 +16,18 @@ error; ``BoundBatch`` prepares a fixed set of points (reduction, scales, phase
 tables); ``BoundBatch.jets`` builds the lattice terms one row block at a
 time and adds each block into the sums of every requested direction list
 at once.  The evaluator's ``jets`` and ``characteristic_jets`` bind a whole
-point set at once.  Every pointwise caller (the residual sweeps, the
-hierarchy scan, the u-field grid, the flex scan) binds all of its points
-through one evaluator; ``theta_eval`` and ``theta_char_eval`` are batches
-of one point sized from their own requests.
+point set at once.  Pointwise reads have one owner, ``_reader``: one
+evaluator sized for a caller's requests, each read binding the points and
+their shifted copies z + a in one bind.  Every pointwise caller reads theta
+through it but the characteristic binds (``theta_char_eval`` and the Kummer
+map) and the search models, which reuse basis tensors across candidates.
 
 Input checks and lattice sizing have one owner each: ``_check_vector``
 (and ``_check_scalar``, ``_check_points``) refuses wrong-length or
-non-finite input with ``InvalidInputError``, as ``BoundBatch`` does for any
-non-finite point it is asked to bind, and ``_evaluator_for`` sizes every
-library evaluator from the derivative requests it will serve, each request
-charged for its own directions.
+non-finite input with ``InvalidInputError``, as ``BoundBatch`` does for a
+bound point that is non-finite or not of length g, and ``_evaluator_for``
+sizes every library evaluator from the derivative requests it will serve,
+each request charged for its own directions.
 
 Every point is first reduced modulo the lattice Z^g + tau Z^g and the
 exponential growth is factored into a real ``scale_exponent``:
@@ -231,6 +232,14 @@ def _check_points(points, g):
     """Points (AbelianPoints or vectors) as validated rows of a (P, g) array."""
     rows = [_check_vector(p, g) for p in points]
     return np.array(rows, dtype=complex).reshape(len(rows), g)
+
+
+def _point_rows(points, g):
+    """Points to bind as a complex (P, g) array: rows of length g, or one (g,) vector."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim > 2 or pts.shape[-1:] != (g,):
+        raise InvalidInputError(f"bound points must have length {g}, got shape {pts.shape}")
+    return pts.reshape(-1, g)
 
 
 def _lattice_coords(z, rm):
@@ -485,14 +494,34 @@ def _evaluator_for(rm, keys, target_abs_err=DEFAULT_TARGET_ABS_ERR):
                                profiles=_request_profiles(keys))
 
 
-def _single_jet(res, keys) -> ThetaJet:
-    """Row 0 of a batch result as a ThetaJet."""
+def _reader(rm, requests, target_abs_err=DEFAULT_TARGET_ABS_ERR):
+    """``read(points, shifts=(None,))`` on one evaluator sized for these requests.
+
+    A read binds the points (rows of length g) and their copies points + a,
+    one per shift a (None: the points themselves), in one bind.  It returns
+    one row reader per shift, mapping a canonical key, ``("abs", key)``,
+    ``"scales"`` or ``"error"`` to that entry's rows in point order.
+    """
+    keys = _normalize_requests(requests, rm.g)
+    ev = _evaluator_for(rm, keys, target_abs_err)
+
+    def read(points, shifts=(None,)):
+        points = _point_rows(points, rm.g)
+        res = ev.jets(np.concatenate([points if a is None else points + a for a in shifts]), keys)
+        count = len(points)
+        return [lambda key, i=i: res[key][i * count:(i + 1) * count] for i in range(len(shifts))]
+
+    return read
+
+
+def _single_jet(row, keys) -> ThetaJet:
+    """The first point of a row reader as a ThetaJet."""
     return ThetaJet(
-        value=complex(res[()][0]),
-        derivs={key: complex(res[key][0]) for key in keys},
-        error_bound=float(res["error"][0]),
-        scale_exponent=float(res["scales"][0]),
-        abs_sums={key: float(res[("abs", key)][0]) for key in [(), *keys]},
+        value=complex(row(())[0]),
+        derivs={key: complex(row(key)[0]) for key in keys},
+        error_bound=float(row("error")[0]),
+        scale_exponent=float(row("scales")[0]),
+        abs_sums={key: float(row(("abs", key))[0]) for key in [(), *keys]},
     )
 
 
@@ -503,12 +532,12 @@ def theta_eval(z, tau: RiemannMatrix, requests=(),
     ``requests`` is an iterable of derivative multi-requests; each request is
     an ordered list of direction vectors (length <= 4).  The returned jet
     stores numbers on the factored scale (see module docstring).  This is a
-    batch of one point on an evaluator sized from the requests.
+    read of one point on an evaluator sized from the requests.
     """
     rm = tau
     zv = _check_vector(z, rm.g)
     keys = _normalize_requests(requests, rm.g)
-    return _single_jet(_evaluator_for(rm, keys, target_abs_err).jets(zv, keys), keys)
+    return _single_jet(_reader(rm, keys, target_abs_err)(zv)[0], keys)
 
 
 def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=()) -> ThetaJet:
@@ -525,7 +554,7 @@ def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=()) -> T
         raise InvalidInputError("characteristic length does not match genus")
     keys = _normalize_requests(requests, rm.g)
     ev = _evaluator_for(rm, keys)
-    return _single_jet(ev.characteristic_jets(zv, ch.eps, ch.delta, keys), keys)
+    return _single_jet(ev.characteristic_jets(zv, ch.eps, ch.delta, keys).__getitem__, keys)
 
 
 class BatchThetaEvaluator:
@@ -568,7 +597,7 @@ class BatchThetaEvaluator:
         self._table_rows = (lattice + self._reach).astype(np.intp)
 
     def bind(self, points) -> "BoundBatch":
-        """Prepare fixed points for jet requests."""
+        """Prepare fixed points (rows of length g, or one (g,) vector) for jet requests."""
         return BoundBatch(self, points)
 
     def bind_characteristic(self, points, eps, delta) -> "BoundBatch":
@@ -580,7 +609,7 @@ class BatchThetaEvaluator:
         (see ``BoundBatch``).
         """
         eps, delta = np.atleast_2d(eps), np.atleast_2d(delta)
-        shifted = np.asarray(points, dtype=complex).reshape(-1, self.rm.g) + delta
+        shifted = _point_rows(points, self.rm.g) + delta
         pref = 1j * PI * ((eps @ self.rm.tau) * eps).sum(axis=1) \
             + TWO_PI_I * (eps * shifted).sum(axis=1)
         return BoundBatch(self, shifted + eps @ self.rm.tau, (pref, eps))
@@ -632,7 +661,7 @@ class BoundBatch:
     def __init__(self, evaluator: BatchThetaEvaluator, points, prefactor=None):
         self.ev = evaluator
         rm = evaluator.rm
-        pts = np.asarray(points, dtype=complex).reshape(-1, rm.g)
+        pts = _point_rows(points, rm.g)
         if not np.isfinite(pts).all():
             raise InvalidInputError("bound points have non-finite components")
         self.count = pts.shape[0]

@@ -12,8 +12,8 @@ from thetalab.bilinear import (
     DirectionJet,
     _galilean,
     _hirota_terms,
-    _jets,
     _one_point_terms,
+    _reader,
     _source,
     ResidualReport,
     baker_akhiezer,
@@ -593,23 +593,28 @@ _PTS_G2 = random_points(2, 3, seed=301)
 
 
 def _swept_stack(sweep):
-    """The jets a sweep binds and the term stack it reduces, captured."""
+    """The row readers a sweep reads (one per shift) and the term stack it reduces, captured."""
     seen = {}
-    jets, residuals = bilinear._jets, bilinear._residuals
+    reader, residuals = bilinear._reader, bilinear._residuals
 
-    def keep_jets(*args):
-        seen["jets"] = jets(*args)
-        return seen["jets"]
+    def keep_reader(*args):
+        read = reader(*args)
+
+        def keep_rows(*args):
+            seen["rows"] = read(*args)
+            return seen["rows"]
+
+        return keep_rows
 
     def keep_terms(terms):
         seen["terms"] = terms
         return residuals(terms)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bilinear, "_jets", keep_jets)
+        mp.setattr(bilinear, "_reader", keep_reader)
         mp.setattr(bilinear, "_residuals", keep_terms)
         sweep()
-    return seen["jets"], seen["terms"]
+    return seen["rows"], seen["terms"]
 
 
 def _assert_affine(block, fields, alpha):
@@ -626,13 +631,14 @@ def _assert_affine(block, fields, alpha):
        alpha=st.floats(-1.0, 2.0))
 def test_kp_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, W, d, alpha):
     jet = DirectionJet(U=U, V=V, W=W[0], d=d[0])
-    res, terms = _swept_stack(lambda: sweep_residual("kp", rm_g2, jet, _PTS_G2, 1.0))
+    (row,), terms = _swept_stack(lambda: sweep_residual("kp", rm_g2, jet, _PTS_G2, 1.0))
     V0, W0 = _galilean(U, V, W[0])  # the sweep reads the Galilean representative
-    assert np.array_equal(terms, _hirota_terms(_source(res), U, V0, W0, d[0]))
+    assert np.array_equal(terms, _hirota_terms(_source(row), U, V0, W0, d[0]))
     # every W on one evaluator, so the jets are linear in W up to roundoff
     mixed = alpha * W[0] + (1.0 - alpha) * W[1]
     fixed = [(U, U, U, U), (U, U, U), (U, U), (U,), (V, V), (V,)]
-    D = _source(_jets(rm_g2, _PTS_G2, fixed + [r for w in (*W, mixed) for r in ((w,), (U, w))]))
+    row, = _reader(rm_g2, fixed + [r for w in (*W, mixed) for r in ((w,), (U, w))])(_PTS_G2)
+    D = _source(row)
     _assert_affine(lambda w, c: _hirota_terms(D, U, V, w, c), zip(W, d), alpha)
 
 
@@ -641,14 +647,12 @@ def test_kp_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, W, d, a
        a=_cvec(2, bound=0.5), alpha=st.floats(-1.0, 2.0))
 def test_one_point_blocks_join_into_the_sweep_stack_and_are_affine(rm_g2, U, V, c, a, alpha):
     jet = DirectionJet(U=U, V=V[0], c=c[0])
-    count = len(_PTS_G2)
-    res, terms = _swept_stack(lambda: sweep_residual("one-point", rm_g2, jet, _PTS_G2, 1.0, a=a))
-    Dz, Da = _source(res, slice(None, count)), _source(res, slice(count, None))
+    rows, terms = _swept_stack(lambda: sweep_residual("one-point", rm_g2, jet, _PTS_G2, 1.0, a=a))
+    Dz, Da = map(_source, rows)  # the rows at z and at z + a
     assert np.array_equal(terms, _one_point_terms(Dz, Da, U, V[0], c[0]))
     mixed = alpha * V[0] + (1.0 - alpha) * V[1]
-    res = _jets(rm_g2, np.concatenate([_PTS_G2, _PTS_G2 + a]),
-                [(U, U), (U,)] + [(v,) for v in (*V, mixed)])
-    Dz, Da = _source(res, slice(None, count)), _source(res, slice(count, None))
+    rows = _reader(rm_g2, [(U, U), (U,)] + [(v,) for v in (*V, mixed)])(_PTS_G2, (None, a))
+    Dz, Da = map(_source, rows)
     _assert_affine(lambda v, k: _one_point_terms(Dz, Da, U, v, k), zip(V, c), alpha)
 
 

@@ -604,6 +604,22 @@ class TestArgumentChecks:
         assert "sample count must be non-negative" in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["kp-residual", "one-point-residual", "pab-residual",
+                                         "longeq", "hierarchy", "weil", "kp-search",
+                                         "one-point-search"])
+    def test_zero_samples_is_refused(self, germ_env, tmp_path, capsys, command):
+        # a sweep of no points would pass any jet vacuously; the jet and its
+        # shift pass every other check of the eight commands
+        jet = json.loads(germ_env["germ"].read_text())
+        jet.update(a=[[0.1, 0.2]], c=0.1, A=0.2, B=0.3)
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(jet))
+        out = tmp_path / "r.json"
+        message = _input_error(capsys, [command, "--tau", germ_env["tau"], "--jet", path,
+                                        "--samples", 0, "--out", out])
+        assert "--samples" in message and "vacuously" in message
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command, flag", [
         *((c, "--tol") for c in ("kp-residual", "one-point-residual", "pab-residual", "longeq",

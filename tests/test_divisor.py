@@ -19,7 +19,7 @@ from thetalab.divisor import (
     _distinct,
     weil_check,
 )
-from thetalab.engine import RiemannMatrix, reduce_point, theta_eval
+from thetalab.engine import AbelianPoint, RiemannMatrix, reduce_point, theta_eval
 from thetalab.errors import InvalidInputError
 
 from conftest import random_tau
@@ -274,9 +274,10 @@ class TestIntersection:
             assert abs(j0.value) / j0.abs_sum() <= 1e-10
             assert abs(j1.value) / j1.abs_sum() <= 1e-10
 
-    def test_one_bind_per_newton_step(self, rm_g2, cap_points, monkeypatch):
-        # theta(z) and theta(z + a) share one bind in every Newton step and
-        # in the re-verification of the converged points
+    @pytest.mark.parametrize("name", list(TestDampedNewton.SAMPLERS))
+    def test_one_bind_per_newton_step(self, rm_g2, monkeypatch, name):
+        # one bind in every Newton step and in the re-verification of the
+        # converged points; the intersection's theta(z) and theta(z + a) share it
         binds = []
 
         class CountedBatch(engine.BoundBatch):
@@ -285,9 +286,8 @@ class TestIntersection:
                 super().__init__(*args)
 
         monkeypatch.setattr(engine, "BoundBatch", CountedBatch)
-        a, _ = cap_points
         plan = SamplePlan(count=20, seed=2, distinct=False)
-        assert len(sample_theta_intersection(rm_g2, None, a, plan)) == 20
+        assert len(TestDampedNewton.SAMPLERS[name](rm_g2, plan)) == 20
         assert len(binds) <= plan.max_iterations + 1
 
     def test_g1_empty_with_note(self, rm_g1):
@@ -383,6 +383,37 @@ class TestWeilCheck:
         # unfitted directions have no reason to satisfy the containment
         rep = weil_check(d1_points, rm_g2, jet, which="weil")
         assert rep.max_residual > 1e-3
+
+    @pytest.mark.parametrize("which", ["weil", "weil1", "weil2"])
+    def test_one_bind_per_relation(self, rm_g2, d1_points, cap_points, monkeypatch, which):
+        # weil reads z only; weil1 and weil2 read z and z + a in one bind
+        sizes = []
+
+        class CountedBatch(engine.BoundBatch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sizes.append(self.count)
+
+        monkeypatch.setattr(engine, "BoundBatch", CountedBatch)
+        a, cap = cap_points
+        points = cap if which == "weil1" else d1_points
+        weil_check(points, rm_g2, DirectionJet(U=U2, V=V2), a=a, which=which)
+        assert sizes == [len(points) if which == "weil" else 2 * len(points)]
+
+    @pytest.mark.parametrize("which, lengths", [("weil", [2, 2, 2]), ("weil", [2, 2]),
+                                                ("weil1", [2, 2]), ("weil2", [2, 2, 2]),
+                                                ("weil", [3, 2])])
+    def test_points_of_another_genus_are_refused(self, which, lengths):
+        # three genus-2 points under a genus-3 tau must not bind as two genus-3 points
+        rm3 = RiemannMatrix(random_tau(3, seed=31))
+        kind = DivisorKind.THETA_CAP_THETA_A if which == "weil1" else DivisorKind.D1_THETA
+        rng = np.random.default_rng(31)
+        points = [DivisorPoint(AbelianPoint(rng.uniform(-0.5, 0.5, size=n) + 0.1j), [], kind)
+                  for n in lengths]
+        jet = DirectionJet(U=[1.0, 0.31 + 0.18j, -0.2 + 0.1j], V=[0.2 - 0.3j, 0.4, 0.1j])
+        with pytest.raises(InvalidInputError, match="length 3"):
+            weil_check(points, rm3, jet, a=[0.27 - 0.11j, -0.13 + 0.21j, 0.08 + 0.3j],
+                       which=which)
 
     def test_gauge_invariance(self, rm_g2, d1_points, cap_points):
         a, cap = cap_points

@@ -593,6 +593,18 @@ def test_binds_refuse_non_finite_points(rm_g2):
         ev.bind([[complex("inf"), 0.0]])
 
 
+def test_binds_refuse_points_of_another_genus():
+    # a (3, 2) array under a genus-3 tau holds three points of the wrong
+    # length, not two genus-3 points; one (g,) vector still binds as one point
+    ev = BatchThetaEvaluator(RiemannMatrix(random_tau(3, seed=31)), max_order=1)
+    for points in (np.zeros((3, 2)), np.zeros(6), np.zeros((2, 1, 3))):
+        with pytest.raises(InvalidInputError, match="length 3"):
+            ev.bind(points)
+    with pytest.raises(InvalidInputError, match="length 3"):
+        ev.characteristic_jets(np.zeros((3, 2)), [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [])
+    assert ev.bind(np.full(3, 0.1j)).count == 1
+
+
 def _listed_lattice(g, radius):
     """The lattice of ``engine._lattice_points`` by a Python list and sort (the reference)."""
     reach = radius + math.sqrt(g) / 2.0

@@ -17,8 +17,7 @@ from thetalab import (
     DirectionJet,
     InvalidInputError,
     SearchProblem,
-    bilinear,
-    divisor,
+    engine,
     fit,
     flex_scan,
     flex_test,
@@ -147,8 +146,8 @@ def test_bad_tolerance_makes_no_lattice_sum(rm_g2, monkeypatch, call):
     def spy(real):
         return lambda *args: sums.append(args) or real(*args)
 
-    monkeypatch.setattr(bilinear, "_jets", spy(bilinear._jets))
-    monkeypatch.setattr(divisor, "_evaluator_for", spy(divisor._evaluator_for))
+    # every sweep and Weil check sizes its evaluator in the one pointwise reader
+    monkeypatch.setattr(engine, "_evaluator_for", spy(engine._evaluator_for))
     call(rm_g2, 1e-6)
     assert sums, "the spies see a valid call's lattice sums"
     sums.clear()

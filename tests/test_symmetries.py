@@ -10,7 +10,7 @@ lam = sqrt(eps), so its lattices must not grow as eps -> 0.
 import numpy as np
 import pytest
 
-from thetalab import bilinear
+from thetalab import engine
 from thetalab.bilinear import DirectionJet, _galilean, hierarchy_scan, sweep_residual
 from thetalab.divisor import SamplePlan, sample_D1_theta, sample_theta_divisor, weil_check
 from thetalab.engine import RiemannMatrix, box_points
@@ -144,13 +144,13 @@ def test_hierarchy_lattice_does_not_grow_as_epsilon_shrinks(monkeypatch):
     jet = DirectionJet(U=_cvec(rng, 3), V=_cvec(rng, 3), zeta_coeffs=[_cvec(rng, 3)],
                        d_coeffs=[0.2 + 0.1j])
     sizes = []
-    evaluator_for = bilinear._evaluator_for
+    evaluator_for = engine._evaluator_for
 
     def recording(*args, **kwargs):
         ev = evaluator_for(*args, **kwargs)
         sizes.append(len(ev.lattice))
         return ev
 
-    monkeypatch.setattr(bilinear, "_evaluator_for", recording)
+    monkeypatch.setattr(engine, "_evaluator_for", recording)
     hierarchy_scan(rm, jet, [1e-1, 1e-3], list(box_points(rm, rng, 4)))
     assert len(sizes) == 2 and sizes[1] <= sizes[0], sizes
