@@ -471,16 +471,24 @@ def longeq_residual(z_on_theta, tau, jet: DirectionJet) -> float:
 def kp_field_values(xyt, z, tau, jet: DirectionJet):
     """The field u of ``kp_field_u`` at many grid arguments, with a pole mask.
 
-    ``xyt`` holds rows (x, y, t); all arguments xU + yV + tW + z share one
-    evaluator.  Returns ``(u, pole)``: u (N,) complex, and pole (N,) True
-    where theta vanishes at the argument (|T| <= 1e-10 of the local series
-    scale), where u is NaN.
+    ``xyt`` holds finite real rows (x, y, t): an (N, 3) array, one (3,)
+    row or an empty sequence; any other shape is refused.  All arguments
+    xU + yV + tW + z share one evaluator.  Returns ``(u, pole)``: u (N,)
+    complex, and pole (N,) True where theta vanishes at the argument
+    (|T| <= 1e-10 of the local series scale), where u is NaN.
     """
     rm = as_riemann_matrix(tau)
     jet.require("U", "V", "W", "c")
     _check_vector(jet.U, rm.g, "U")  # V and W share U's length
-    xyt = np.asarray(xyt, dtype=float).reshape(-1, 3)
-    x, y, t = xyt[:, :1], xyt[:, 1:2], xyt[:, 2:]
+    try:
+        xyt = np.asarray(xyt).astype(float, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"xyt must hold real (x, y, t) rows: {exc}") from exc
+    if xyt.shape == (0,):
+        xyt = xyt.reshape(0, 3)
+    if xyt.ndim not in (1, 2) or xyt.shape[-1] != 3 or not np.isfinite(xyt).all():
+        raise InvalidInputError(f"xyt must hold finite (x, y, t) rows, got shape {xyt.shape}")
+    x, y, t = xyt.reshape(-1, 3).T[:, :, None]
     args = x * jet.U + y * jet.V + t * jet.W + _check_vector(as_point(z).z, rm.g)
     row, = _reader(rm, [(jet.U,), (jet.U, jet.U)])(args)
     D = _source(row)

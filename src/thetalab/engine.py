@@ -13,9 +13,9 @@ with eps, delta having entries in {0, 1/2}.
 There is one evaluation path.  ``BatchThetaEvaluator`` sizes a lattice for
 the derivative requests it will serve (their direction norms) and a target
 error; ``BoundBatch`` prepares a fixed set of points (reduction, scales, phase
-tables); ``BoundBatch.jets`` builds the lattice terms one row block at a
-time and adds each block into the sums of every requested direction list
-at once.  The evaluator's ``jets`` and ``characteristic_jets`` bind a whole
+tables); ``BoundBatch.jets`` builds the lattice terms one block of pairs
+n, -n at a time and adds each block into the sums of every requested
+direction list at once.  The evaluator's ``jets`` and ``characteristic_jets`` bind a whole
 point set at once.  Pointwise reads have one owner, ``_reader``: one
 evaluator sized for a caller's requests, each read binding the points and
 their shifted copies z + a in one bind.  Every pointwise caller reads theta
@@ -44,14 +44,24 @@ whose gradient is 2*pi*i*(eps - m), m the reduction's tau-shift, and its
 derivatives are applied exactly by one subset-sum pass
 (``_linear_correction``).
 
-Terms are built without a complex exponential of the term matrix: each
-term's modulus exp(-pi (n + c).Im(tau).(n + c)) is one real matrix product
-and one real exponential (a negative exponent, so it cannot overflow), and
-its phase is the lattice's cached exp(pi*i n.Re(tau).n) times
+Terms are summed in pairs n, -n: the ball is symmetric, t(n) and t(-n)
+share the lattice phase exp(pi*i n.Re(tau).n) and the quadratic part of
+the modulus, and a derivative weight of order k changes sign as (-1)^k.
+So terms are built on the half lattice only (the origin and one of each
+pair), and each pair gives t(n) + t(-n) to the even-order rows,
+t(n) - t(-n) to the odd-order rows and |t(n)| + |t(-n)| to every absolute
+sum; this halves the gathers, the complex products and both matrix
+products of a plain sum, and an odd-order derivative at z = 0 is exactly 0.
+Terms are built without a complex exponential of the term matrix: the
+moduli exp(-pi (n + c).Im(tau).(n + c)) of both signs are one real matrix
+product and one real exponential (a negative exponent, so it cannot
+overflow), and the phase exp(2*pi*i n.Re(z0)) of t(n) is a product of
 per-coordinate tables exp(2*pi*i j Re(z0)_k) gathered by the lattice's
-integer coordinates.  The (L, P) term matrix is never held: a ``jets``
-call keeps O(P * (R + g * reach)) numbers (R requested rows, reach the
-largest lattice coordinate) plus one block (see ``BoundBatch``).
+integer coordinates (t(-n) has its conjugate).  The lattice phase is folded
+into the derivative weights and the point's phase multiplies the sums.  The
+(L, P) term matrix is never held: a ``jets`` call keeps
+O(P * (R + g * reach)) numbers (R requested rows, reach the largest lattice
+coordinate) plus one block (see ``BoundBatch``).
 
 Truncation: lattice points with |n + c| <= R are summed (c the imaginary
 lattice coordinate of the reduced argument), with R chosen so that a Gaussian
@@ -66,9 +76,10 @@ order costs no more than that order needs.  R is capped at
 degrade.  Every point carries its own error bound on stored numbers,
 (tail + 4e-16 * largest absolute term sum * sqrt(lattice size)) times the
 largest growth prod_j (1 + |L(h_j)|) of the linear correction over the
-requests.  Enumeration order is fixed (lexicographic shells in the sup norm)
-and sums are matrix products over that order, so results are deterministic
-on a given numpy/BLAS build.
+requests; the lattice size counts every point of the ball, both sides of
+each pair.  Enumeration order is fixed (lexicographic shells in the sup
+norm, the half lattice in the ball's order) and sums are matrix products
+over that order, so results are deterministic on a given numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -125,6 +136,9 @@ class RiemannMatrix:
         self.lambda_min = float(np.linalg.eigvalsh(self.Y)[0])
         if self.lambda_min <= 0.0:
             raise TauNotPositiveDefiniteError("Im(tau) is not positive definite")
+        # (2 tau, sizing, evaluator) of the last Kummer-coordinate read on
+        # this tau, kept by kummer._doubled_evaluator
+        self._doubled = None
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"RiemannMatrix(g={self.g})"
@@ -394,12 +408,14 @@ def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[float, f
 _LATTICE_CACHE: dict = {}
 
 
-def _lattice_points(g: int, radius: float) -> np.ndarray:
-    """Integer vectors with |n| <= radius + sqrt(g)/2, in lexicographic-shell order.
+def _lattice_points(g: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ball of integer vectors |n| <= radius + sqrt(g)/2 and its half lattice.
 
     The sqrt(g)/2 margin guarantees that {n : |n + c| <= radius} is covered
     for every c in [-1/2, 1/2]^g, so one lattice serves every reduced point.
-    Order: increasing sup-norm shell, lexicographic within a shell.
+    Order: increasing sup-norm shell, lexicographic within a shell.  The
+    half lattice is the origin and, of each pair n, -n, the one whose first
+    nonzero coordinate is positive, in the ball's order (the origin first).
     """
     reach = radius + math.sqrt(g) / 2.0
     key = (g, round(reach, 9))
@@ -410,10 +426,11 @@ def _lattice_points(g: int, radius: float) -> np.ndarray:
     grid = np.indices((2 * bound + 1,) * g).reshape(g, -1).T - bound
     pts = grid[(grid * grid).sum(axis=1) <= reach * reach]
     arr = pts[np.lexsort([*pts.T[::-1], np.abs(pts).max(axis=1)])].astype(float)
+    lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
     if len(_LATTICE_CACHE) > 64:
         _LATTICE_CACHE.clear()
-    _LATTICE_CACHE[key] = arr
-    return arr
+    cached = _LATTICE_CACHE[key] = arr, arr[lead >= 0]
+    return cached
 
 
 def _normalize_requests(requests, g):
@@ -443,6 +460,11 @@ def _subset_closure(keys):
     """Every nonempty sub-request (index subset, order kept) of the keys, each once."""
     return list(dict.fromkeys(tuple(key[j] for j in idx) for key in keys
                               for idx in _REST_INDICES[len(key)] if idx))
+
+
+def _parity(key) -> int:
+    """1 for a request of odd order, 0 for one of even order."""
+    return len(key) % 2
 
 
 def _request_profiles(keys) -> set:
@@ -586,15 +608,19 @@ class BatchThetaEvaluator:
         if not all(0.0 <= h < math.inf for h in norms):
             raise InvalidInputError("direction norms must be finite and non-negative")
         radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, profiles)
-        lattice = self.lattice = _lattice_points(rm.g, radius)
-        # per lattice row n: the phase exp(pi*i n.X.n), the rows of the
-        # real-exponent product [n, -pi n.Y.n, 1] (see BoundBatch) and the
-        # table row n_k + reach of each coordinate
-        self._quad_phase = np.exp(1j * PI * ((lattice @ rm.X) * lattice).sum(axis=1))
+        self.lattice, half = _lattice_points(rm.g, radius)
+        self._half = half
+        # per half-lattice row n (the pair n, -n): the lattice phase
+        # exp(pi*i n.X.n), halved at the origin, which is its own pair and
+        # which a pair sum counts twice; the rows of the real-exponent
+        # product [n, -pi n.Y.n, 1] (see BoundBatch); and the table row
+        # n_k + reach of each coordinate
+        self._pair_phase = np.exp(1j * PI * ((half @ rm.X) * half).sum(axis=1))
+        self._pair_phase[0] = 0.5
         self._modulus_rows = np.column_stack(
-            [lattice, -PI * ((lattice @ rm.Y) * lattice).sum(axis=1), np.ones(len(lattice))])
-        self._reach = int(np.abs(lattice).max())
-        self._table_rows = (lattice + self._reach).astype(np.intp)
+            [half, -PI * ((half @ rm.Y) * half).sum(axis=1), np.ones(len(half))])
+        self._reach = int(np.abs(half).max())
+        self._table_rows = (half + self._reach).astype(np.intp)
 
     def bind(self, points) -> "BoundBatch":
         """Prepare fixed points (rows of length g, or one (g,) vector) for jet requests."""
@@ -628,14 +654,14 @@ class BoundBatch:
 
     A bind prepares its points: their reduction, scale exponents, linear
     gradients and phase tables.  ``jets`` then builds the lattice terms one
-    row block at a time and adds each block into the sums of every
-    requested row, so a call holds O(P * (R + g * reach)) numbers plus one
-    block of about ``_BLOCK_TERMS`` terms, never the (L, P) term matrix.
-    ``gradient`` (P, g) is the gradient, over 2*pi*i, of the linear
-    exponent multiplying each bound series: -m from reduction, plus eps for
-    a characteristic.  When it vanishes at every bound point (the common
-    case for samples drawn inside the fundamental box), jets skip the
-    correction pass.
+    block of half-lattice rows at a time and adds each block into the sums
+    of every requested row, so a call holds O(P * (R + g * reach)) numbers
+    plus one block of about ``_BLOCK_TERMS`` terms, never the (L, P) term
+    matrix.  ``gradient`` (P, g) is the gradient, over 2*pi*i, of the
+    linear exponent multiplying each bound series: -m from reduction, plus
+    eps for a characteristic.  When it vanishes at every bound point (the
+    common case for samples drawn inside the fundamental box), jets skip
+    the correction pass.
 
     ``prefactor``, when given, is a pair (exponent (P,), eps (P, g)): the
     series at point p is multiplied by exp(exponent[p]), a linear function
@@ -646,16 +672,24 @@ class BoundBatch:
         exp(pi*i n.tau.n + 2*pi*i n.z0 - g0)
             = exp(-pi (n + c).Y.(n + c)) * exp(pi*i n.X.n) * prod_k exp(2*pi*i n_k x0_k)
 
-    with c = Y^-1 y0 and g0 = pi y0.Y^-1.y0.  The modulus is one real matrix
-    product (the evaluator's rows [n, -pi n.Y.n, 1] against the columns
-    [-2*pi y0, 1, -g0]) and one real exponential; its exponent is a
-    negative quadratic form, so it cannot overflow and every term has
-    modulus at most 1 (up to rounding).  The phase is the lattice's cached
-    exp(pi*i n.X.n) times, per coordinate k, a gather from the table
-    exp(2*pi*i j x0_k), j = -reach..reach, by the lattice's integer
-    coordinates; the per-point phase of the reduction multiplier and of the
-    prefactor is folded into the k = 0 table.  Every phase factor has unit
-    modulus, so the real modulus is the term's absolute value.
+    with c = Y^-1 y0 and g0 = pi y0.Y^-1.y0.  The terms are summed in pairs
+    n, -n over the half lattice (the ball is symmetric): both share the
+    lattice phase exp(pi*i n.X.n) and the quadratic part of the modulus, and
+    a derivative weight of order k has w(-n) = (-1)^k w(n).  So a pair adds
+    w(n) (t(n) + t(-n)) to an even-order row, w(n) (t(n) - t(-n)) to an
+    odd-order one and |w(n)| (|t(n)| + |t(-n)|) to every absolute sum; the
+    origin, its own pair, is weighted by 1/2.  The moduli of both signs are
+    one real matrix product (the evaluator's rows [n, -pi n.Y.n, 1] against
+    the stacked columns [-2*pi y0, 1, -g0] and [2*pi y0, 1, -g0]) and one
+    real exponential; its exponent is a negative quadratic form, so it cannot
+    overflow and every term has modulus at most 1 (up to rounding).  The
+    phase exp(2*pi*i n.x0) of t(n) is, per coordinate k, a gather from the
+    table exp(2*pi*i j x0_k), j = -reach..reach, by the lattice's integer
+    coordinates, and t(-n) has its conjugate.  The lattice phase is folded
+    into the weights and the per-point phase of the reduction multiplier and
+    of the prefactor multiplies the sums (it is 1 wherever ``gradient``
+    vanishes); both have unit modulus, so the real moduli are the terms'
+    absolute values.
     """
 
     def __init__(self, evaluator: BatchThetaEvaluator, points, prefactor=None):
@@ -664,52 +698,67 @@ class BoundBatch:
         pts = _point_rows(points, rm.g)
         if not np.isfinite(pts).all():
             raise InvalidInputError("bound points have non-finite components")
-        self.count = pts.shape[0]
+        count = self.count = pts.shape[0]
         z0s, ms, _ = _reduce_coords(pts, rm)
         g0s = PI * ((z0s.imag @ rm.Yinv) * z0s.imag).sum(axis=1)
         red = _reduction_exponent(z0s, ms, rm)
-        # exp(scales[p]) * (terms of column p) are the series terms at point
-        # p; the multipliers' phases are folded into the terms, their real
-        # parts into scales
+        # exp(scales[p]) * phase[p] * (the lattice sum of column p) is the
+        # series at point p: the multipliers' phases multiply the sums,
+        # their real parts join scales
         self.scales = g0s + red.real
         self.gradient = -ms
-        phase = np.exp(1j * red.imag)
+        self._phase = np.exp(1j * red.imag)
         if prefactor is not None:
             exponent, eps = prefactor
             self.scales = self.scales + exponent.real
-            phase = phase * np.exp(1j * exponent.imag)
+            self._phase = self._phase * np.exp(1j * exponent.imag)
             self.gradient = self.gradient + eps
-        self._columns = np.vstack([-2.0 * PI * z0s.imag.T, np.ones(self.count), -g0s])
+        # the modulus columns of t(n) and of t(-n), stacked
+        columns = self._columns = np.empty((2, rm.g + 2, count))
+        np.multiply(z0s.imag.T, -2.0 * PI, out=columns[0, :rm.g])
+        np.negative(columns[0, :rm.g], out=columns[1, :rm.g])
+        columns[:, rm.g] = 1.0
+        columns[:, rm.g + 1] = -g0s
         steps = 2.0 * PI * np.arange(-evaluator._reach, evaluator._reach + 1)
-        tables = self._tables = np.zeros((rm.g, len(steps), self.count), dtype=complex)
+        tables = self._tables = np.zeros((rm.g, len(steps), count), dtype=complex)
         np.multiply(steps[None, :, None], z0s.real.T[:, None, :], out=tables.imag)
         np.exp(tables, out=tables)
-        tables[0] *= phase
 
-    def _blocks(self):
-        """(rows, moduli, terms) per row block of about ``_BLOCK_TERMS`` terms.
+    def _blocks(self, odd=True):
+        """(rows, total, even, odd) per block of about ``_BLOCK_TERMS`` terms.
 
-        ``rows`` is the block's lattice-row slice, ``terms`` its fresh
-        (rows, P) complex terms and ``moduli`` their absolute values.
+        ``rows`` is the block's half-lattice slice.  Per pair n, -n and
+        point, with t the terms without the lattice and point phases,
+        ``total`` holds |t(n)| + |t(-n)|, ``even`` t(n) + t(-n) and ``odd``
+        t(n) - t(-n) (None unless ``odd``), each fresh (rows, P).  With
+        t(n) = m+ u and t(-n) = m- conj(u), u = exp(2*pi*i n.x0), these are
+        (m+ + m-) Re u + i (m+ - m-) Im u and (m+ - m-) Re u + i (m+ + m-) Im u.
         """
-        ev = self.ev
-        size = len(ev.lattice)
-        step = max(1, _BLOCK_TERMS // max(self.count, 1))
-        gathered = np.empty((min(size, step), self.count), dtype=complex)
+        ev, count = self.ev, self.count
+        size = len(ev._half)
+        step = max(1, _BLOCK_TERMS // max(2 * count, 1))
+        gathered = np.empty((min(size, step), count), dtype=complex)
         for start in range(0, size, step):
             rows = slice(start, start + step)
             index = ev._table_rows[rows]
             moduli = ev._modulus_rows[rows] @ self._columns
-            np.exp(moduli, out=moduli)
-            terms = self._tables[0].take(index[:, 0], axis=0)
+            plus, minus = np.exp(moduli, out=moduli)
+            even = self._tables[0].take(index[:, 0], axis=0)
             for k in range(1, len(self._tables)):
-                part = gathered[:len(terms)]
+                part = gathered[:len(even)]
                 # mode="clip" (every index is in range) lets take write to out unbuffered
                 np.take(self._tables[k], index[:, k], axis=0, out=part, mode="clip")
-                terms *= part
-            terms *= ev._quad_phase[rows, None]
-            terms *= moduli
-            yield rows, moduli, terms
+                even *= part
+            total, diff = plus + minus, plus - minus
+            re, im = even.real, even.imag
+            pair = None
+            if odd:
+                pair = np.empty_like(even)
+                np.multiply(diff, re, out=pair.real)
+                np.multiply(total, im, out=pair.imag)
+            np.multiply(re, total, out=re)
+            np.multiply(im, diff, out=im)
+            yield rows, total, even, pair
 
     def jets(self, keys):
         """Value and derivatives for the bound points.
@@ -720,29 +769,34 @@ class BoundBatch:
         absolute error bounds on the stored numbers, covering the value and
         every requested derivative including the linear-correction growth.
         """
-        keys = [key for key in keys if key]
+        # rows: the value (), the even-order requests, then the odd-order ones
+        keys = sorted((key for key in keys if key), key=_parity)
         corrected = bool(self.gradient.any())
-        rows = [(), *(_subset_closure(keys) if corrected else keys)]
-        lattice = self.ev.lattice
+        rows = [(), *(sorted(_subset_closure(keys), key=_parity) if corrected else keys)]
+        split = len(rows) - sum(map(_parity, rows))
+        ev = self.ev
         directions = {h: col for col, h in enumerate(dict.fromkeys(h for key in rows for h in key))}
-        factors = TWO_PI_I * (lattice @ np.array(list(directions), dtype=complex)
-                              .reshape(-1, lattice.shape[1]).T)
-        # lattice-major (L, R), so that each block reads one contiguous slice
-        weights = np.ones((len(lattice), len(rows)), dtype=complex)
+        factors = TWO_PI_I * (ev._half @ np.array(list(directions), dtype=complex)
+                              .reshape(-1, ev.rm.g).T)
+        # lattice-major (L/2, R), so that each block reads one contiguous slice
+        weights = np.repeat(ev._pair_phase[:, None], len(rows), axis=1)
         for r, key in enumerate(rows[1:], 1):
             for h in key:
                 weights[:, r] *= factors[:, directions[h]]
         abs_weights = np.abs(weights)
         sums = np.zeros((len(rows), self.count), dtype=complex)
         abs_sums = np.zeros((len(rows), self.count))
-        for block, moduli, terms in self._blocks():
-            sums += weights[block].T @ terms
-            abs_sums += abs_weights[block].T @ moduli
-        error = self.ev._tail + 4e-16 * math.sqrt(len(lattice)) * abs_sums.max(axis=0)
+        for block, total, even, odd in self._blocks(split < len(rows)):
+            sums[:split] += weights[block, :split].T @ even
+            if odd is not None:
+                sums[split:] += weights[block, split:].T @ odd
+            abs_sums += abs_weights[block].T @ total
+        error = ev._tail + 4e-16 * math.sqrt(len(ev.lattice)) * abs_sums.max(axis=0)
         if corrected:
+            sums *= self._phase
             vals, absv, growth = _linear_correction(keys, self.gradient, rows, sums, abs_sums)
             error = error * growth
-        else:
+        else:  # no lattice shift and no characteristic: every point phase is 1
             vals, absv = sums[1:], abs_sums[1:]
         out = dict(zip(keys, vals))
         out.update(zip([("abs", key) for key in keys], absv))

@@ -15,8 +15,9 @@ reparametrization eps -> eps + nu eps^2 + nu^2 eps^3 moves (V, W) to (V + nu U,
 W + 2 nu V + nu^2 U) and the ratios, not the germ, so every flex test reads
 the representative with V orthogonal to U (``bilinear``'s Galilean rule).
 
-All coordinates go through one evaluator at 2 tau: ``flex_scan`` binds the
-2^g characteristic points of all 2^(2g) half-points together and decides
+All coordinates go through one evaluator at 2 tau, held on the
+``RiemannMatrix`` between calls (``_doubled_evaluator``): ``flex_scan`` binds
+the 2^g characteristic points of all 2^(2g) half-points together and decides
 every half-point with one stacked singular value decomposition.
 """
 
@@ -31,6 +32,7 @@ import numpy as np
 from .bilinear import _galilean, as_riemann_matrix
 from .engine import (
     AbelianPoint,
+    BatchThetaEvaluator,
     Characteristic,
     DEFAULT_TARGET_ABS_ERR,
     RiemannMatrix,
@@ -40,6 +42,7 @@ from .engine import (
     _evaluator_for,
     _normalize_requests,
     _reduce_coords,
+    _request_profiles,
     as_point,
     canonical_request,
 )
@@ -67,6 +70,34 @@ class KummerPoint:
     log_scale: float
 
 
+def _round_up(h: float) -> float:
+    """h rounded up to a 36-bit mantissa (relative step 2^-36); inf stays inf."""
+    if not math.isfinite(h):
+        return h
+    mantissa, exponent = math.frexp(h)
+    return math.ldexp(math.ceil(mantissa * 2.0**36) / 2.0**36, exponent)
+
+
+def _doubled_evaluator(rm, keys, target_abs_err):
+    """The evaluator at 2 tau for these requests, held on rm for the next call.
+
+    It is sized for the requests' norm profiles rounded up to a relative
+    step of 2^-36, which only widens the tail bound: the gauges
+    (U, V) -> (lam U, lam^2 V), |lam| = 1, whose norms differ in their last
+    bits, then share one evaluator.  rm keeps the last (2 tau, sizing,
+    evaluator), so the scans of one tau build RiemannMatrix(2 tau) once and
+    an evaluator once per sizing, and nothing grows with the number of tau.
+    """
+    profiles = frozenset(tuple(map(_round_up, p)) for p in _request_profiles(keys))
+    sizing = (profiles, target_abs_err)
+    held = rm._doubled
+    if held is None or held[1] != sizing:
+        rm2 = RiemannMatrix(2.0 * rm.tau) if held is None else held[0]
+        ev = BatchThetaEvaluator(rm2, target_abs_err=target_abs_err, profiles=profiles)
+        held = rm._doubled = (rm2, sizing, ev)
+    return held[2]
+
+
 def _kummer_coords(rm, zs, keys, target_abs_err):
     """Second-order coordinates and their derivatives at the rows of zs.
 
@@ -74,10 +105,9 @@ def _kummer_coords(rm, zs, keys, target_abs_err):
     {key: (H, 2^g)} on one common scale per point, and that scale (H,).
     All H * 2^g characteristic points are bound on one evaluator at 2 tau.
     """
-    rm2 = RiemannMatrix(2.0 * rm.tau)
     eps = np.asarray(second_order_sigmas(rm.g), dtype=float) / 2.0
     count, n = len(zs), len(eps)
-    ev = _evaluator_for(rm2, keys, target_abs_err)
+    ev = _doubled_evaluator(rm, keys, target_abs_err)
     res = ev.characteristic_jets(np.repeat(2.0 * zs, n, axis=0), np.tile(eps, (count, 1)),
                                  np.zeros((count * n, rm.g)), keys)
     scales = res["scales"].reshape(count, n)

@@ -436,6 +436,24 @@ def test_grid_and_baker_akhiezer_refuse_a_jet_of_the_wrong_genus():
         baker_akhiezer(0.1, 0.1, [0.1, 0.2j], rm, jet, [0.3, 0.1j], 0.1, 0.1)
 
 
+@pytest.mark.parametrize("xyt", [np.full((3, 2), 0.1), np.full((2, 2), 0.1), np.zeros((1, 3, 3)),
+                                 [(0.1, 0.2, np.nan)], [(0.1, 0.2, 0.3), (0.1, 0.2)],
+                                 np.array([0.1j, 0.2, 0.3])])
+def test_grid_refuses_arguments_that_are_not_xyt_rows(rm_kdv, xyt):
+    # a (3, 2) array of (x, y) rows once came back as 2 field values read
+    # from made-up (x, y, t) rows, and a (2, 2) array ended in a numpy ValueError
+    jet = DirectionJet(U=[1.0], V=[0.2], W=[0.1], c=0.3)
+    with pytest.raises(InvalidInputError, match="xyt must hold"):
+        kp_field_values(xyt, [0.1j], rm_kdv, jet)
+
+
+def test_grid_reads_one_xyt_row_as_one_argument(rm_kdv):
+    jet = DirectionJet(U=[1.0], V=[0.2], W=[0.1], c=0.3)
+    one, _ = kp_field_values(np.array([0.1, 0.2, 0.3]), [0.1j], rm_kdv, jet)
+    rows, _ = kp_field_values([(0.1, 0.2, 0.3)], [0.1j], rm_kdv, jet)
+    assert one.shape == (1,) and one[0] == rows[0]
+
+
 def test_degenerate_sample_error(rm_kdv):
     jet = DirectionJet(U=[1e-80], V=[0.0], W=[0.0], d=0.0)
     with pytest.raises(DegenerateSampleError):

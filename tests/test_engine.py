@@ -215,6 +215,44 @@ def test_parity_of_theta(rm_g2):
         assert abs(materialize(jp) - materialize(jm)) <= 1e-12 * abs(materialize(jp))
 
 
+def _parity_case(g):
+    """A genus-g tau, requests of orders 1-4 along two complex directions, and their keys."""
+    rm = RiemannMatrix(random_tau(g, seed=60 + g))
+    rng = np.random.default_rng(g)
+    u, v = (rng.normal(size=g) + 1j * rng.normal(size=g) for _ in range(2))
+    requests = [(u,), (u, v), (v, v, u), (u, u, v, v), (v, v), (u, u, u)]
+    return rm, [canonical_request(r) for r in requests]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_odd_derivatives_vanish_exactly_at_the_origin(g):
+    # theta is even; each pair n, -n adds t(n) - t(-n) to the odd-order
+    # rows, and at z = 0 the two terms are the same number
+    rm, keys = _parity_case(g)
+    res = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=3.0).jets(np.zeros(g), keys)
+    for key in keys:
+        if len(key) % 2:
+            assert res[key][0] == 0.0, key
+        else:
+            assert res[key][0] != 0.0, key
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_jets_at_minus_z_are_signed_jets_at_z(g):
+    # D^k theta(-z) = (-1)^k D^k theta(z) at points of the fundamental box,
+    # where z and -z need no lattice shift
+    rm, keys = _parity_case(g)
+    ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=3.0)
+    rng = np.random.default_rng(70 + g)
+    points = rng.uniform(-0.49, 0.49, (32, g)) + rng.uniform(-0.49, 0.49, (32, g)) @ rm.tau
+    plus, minus = ev.jets(points, keys), ev.jets(-points, keys)
+    assert np.array_equal(plus["scales"], minus["scales"])
+    for key in [(), *keys]:
+        scale = plus[("abs", key)]
+        assert np.abs(minus[key] - (-1) ** len(key) * plus[key]).max() <= 4e-16 * scale.max()
+        assert np.abs(minus[("abs", key)] - scale).max() <= 4e-16 * scale.max()
+
+
 def test_monotone_truncation(rm_g2):
     z = random_points(2, 1, seed=13)[0]
     u = np.array([0.5, 0.25 - 0.3j])
@@ -328,10 +366,10 @@ def test_batch_error_covers_mpmath_oracle_per_point(g, monkeypatch):
     points = points + [reduce_point(points[0], rm)[0].z]  # one point needing no shift
     keys = [canonical_request(r) for r in requests]
     ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0)
-    # blocks of 16 lattice rows: the bind writes its terms in many row
-    # blocks, the last one partial
+    # blocks of 8 pairs n, -n (16 lattice terms per point): jets build the
+    # terms in many blocks of half-lattice rows, the last one partial
     monkeypatch.setattr(engine, "_BLOCK_TERMS", 16 * len(points))
-    assert len(ev.lattice) % 16
+    assert len(ev._half) % 8
     res = ev.jets(points, keys)
     assert res["error"].shape == (len(points),)
     for p, z in enumerate(points):
@@ -355,7 +393,9 @@ def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners()
     assert np.abs(ev.lattice).max() >= 10
     corners = np.array([[sx, sy] for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)])
     points = [c + rm.tau @ s for c in corners for s in corners]
-    terms = np.concatenate([t for _, _, t in ev.bind(points)._blocks()])
+    # each side of a pair n, -n is (even +- odd) / 2
+    pairs = [(even + odd, even - odd) for _, _, even, odd in ev.bind(points)._blocks()]
+    terms = 0.5 * np.concatenate([side for pair in pairs for side in pair])
     assert np.isfinite(terms).all()
     assert np.abs(terms).max() <= 1.0
     u, v = np.array([0.6 - 0.3j, 0.2 + 0.5j]), np.array([-0.1 + 0.4j, 0.7 + 0.1j])
@@ -619,10 +659,15 @@ def _listed_lattice(g, radius):
 def test_lattice_enumeration_matches_the_listed_reference(g, monkeypatch):
     monkeypatch.setattr(engine, "_LATTICE_CACHE", {})
     for radius in (0.0, 1.5, 2.2, 2.9, 3.6, 4.4, 5.3):
-        got = engine._lattice_points(g, radius)
+        got, half = engine._lattice_points(g, radius)
         want = _listed_lattice(g, radius)
         assert got.dtype == want.dtype and np.array_equal(got, want), (g, radius)
-        assert engine._lattice_points(g, radius) is got  # cached
+        assert engine._lattice_points(g, radius)[0] is got  # cached
+        # the half lattice and its negation are the ball, the origin once
+        assert not half[0].any() and len(half) == (len(got) + 1) // 2
+        paired = np.concatenate([half, -half[1:]])
+        assert np.array_equal(np.unique(paired, axis=0), np.unique(got, axis=0))
+        assert len(np.unique(paired, axis=0)) == len(paired)
 
 
 def test_precision_unreachable_for_ill_conditioned_im_tau():

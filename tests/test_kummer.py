@@ -227,6 +227,39 @@ class TestHalfPoints:
                   for c in rep.tested_halves]
         assert rep.rank_ratio == min(ratios)
 
+    def test_gauge_scans_on_one_tau_build_one_doubled_evaluator(self, monkeypatch):
+        # the gauges (U, V) -> (lam U, lam^2 V), |lam| = 1, keep the direction
+        # norms up to rounding, so every scan reads one evaluator at 2 tau
+        # held on rm; the reports equal those of scans that build their own
+        from thetalab import kummer
+        from thetalab.bilinear import DirectionJet, gauge_rescale
+
+        builds = []
+
+        class Counted(kummer.BatchThetaEvaluator):
+            def __init__(self, rm, *args, **kwargs):
+                builds.append(rm)
+                super().__init__(rm, *args, **kwargs)
+
+        monkeypatch.setattr(kummer, "BatchThetaEvaluator", Counted)
+        rm = RiemannMatrix(GENERIC_G2_TAU)
+        a = np.array([0.12 - 0.3j, 0.4 + 0.1j])
+        jet = DirectionJet(U=[0.8 + 0.1j, -0.3j], V=[0.2 - 0.4j, 0.5 + 0.1j])
+        lams = np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=16))
+        germs = [gauge_rescale(jet, lam) for lam in lams]
+        held = [flex_scan(a, germ.U, -germ.V, rm) for germ in germs]
+        assert len(builds) == 1 and builds[0] is rm._doubled[0]
+        fresh = [flex_scan(a, germ.U, -germ.V, RiemannMatrix(GENERIC_G2_TAU)) for germ in germs]
+        assert len(builds) == 17
+        for got, want in zip(held, fresh):
+            assert got.passed == want.passed and got.sigma_ratios == want.sigma_ratios
+            assert [(h.b.z.tolist(), h.sigma_ratios, h.passed) for h in got.tested_halves] == \
+                [(h.b.z.tolist(), h.sigma_ratios, h.passed) for h in want.tested_halves]
+        # another sizing on the same tau builds a new evaluator on the held 2 tau
+        doubled = rm._doubled[0]
+        flex_scan(a, 3.0 * jet.U, jet.V, rm)
+        assert len(builds) == 18 and rm._doubled[0] is doubled
+
     def test_scan_g2_product_positive(self):
         # A genus-2 scan with a = 2b on a product matrix must find the
         # passing half at the identity offset.
