@@ -84,6 +84,7 @@ over that order, so results are deterministic on a given numpy/BLAS build.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -136,9 +137,19 @@ class RiemannMatrix:
         self.lambda_min = float(np.linalg.eigvalsh(self.Y)[0])
         if self.lambda_min <= 0.0:
             raise TauNotPositiveDefiniteError("Im(tau) is not positive definite")
+        # sqrt(lambda_min^g / det Y) <= 1: the lattice density of an
+        # ellipsoid of Y relative to the ball of the same lambda_min radius
+        self.density = math.exp(0.5 * (self.g * math.log(self.lambda_min)
+                                       - np.linalg.slogdet(self.Y)[1]))
         # (2 tau, sizing, evaluator) of the last Kummer-coordinate read on
         # this tau, kept by kummer._doubled_evaluator
         self._doubled = None
+
+    @functools.cached_property
+    def box_margin(self) -> float:
+        """mu = max over the box vertices c in {-1/2, 1/2}^g of |c|_Y = sqrt(c.Y.c)."""
+        vertices = np.indices((2,) * self.g).reshape(self.g, -1).T - 0.5
+        return math.sqrt(float(((vertices @ self.Y) * vertices).sum(axis=1).max()))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"RiemannMatrix(g={self.g})"
@@ -314,10 +325,6 @@ def box_points(rm: RiemannMatrix, rng, count: int) -> np.ndarray:
     return x + y @ rm.tau
 
 
-def _ball_volume_coeff(g: int) -> float:
-    return PI ** (g / 2.0) / math.gamma(g / 2.0 + 1.0)
-
-
 def _weight_envelope(profiles) -> list:
     """Coefficients q_m with max over profiles of prod_j max(1, 2*pi h_j r) = max_m q_m r^m.
 
@@ -340,33 +347,47 @@ def _weight_envelope(profiles) -> list:
     return envelope
 
 
-def _tail_bound(rm: RiemannMatrix, radius: float, envelope, shells=None) -> float:
-    """Upper bound on sum_{|n+c| > radius} weight(n) * exp(-pi lambda_min |n+c|^2).
+def _shell_constants(rm: RiemannMatrix) -> tuple[float, float]:
+    """nu = mu / sqrt(lambda_min) and V_g sqrt(lambda_min^g / det Y), V_g the unit ball's volume."""
+    g = rm.g
+    return (rm.box_margin / math.sqrt(rm.lambda_min),
+            PI ** (g / 2.0) / math.gamma(g / 2.0 + 1.0) * rm.density)
 
-    Lattice points in the Euclidean shell [t, t+1) are bounded by the volume
-    of the ball of radius r = t + 1 + sqrt(g).  Each request is charged for
-    its own directions: the weight |prod_j 2*pi*i <n, h_j>| of a request is
-    at most prod_j max(1, 2*pi |h_j| r) on the shell, and the shell's weight
-    is the largest of these over the requests, max_m q_m r^m for the
+
+def _tail_bound(rm: RiemannMatrix, radius: float, envelope, shells=None) -> float:
+    """Upper bound on sum_{|v|_Y > sqrt(lambda) radius} weight(n) * exp(-pi |v|_Y^2), v = n + c.
+
+    Here |x|_Y = sqrt(x.Y.x), lambda = lambda_min(Y), c is any point of the
+    box [-1/2, 1/2]^g and nu = mu / sqrt(lambda), mu the box margin
+    (``RiemannMatrix.box_margin``).  On the shell t <= |v|_Y / sqrt(lambda)
+    < t + 1 the unit cubes around the points n lie in the Y-ellipsoid of
+    radius sqrt(lambda) (t + 1) + mu, so there are at most
+    V_g sqrt(lambda^g / det Y) (t + 1 + nu)^g of them; each has Euclidean
+    |n| <= |n|_Y / sqrt(lambda) < r = t + 1 + nu and a term at most
+    exp(-pi lambda t^2).  Each request is charged for its own directions:
+    the weight |prod_j 2*pi*i <n, h_j>| of a request is at most
+    prod_j max(1, 2*pi |h_j| r) on the shell, and the shell's weight is the
+    largest of these over the requests, max_m q_m r^m for the
     ``_weight_envelope`` q of their norm profiles.  Shells are summed from
     t = floor(radius) until one adds at most 1e-9 of the total; ``shells``,
     when given, memoizes their terms by t across calls on one rm and envelope.
     A shell term past the float range raises ``PrecisionUnreachableError``.
     """
-    lam, vg, root_g = rm.lambda_min, _ball_volume_coeff(rm.g), math.sqrt(rm.g)
+    lam, g = rm.lambda_min, rm.g
+    nu, count = _shell_constants(rm)
     shells, coeffs = {} if shells is None else shells, envelope[1:]
     total = 0.0
     t0 = max(int(math.floor(radius)), 0)
     for t in range(t0, t0 + 800):
         term = shells.get(t)
         if term is None:
-            r_out = t + 1.0 + root_g
+            r_out = t + 1.0 + nu
             weight = power = 1.0
             for q in coeffs:  # max_m q_m r_out^m
                 power *= r_out
                 if q * power > weight:
                     weight = q * power
-            term = vg * r_out ** rm.g * weight * math.exp(-PI * lam * t * t)
+            term = count * r_out ** g * weight * math.exp(-PI * lam * t * t)
             if not math.isfinite(term):  # inf, or inf * 0.0 = nan past exp's underflow
                 raise PrecisionUnreachableError(
                     f"derivative weight overflows (order {len(envelope) - 1}, weight "
@@ -382,54 +403,84 @@ def _tail_bound(rm: RiemannMatrix, radius: float, envelope, shells=None) -> floa
 MAX_LATTICE_POINTS = 2e7
 
 
-def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[float, float]:
-    """The truncation radius and its tail bound (at most ``target``) for these norm profiles."""
+def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[int, float]:
+    """The smallest integer radius whose tail bound is at most ``target``, and that bound.
+
+    The tail changes only at integer radii (its shells start at floor(R)).
+    The search starts where the first shell alone, at least
+    V_g sqrt(lambda^g / det Y) exp(-pi lambda R^2), still exceeds the
+    target below it, and steps by 1.  The radius is capped at
+    40 / sqrt(lambda_min), and the ellipsoid of ``_lattice_points`` must
+    hold at most ``MAX_LATTICE_POINTS``; both limits raise
+    ``PrecisionUnreachableError``.
+    """
     envelope, shells = _weight_envelope(profiles), {}
-    cap = RADIUS_CAP_FACTOR / math.sqrt(rm.lambda_min)
-    radius = max(1.5, math.sqrt(max(-math.log(target), 1.0) / (PI * rm.lambda_min)))
-    while not (tail := _tail_bound(rm, radius, envelope, shells)) <= target:
-        radius = max(radius * 1.2, radius + 0.5)
+    lam, g = rm.lambda_min, rm.g
+    nu, count = _shell_constants(rm)
+    cap = RADIUS_CAP_FACTOR / math.sqrt(lam)
+    radius = int(math.sqrt(max(math.log(count / target), 0.0) / (PI * lam)))
+    while True:
         if radius > cap:
             raise PrecisionUnreachableError(
                 f"truncation radius above the cap {cap:.2f} "
-                f"(lambda_min={rm.lambda_min:.3e}); target {target:.2e} unreachable"
+                f"(lambda_min={lam:.3e}); target {target:.2e} unreachable"
             )
-    # Memory guard: the Euclidean ball must stay enumerable.  This is an
-    # engineering limit alongside the radius cap; both raise the same error.
-    est_points = _ball_volume_coeff(rm.g) * (radius + math.sqrt(rm.g)) ** rm.g
-    if est_points > MAX_LATTICE_POINTS:
-        raise PrecisionUnreachableError(
-            f"truncation ball needs ~{est_points:.2e} lattice points "
-            f"(lambda_min={rm.lambda_min:.3e}); target {target:.2e} unreachable"
-        )
-    return radius, tail
+        # Memory guard, an engineering limit beside the radius cap: the unit
+        # cubes of the ellipsoid's points lie in the Y-ellipsoid of radius
+        # sqrt(lambda) (radius + 2 nu)
+        est_points = count * (radius + 2.0 * nu) ** g
+        if est_points > MAX_LATTICE_POINTS:
+            raise PrecisionUnreachableError(
+                f"truncation ellipsoid needs ~{est_points:.2e} lattice points "
+                f"(lambda_min={lam:.3e}); target {target:.2e} unreachable"
+            )
+        tail = _tail_bound(rm, radius, envelope, shells)
+        if tail <= target:
+            return radius, tail
+        radius += 1
 
 
 _LATTICE_CACHE: dict = {}
 
 
-def _lattice_points(g: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ball of integer vectors |n| <= radius + sqrt(g)/2 and its half lattice.
+def _lattice_points(rm: RiemannMatrix, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ellipsoid {n : |n|_Y <= sqrt(lambda_min) radius + mu} and its half lattice.
 
-    The sqrt(g)/2 margin guarantees that {n : |n + c| <= radius} is covered
-    for every c in [-1/2, 1/2]^g, so one lattice serves every reduced point.
-    Order: increasing sup-norm shell, lexicographic within a shell.  The
-    half lattice is the origin and, of each pair n, -n, the one whose first
-    nonzero coordinate is positive, in the ball's order (the origin first).
+    Here |n|_Y = sqrt(n.Y.n) and mu is the box margin: every n with
+    |n + c|_Y <= sqrt(lambda_min) radius, for any c in [-1/2, 1/2]^g, lies
+    in it, so one lattice serves every reduced point.  The bound is widened
+    by 1e-9 of itself, so that rounding never drops a point on it.  The
+    points are enumerated coordinate by coordinate through a lower
+    triangular factor M of Y = M^T M, whose row k involves n_1..n_k only:
+    each prefix (n_1..n_k-1) leaves an interval of n_k.  Order:
+    lexicographic.  The half lattice is the origin and the points after it,
+    those whose first nonzero coordinate is positive (the origin first); the
+    lattice is the negated half, reversed, followed by the half, so it is
+    symmetric by construction.  Cached on (Y, radius), at most 64 entries.
     """
-    reach = radius + math.sqrt(g) / 2.0
-    key = (g, round(reach, 9))
+    key = (rm.Y.tobytes(), radius)
     cached = _LATTICE_CACHE.get(key)
     if cached is not None:
         return cached
-    bound = int(math.floor(reach)) + 1
-    grid = np.indices((2 * bound + 1,) * g).reshape(g, -1).T - bound
-    pts = grid[(grid * grid).sum(axis=1) <= reach * reach]
-    arr = pts[np.lexsort([*pts.T[::-1], np.abs(pts).max(axis=1)])].astype(float)
-    lead = arr[np.arange(len(arr)), (arr != 0).argmax(axis=1)]
-    if len(_LATTICE_CACHE) > 64:
+    g = rm.g
+    bound = (math.sqrt(rm.lambda_min) * radius + rm.box_margin) * (1.0 + 1e-9)
+    factor = np.linalg.cholesky(rm.Y[::-1, ::-1]).T[::-1, ::-1]
+    pts, budget = np.zeros((1, 0)), np.array([bound * bound])
+    for k in range(g):
+        diag = factor[k, k]
+        centre = -(pts @ factor[k, :k]) / diag
+        width = np.sqrt(np.maximum(budget, 0.0)) / diag
+        low = np.ceil(centre - width)
+        counts = np.maximum(np.floor(centre + width) - low + 1, 0).astype(np.intp)
+        parent = np.repeat(np.arange(len(pts)), counts)
+        step = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        coord = low[parent] + step
+        pts = np.column_stack([pts[parent], coord])
+        budget = budget[parent] - (diag * (coord - centre[parent])) ** 2
+    half = pts[np.flatnonzero(~pts.any(axis=1))[0]:]
+    if len(_LATTICE_CACHE) >= 64:
         _LATTICE_CACHE.clear()
-    cached = _LATTICE_CACHE[key] = arr, arr[lead >= 0]
+    cached = _LATTICE_CACHE[key] = np.concatenate([-half[:0:-1], half]), half
     return cached
 
 
@@ -472,32 +523,49 @@ def _request_profiles(keys) -> set:
     return {tuple([math.hypot(*map(abs, h)) for h in key]) for key in keys}
 
 
-def _linear_correction(keys, gradient, rows, sums, abs_sums):
+@functools.lru_cache(maxsize=64)
+def _correction_plan(keys):
+    """The rows a linear correction of ``keys`` reads and its index lists, built once per keys.
+
+    ``keys`` is a tuple of requests, odd-order ones last.  Returns the rows
+    -- (), then every sub-request of the keys, odd-order ones last -- and
+    per order k the members (positions in ``keys``), their directions
+    (members, k, g) and, per subset mask, the rows of the members' rest
+    requests (2^k, members).
+    """
+    rows = [(), *sorted(_subset_closure(keys), key=_parity)]
+    index = {key: r for r, key in enumerate(rows)}
+    by_order = {}
+    for i, key in enumerate(keys):
+        by_order.setdefault(len(key), []).append(i)
+    groups = [(members, np.array([keys[i] for i in members]),
+               np.array([[index[tuple(keys[i][j] for j in idx)] for i in members]
+                         for idx in _REST_INDICES[k]]))
+              for k, members in by_order.items()]
+    return rows, groups
+
+
+def _linear_correction(groups, gradient, sums, abs_sums):
     """Derivatives of exp(L) * f from those of f, for L linear with a gradient per point.
 
     D^{h_1..h_k}(e^L f) = e^L * sum over subsets S of {1..k} of
     prod_{j in S} L(h_j) * D^{rest} f, with L_p(h) = 2*pi*i*<gradient[p], h>.
     Row r of ``sums`` and ``abs_sums`` (R, P) holds D^{rows[r]} f and its
-    absolute term sum; ``rows`` must hold () and every sub-request of
-    ``keys``.  Returns the corrected derivatives and absolute sums (K, P)
-    in the order of ``keys`` (the factor e^L is left to the caller) and the
+    absolute term sum, for the rows and ``groups`` of ``_correction_plan``.
+    Returns the corrected derivatives and absolute sums (K, P) in the order
+    of the plan's keys (the factor e^L is left to the caller) and the
     per-point error growth, the maximum over keys of prod_j (1 + |L_p(h_j)|).
     """
-    index = {key: r for r, key in enumerate(rows)}
     count = len(gradient)
-    vals = np.empty((len(keys), count), dtype=complex)
-    absv = np.empty((len(keys), count))
+    size = sum(len(members) for members, _, _ in groups)
+    vals = np.empty((size, count), dtype=complex)
+    absv = np.empty((size, count))
     growth = np.ones(count)
-    by_order = {}
-    for i, key in enumerate(keys):
-        by_order.setdefault(len(key), []).append(i)
-    for k, members in by_order.items():
-        lin = TWO_PI_I * np.einsum("pg,ejg->ejp", gradient, np.array([keys[i] for i in members]))
+    for members, directions, rest in groups:
+        lin = TWO_PI_I * np.einsum("pg,ejg->ejp", gradient, directions)
         coeffs = np.ones((1, len(members), count), dtype=complex)
-        for j in range(k):  # coeffs[mask] = product of lin[:, j] over the set bits j
+        for j in range(directions.shape[1]):  # coeffs[mask] = product of lin[:, j] over the set bits j
             coeffs = np.concatenate([coeffs, coeffs * lin[:, j]])
-        rest = [[index[tuple(keys[i][j] for j in idx)] for i in members]
-                for idx in _REST_INDICES[k]]
         vals[members] = np.einsum("sep,sep->ep", coeffs, sums[rest])
         absv[members] = np.einsum("sep,sep->ep", np.abs(coeffs), abs_sums[rest])
         growth = np.maximum(growth, np.prod(1.0 + np.abs(lin), axis=1).max(axis=0))
@@ -608,7 +676,7 @@ class BatchThetaEvaluator:
         if not all(0.0 <= h < math.inf for h in norms):
             raise InvalidInputError("direction norms must be finite and non-negative")
         radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, profiles)
-        self.lattice, half = _lattice_points(rm.g, radius)
+        self.lattice, half = _lattice_points(rm, radius)
         self._half = half
         # per half-lattice row n (the pair n, -n): the lattice phase
         # exp(pi*i n.X.n), halved at the origin, which is its own pair and
@@ -770,9 +838,9 @@ class BoundBatch:
         every requested derivative including the linear-correction growth.
         """
         # rows: the value (), the even-order requests, then the odd-order ones
-        keys = sorted((key for key in keys if key), key=_parity)
+        keys = tuple(sorted((key for key in keys if key), key=_parity))
         corrected = bool(self.gradient.any())
-        rows = [(), *(sorted(_subset_closure(keys), key=_parity) if corrected else keys)]
+        rows, groups = _correction_plan(keys) if corrected else ([(), *keys], None)
         split = len(rows) - sum(map(_parity, rows))
         ev = self.ev
         directions = {h: col for col, h in enumerate(dict.fromkeys(h for key in rows for h in key))}
@@ -794,7 +862,7 @@ class BoundBatch:
         error = ev._tail + 4e-16 * math.sqrt(len(ev.lattice)) * abs_sums.max(axis=0)
         if corrected:
             sums *= self._phase
-            vals, absv, growth = _linear_correction(keys, self.gradient, rows, sums, abs_sums)
+            vals, absv, growth = _linear_correction(groups, self.gradient, sums, abs_sums)
             error = error * growth
         else:  # no lattice shift and no characteristic: every point phase is 1
             vals, absv = sums[1:], abs_sums[1:]

@@ -261,6 +261,10 @@ class _Model:
         """p itself: the form has no symmetry that moves its fields."""
         return p
 
+    def fold(self, p):
+        """p as its ``sources``, ``terms`` and ``ratios`` read it: p itself here."""
+        return p
+
     def ratios(self, sources, p):
         return _term_ratios(self.terms(sources, p))
 
@@ -384,7 +388,7 @@ class _HierarchyModel(_OnePointModel):
         self.weights = np.asarray(EPSILON_GRID) ** (-(order + 1.0))
         self.row_weight = np.repeat(self.weights, self.basis_z.count)
 
-    def grid(self, p):
+    def fold(self, p):
         """Per grid eps, the one-point fields U, V, c and a of the germ p's fold."""
         zetas = [self.U, *(p[n] for n in self.zeta_names)]
         dvals = [p[n] for n in self.linear_fields]
@@ -392,23 +396,27 @@ class _HierarchyModel(_OnePointModel):
                     self.U, self.V, eps, _series(zetas, eps, 1), _series(dvals, eps, 3))))
                 for eps in EPSILON_GRID]
 
+    def _grid(self, p):
+        """The fold of p, or p itself when it is already a fold (a list)."""
+        return p if isinstance(p, list) else self.fold(p)
+
     def sources(self, p, along=()):
-        """Derivative sources at z, and at z + a per grid shift a of the germ p.
+        """Derivative sources at z, and at z + a per grid shift a of the germ p (or its fold).
 
         The grid is bound at orders 1-3, so one bind per germ serves the IRLS
         solve, the residual vector and the Jacobian along the shifts.
         """
         Dz = _Contractions(self.basis_z)
-        shifts = [q["a"] for q in self.grid(p)]
+        shifts = [q["a"] for q in self._grid(p)]
         return [(Dz, _Contractions(basis)) for basis in self.basis_at(shifts, (1, 2, 3))]
 
     def terms(self, sources, p):
-        return _join([_OnePointModel.terms(self, src, q) for src, q in zip(sources, self.grid(p))])
+        return _join([_OnePointModel.terms(self, src, q) for src, q in zip(sources, self._grid(p))])
 
     def ratios(self, sources, p):
         """Each grid row's term-sum ratios, weighted by 1/eps^(K+1), joined along the samples."""
         return _join([_term_ratios(_OnePointModel.terms(self, src, q)) * w
-                      for src, q, w in zip(sources, self.grid(p), self.weights)])
+                      for src, q, w in zip(sources, self._grid(p), self.weights)])
 
 
 def _join(parts):
@@ -573,7 +581,8 @@ class _Multistart:
         """The x reached by the best restart, ties broken by restart index.
 
         The residual vector at x is ``model.ratios`` at the candidate
-        p = model.canonical(decode(x), free), on ``model.sources(p, along=free)``;
+        p = model.fold(model.canonical(decode(x), free)), on
+        ``model.sources(p, along=free)``, so a model folds each candidate once;
         the Jacobian is the same map on ``decode(x, dual=True)``, on the kept
         sources of the last candidate.  Restart k starts at ``start(k, rng)``,
         rng drawn from its own stream, and makes one ``_levenberg_marquardt``
@@ -586,7 +595,7 @@ class _Multistart:
 
         def candidate(x):
             if not last or not np.array_equal(x, last[0]):
-                p = model.canonical(decode(x), free)
+                p = model.fold(model.canonical(decode(x), free))
                 last[:] = [np.array(x), p, model.sources(p, along=free)]
             return last[1], last[2]
 
@@ -599,7 +608,7 @@ class _Multistart:
         def jacobian(x):
             nonlocal calls
             calls += 1
-            dual = model.canonical(decode(x, dual=True), free)
+            dual = model.fold(model.canonical(decode(x, dual=True), free))
             return _real_stack(model.ratios(candidate(x)[1], dual).tangent.T)
 
         for k, stream in enumerate(self.streams):

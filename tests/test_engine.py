@@ -257,12 +257,13 @@ def test_monotone_truncation(rm_g2):
     z = random_points(2, 1, seed=13)[0]
     u = np.array([0.5, 0.25 - 0.3j])
     norm = float(np.linalg.norm(u))
-    narrow = BatchThetaEvaluator(rm_g2, max_order=1, max_direction_norm=norm)
-    widened = BatchThetaEvaluator(rm_g2, max_order=1, max_direction_norm=norm,
-                                  target_abs_err=1e-15)
+    # the two targets lie on either side of a shell of the truncation radius
+    narrow = BatchThetaEvaluator(rm_g2, max_order=1, max_direction_norm=norm,
+                                 target_abs_err=1e-10)
+    widened = BatchThetaEvaluator(rm_g2, max_order=1, max_direction_norm=norm)
     assert len(widened.lattice) > len(narrow.lattice)
-    base = theta_eval(z, rm_g2, [(u,)])
-    wide = theta_eval(z, rm_g2, [(u,)], target_abs_err=1e-15)
+    base = theta_eval(z, rm_g2, [(u,)], target_abs_err=1e-10)
+    wide = theta_eval(z, rm_g2, [(u,)])
     assert abs(base.value - wide.value) <= base.error_bound
     assert abs(base.d((u,)) - wide.d((u,))) <= base.error_bound
 
@@ -382,13 +383,13 @@ def test_batch_error_covers_mpmath_oracle_per_point(g, monkeypatch):
 
 
 def test_large_reach_terms_stay_bounded_and_match_mpmath_oracle_at_box_corners():
-    # lambda_min(Im tau) ~ 0.25 puts lattice coordinates 10 and more in the
+    # lambda_min(Im tau) ~ 0.12 puts lattice coordinates 10 and more in the
     # sum; at the corners of the fundamental box Im z0 = +-Y/2 componentwise,
     # where a table exp(2*pi*i j z0_k) that carried Im z0 would grow like
     # exp(2*pi |j Im z0_k|)
-    tau = np.array([[0.3 + 0.25j, 0.1 + 0.05j], [0.1 + 0.05j, -0.2 + 0.7j]])
+    tau = np.array([[0.3 + 0.12j, 0.1 + 0.05j], [0.1 + 0.05j, -0.2 + 0.7j]])
     rm = RiemannMatrix(tau)
-    assert 0.2 < rm.lambda_min < 0.3
+    assert 0.1 < rm.lambda_min < 0.15
     ev = BatchThetaEvaluator(rm, max_order=4, max_direction_norm=1.0)
     assert np.abs(ev.lattice).max() >= 10
     corners = np.array([[sx, sy] for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)])
@@ -420,16 +421,16 @@ def _kp_holdout_requests(g, seed, w_norm=13.5):
 def test_kp_holdout_requests_get_the_lattice_of_the_unit_order_4_basis():
     # W is read only at order 1 and beside U at order 2, so its norm must
     # not be raised to the fourth power: the holdout sums the training
-    # model's lattice, not the 11,281 points of max(1, 2 pi |W| r)^4
+    # model's lattice, not the 5,667 points of max(1, 2 pi |W| r)^4
     from thetalab.search import _basis_evaluator
 
     rm = RiemannMatrix(random_tau(4, seed=900))
     keys = engine._normalize_requests(_kp_holdout_requests(4, seed=31), rm.g)
     holdout = engine._evaluator_for(rm, keys)
     basis = _basis_evaluator(rm, (1, 2, 3, 4))
-    assert len(basis.lattice) == 3457
+    assert len(basis.lattice) == 2779
     assert np.array_equal(holdout.lattice, basis.lattice)
-    assert len(BatchThetaEvaluator(rm, max_order=4, max_direction_norm=13.5).lattice) == 11281
+    assert len(BatchThetaEvaluator(rm, max_order=4, max_direction_norm=13.5).lattice) == 5667
 
 
 @pytest.mark.parametrize("g", [2, 3])
@@ -449,14 +450,22 @@ def test_mixed_norm_requests_stay_within_error_of_mpmath_oracle(g):
 
 
 def _worst_case_tail(rm, radius, h_max, k_max):
-    """The tail bound with every request charged max(1, 2 pi h_max r)^k_max on a shell."""
+    """The tail bound with every request charged max(1, 2 pi h_max r)^k_max on a shell.
+
+    A shell t <= |n + c|_Y / sqrt(lambda) < t + 1 holds at most
+    V_g sqrt(lambda^g / det Y) r^g points, r = t + 1 + nu, nu the largest
+    |c|_Y / sqrt(lambda) over the box vertices c.
+    """
+    g, lam = rm.g, rm.lambda_min
+    nu = max(math.sqrt(np.dot(c, rm.Y @ c) / lam)
+             for c in itertools.product((-0.5, 0.5), repeat=g))
+    count = math.pi ** (g / 2) / math.gamma(g / 2 + 1) * math.sqrt(lam ** g / np.linalg.det(rm.Y))
     total = 0.0
     t0 = max(int(math.floor(radius)), 0)
     for t in range(t0, t0 + 800):
-        r_out = t + 1.0 + math.sqrt(rm.g)
+        r_out = t + 1.0 + nu
         weight = max(1.0, 2.0 * math.pi * h_max * r_out) ** k_max
-        term = engine._ball_volume_coeff(rm.g) * r_out ** rm.g * weight \
-            * math.exp(-math.pi * rm.lambda_min * t * t)
+        term = count * r_out ** g * weight * math.exp(-math.pi * lam * t * t)
         total += term
         if term <= 1e-9 * total:
             break
@@ -493,7 +502,7 @@ def test_genus4_jets_peak_memory_is_a_fraction_of_its_term_matrix():
     tau = 0.1 * np.ones((4, 4)) + 1j * (1.1 * np.eye(4) + 0.1 * np.ones((4, 4)))
     rm = RiemannMatrix(tau)
     ev = BatchThetaEvaluator(rm, max_order=4)
-    assert len(ev.lattice) == 3457
+    assert len(ev.lattice) == 2997
     points = engine.box_points(rm, np.random.default_rng(3), 240)
     u = np.array([0.6, 0.2 - 0.3j, 0.1j, -0.4])
     tracemalloc.start()
@@ -645,29 +654,96 @@ def test_binds_refuse_points_of_another_genus():
     assert ev.bind(np.full(3, 0.1j)).count == 1
 
 
-def _listed_lattice(g, radius):
-    """The lattice of ``engine._lattice_points`` by a Python list and sort (the reference)."""
-    reach = radius + math.sqrt(g) / 2.0
-    bound = int(math.floor(reach)) + 1
-    axis = range(-bound, bound + 1)
-    pts = [n for n in itertools.product(axis, repeat=g) if sum(x * x for x in n) <= reach * reach]
-    pts.sort(key=lambda n: (max(abs(x) for x in n), n))
+def _listed_lattice(rm, radius):
+    """The lattice of ``engine._lattice_points`` by a Python filter of a box (the reference).
+
+    The points n with n.Y.n <= rho^2, rho = (sqrt(lambda) radius + mu)(1 + 1e-9)
+    and mu the largest |c|_Y over the box vertices c, in lexicographic order.
+    """
+    g, y = rm.g, rm.Y.tolist()
+    mu = max(math.sqrt(sum(c[i] * y[i][j] * c[j] for i in range(g) for j in range(g)))
+             for c in itertools.product((-0.5, 0.5), repeat=g))
+    rho = (math.sqrt(rm.lambda_min) * radius + mu) * (1.0 + 1e-9)
+    axes = [range(-int(rho * math.sqrt(rm.Yinv[k, k])) - 1, int(rho * math.sqrt(rm.Yinv[k, k])) + 2)
+            for k in range(g)]
+    pts = [n for n in itertools.product(*axes)
+           if sum(n[i] * y[i][j] * n[j] for i in range(g) for j in range(g)) <= rho * rho]
     return np.array(pts, dtype=float).reshape(len(pts), g)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_lattice_enumeration_matches_the_listed_reference(g, monkeypatch):
     monkeypatch.setattr(engine, "_LATTICE_CACHE", {})
+    rm = RiemannMatrix(random_tau(g, seed=60 + g))
     for radius in (0.0, 1.5, 2.2, 2.9, 3.6, 4.4, 5.3):
-        got, half = engine._lattice_points(g, radius)
-        want = _listed_lattice(g, radius)
+        got, half = engine._lattice_points(rm, radius)
+        want = _listed_lattice(rm, radius)
         assert got.dtype == want.dtype and np.array_equal(got, want), (g, radius)
-        assert engine._lattice_points(g, radius)[0] is got  # cached
+        assert engine._lattice_points(rm, radius)[0] is got  # cached
         # the half lattice and its negation are the ball, the origin once
         assert not half[0].any() and len(half) == (len(got) + 1) // 2
         paired = np.concatenate([half, -half[1:]])
         assert np.array_equal(np.unique(paired, axis=0), np.unique(got, axis=0))
         assert len(np.unique(paired, axis=0)) == len(paired)
+
+
+def _skewed_y(g, seed, ratio):
+    """A random positive definite Y with eigenvalues from 0.3 to 0.3 * ratio."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(g, g)))[0]
+    lams = 0.3 * ratio ** np.linspace(0.0, 1.0, g)
+    return (q * lams) @ q.T
+
+
+@given(g=st.integers(1, 3), seed=st.integers(0, 10**6), ratio=st.sampled_from([1.0, 4.0, 20.0]),
+       radius=st.integers(0, 3), c=st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3))
+def test_ellipsoid_holds_every_point_within_the_radius_of_any_box_point(g, seed, ratio,
+                                                                        radius, c):
+    # every n with |n + c|_Y <= sqrt(lambda_min) R, c in the box, is summed,
+    # and the half lattice and its negation make up the lattice, each point once
+    y = _skewed_y(g, seed, ratio)
+    rm = RiemannMatrix(0.2 * np.ones((g, g)) + 1j * y)
+    lattice, half = engine._lattice_points(rm, radius)
+    c = np.array(c[:g])
+    reach = math.sqrt(rm.lambda_min) * radius
+    axes = [np.arange(math.floor(-c[k] - reach * math.sqrt(rm.Yinv[k, k])) - 1,
+                      math.ceil(-c[k] + reach * math.sqrt(rm.Yinv[k, k])) + 2) for k in range(g)]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, g)
+    v = box + c
+    inner = box[((v @ y) * v).sum(axis=1) <= reach * reach]
+    summed = {tuple(n) for n in lattice.tolist()}
+    assert all(tuple(n) in summed for n in inner.tolist())
+    assert not half[0].any()
+    paired = np.concatenate([half, -half[1:]])
+    assert len(paired) == len(lattice) == len({tuple(n) for n in paired.tolist()})
+    assert {tuple(n) for n in paired.tolist()} == summed
+
+
+def test_error_bound_covers_mpmath_oracle_at_box_corners_of_a_skewed_genus3_tau():
+    # lambda_max / lambda_min >= 10: the box margin mu is far from the
+    # Euclidean sqrt(g)/2 margin, and it matters most where Im z0 sits at a
+    # corner of the fundamental box, the corner of mu among them
+    y = np.array([[0.4, 0.1, 0.05], [0.1, 1.2, 0.3], [0.05, 0.3, 4.5]])
+    tau = np.array([[0.2, -0.1, 0.3], [-0.1, 0.4, 0.1], [0.3, 0.1, -0.3]]) + 1j * y
+    rm = RiemannMatrix(tau)
+    lams = np.linalg.eigvalsh(y)
+    assert lams[-1] / lams[0] >= 10
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=3)))
+    worst = corners[np.argmax(((corners @ y) * corners).sum(axis=1))]
+    assert math.sqrt(worst @ y @ worst) == pytest.approx(rm.box_margin, rel=1e-14)
+    rng = np.random.default_rng(3)
+    ys = [worst, -worst, corners[1], corners[6]]
+    points = [rng.uniform(-0.5, 0.5, 3) + tau @ c for c in ys]
+    u, v = np.array([0.6 - 0.3j, 0.2 + 0.5j, -0.4j]), np.array([-0.1 + 0.4j, 0.7 + 0.1j, 0.3])
+    requests = [(u,), (u, v), (u, v, v), (u, u, v, v)]
+    keys = [canonical_request(r) for r in requests]
+    ev = engine._evaluator_for(rm, keys)
+    res = ev.jets(points, keys)
+    for p, z in enumerate(points):
+        oracle = mp_theta_jet(z, rm.tau, requests)
+        errs = _stored_errors([res[()][p]] + [res[k][p] for k in keys], res["scales"][p], oracle)
+        assert max(errs) <= res["error"][p], (p, errs, res["error"][p])
+        assert res["error"][p] <= 1e-9
 
 
 def test_precision_unreachable_for_ill_conditioned_im_tau():
