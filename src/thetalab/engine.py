@@ -44,7 +44,7 @@ whose gradient is 2*pi*i*(eps - m), m the reduction's tau-shift, and its
 derivatives are applied exactly by one subset-sum pass
 (``_linear_correction``).
 
-Terms are summed in pairs n, -n: the ball is symmetric, t(n) and t(-n)
+Terms are summed in pairs n, -n: the ellipsoid is symmetric, t(n) and t(-n)
 share the lattice phase exp(pi*i n.Re(tau).n) and the quadratic part of
 the modulus, and a derivative weight of order k changes sign as (-1)^k.
 So terms are built on the half lattice only (the origin and one of each
@@ -63,23 +63,29 @@ into the derivative weights and the point's phase multiplies the sums.  The
 O(P * (R + g * reach)) numbers (R requested rows, reach the largest lattice
 coordinate) plus one block (see ``BoundBatch``).
 
-Truncation: lattice points with |n + c| <= R are summed (c the imaginary
-lattice coordinate of the reduced argument), with R chosen so that a Gaussian
-tail bound -- using the smallest eigenvalue of Im tau and a polynomial margin
-factor for the derivative weights -- is below the requested target.  Every
-request is charged for its own directions: on a shell of radius r the weight
-of a request along h_1..h_k is at most prod_j max(1, 2*pi |h_j| r), and the
-margin is the largest of these over the requests (Deconinck, Heil, Bobenko,
-van Hoeij & Schmies, Math. Comp. 2004), so a long direction read only at low
-order costs no more than that order needs.  R is capped at
-40 / sqrt(lambda_min); beyond the cap evaluation fails rather than silently
-degrade.  Every point carries its own error bound on stored numbers,
-(tail + 4e-16 * largest absolute term sum * sqrt(lattice size)) times the
-largest growth prod_j (1 + |L(h_j)|) of the linear correction over the
-requests; the lattice size counts every point of the ball, both sides of
-each pair.  Enumeration order is fixed (lexicographic shells in the sup
-norm, the half lattice in the ball's order) and sums are matrix products
-over that order, so results are deterministic on a given numpy/BLAS build.
+Truncation: with |x|_Y = sqrt(x.Im(tau).x) and lambda = lambda_min(Im tau),
+lattice points with |n + c|_Y <= sqrt(lambda) R are summed (c the imaginary
+lattice coordinate of the reduced argument, in the box [-1/2, 1/2]^g).  One
+lattice serves every reduced point: the ellipsoid |n|_Y <= sqrt(lambda) R +
+mu, mu the largest |c|_Y over the box's vertices.  R is the smallest integer
+whose tail bound is below the requested target: a Gaussian bound in the
+metric of Im tau, per shell of |n + c|_Y / sqrt(lambda), with a point count
+from the ellipsoid's volume and a polynomial margin factor for the
+derivative weights (Deconinck, Heil, Bobenko, van Hoeij & Schmies, Math.
+Comp. 2004; see ``_tail_bound``).  Every request is charged for its own
+directions: on a shell of radius r the weight of a request along h_1..h_k
+is at most prod_j max(1, 2*pi |h_j| r), and the margin is the largest of
+these over the requests, so a long direction read only at low order costs
+no more than that order needs.  R is capped at 40 / sqrt(lambda_min), and
+the ellipsoid at ``MAX_LATTICE_POINTS``; beyond either, evaluation fails
+rather than silently degrade.  Every point carries its own error bound on
+stored numbers, (tail + 4e-16 * largest absolute term sum * sqrt(lattice
+size)) times the largest growth prod_j (1 + |L(h_j)|) of the linear
+correction over the requests; the lattice size counts every point of the
+ellipsoid, both sides of each pair.  Enumeration order is fixed
+(lexicographic, through a triangular factor of Im tau; the half lattice is
+the origin and the points after it) and sums are matrix products over that
+order, so results are deterministic on a given numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -137,13 +143,14 @@ class RiemannMatrix:
         self.lambda_min = float(np.linalg.eigvalsh(self.Y)[0])
         if self.lambda_min <= 0.0:
             raise TauNotPositiveDefiniteError("Im(tau) is not positive definite")
-        # sqrt(lambda_min^g / det Y) <= 1: the lattice density of an
-        # ellipsoid of Y relative to the ball of the same lambda_min radius
-        self.density = math.exp(0.5 * (self.g * math.log(self.lambda_min)
-                                       - np.linalg.slogdet(self.Y)[1]))
         # (2 tau, sizing, evaluator) of the last Kummer-coordinate read on
         # this tau, kept by kummer._doubled_evaluator
         self._doubled = None
+
+    @functools.cached_property
+    def density(self) -> float:
+        """sqrt(lambda_min^g / det Y) <= 1: a Y-ellipsoid's volume over the lambda_min ball's."""
+        return math.exp(0.5 * (self.g * math.log(self.lambda_min) - np.linalg.slogdet(self.Y)[1]))
 
     @functools.cached_property
     def box_margin(self) -> float:
@@ -407,12 +414,12 @@ def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[int, flo
     """The smallest integer radius whose tail bound is at most ``target``, and that bound.
 
     The tail changes only at integer radii (its shells start at floor(R)).
-    The search starts where the first shell alone, at least
-    V_g sqrt(lambda^g / det Y) exp(-pi lambda R^2), still exceeds the
-    target below it, and steps by 1.  The radius is capped at
-    40 / sqrt(lambda_min), and the ellipsoid of ``_lattice_points`` must
-    hold at most ``MAX_LATTICE_POINTS``; both limits raise
-    ``PrecisionUnreachableError``.
+    The search steps by 1 from the largest radius R0 below which every
+    radius fails: there the first shell alone, at least
+    V_g sqrt(lambda^g / det Y) exp(-pi lambda R^2), exceeds the target.  The
+    radius is capped at 40 / sqrt(lambda_min), and the ellipsoid of
+    ``_lattice_points`` must hold at most ``MAX_LATTICE_POINTS``; both limits
+    raise ``PrecisionUnreachableError``.
     """
     envelope, shells = _weight_envelope(profiles), {}
     lam, g = rm.lambda_min, rm.g
@@ -564,7 +571,8 @@ def _linear_correction(groups, gradient, sums, abs_sums):
     for members, directions, rest in groups:
         lin = TWO_PI_I * np.einsum("pg,ejg->ejp", gradient, directions)
         coeffs = np.ones((1, len(members), count), dtype=complex)
-        for j in range(directions.shape[1]):  # coeffs[mask] = product of lin[:, j] over the set bits j
+        # coeffs[mask] = product of lin[:, j] over the set bits j
+        for j in range(directions.shape[1]):
             coeffs = np.concatenate([coeffs, coeffs * lin[:, j]])
         vals[members] = np.einsum("sep,sep->ep", coeffs, sums[rest])
         absv[members] = np.einsum("sep,sep->ep", np.abs(coeffs), abs_sums[rest])
@@ -741,7 +749,7 @@ class BoundBatch:
             = exp(-pi (n + c).Y.(n + c)) * exp(pi*i n.X.n) * prod_k exp(2*pi*i n_k x0_k)
 
     with c = Y^-1 y0 and g0 = pi y0.Y^-1.y0.  The terms are summed in pairs
-    n, -n over the half lattice (the ball is symmetric): both share the
+    n, -n over the half lattice (the ellipsoid is symmetric): both share the
     lattice phase exp(pi*i n.X.n) and the quadratic part of the modulus, and
     a derivative weight of order k has w(-n) = (-1)^k w(n).  So a pair adds
     w(n) (t(n) + t(-n)) to an even-order row, w(n) (t(n) - t(-n)) to an

@@ -664,8 +664,8 @@ def _listed_lattice(rm, radius):
     mu = max(math.sqrt(sum(c[i] * y[i][j] * c[j] for i in range(g) for j in range(g)))
              for c in itertools.product((-0.5, 0.5), repeat=g))
     rho = (math.sqrt(rm.lambda_min) * radius + mu) * (1.0 + 1e-9)
-    axes = [range(-int(rho * math.sqrt(rm.Yinv[k, k])) - 1, int(rho * math.sqrt(rm.Yinv[k, k])) + 2)
-            for k in range(g)]
+    extents = [int(rho * math.sqrt(rm.Yinv[k, k])) + 1 for k in range(g)]
+    axes = [range(-e, e + 1) for e in extents]
     pts = [n for n in itertools.product(*axes)
            if sum(n[i] * y[i][j] * n[j] for i in range(g) for j in range(g)) <= rho * rho]
     return np.array(pts, dtype=float).reshape(len(pts), g)
