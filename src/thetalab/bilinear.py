@@ -48,13 +48,13 @@ import numpy as np
 
 from .engine import (
     AbelianPoint,
-    RiemannMatrix,
     _check_points,
     _check_real,
     _check_scalar,
     _check_vector,
     _reader,
     as_point,
+    as_riemann_matrix,
     canonical_request,
 )
 from .errors import (
@@ -69,12 +69,6 @@ NORMALIZER_FLOOR = 1e-300
 DIVISOR_REL_TOL = 1e-8
 POLE_REL_TOL = 1e-10
 GAUGE_DEGENERATE_TOL = 1e-6
-
-
-def as_riemann_matrix(tau) -> RiemannMatrix:
-    if isinstance(tau, RiemannMatrix):
-        return tau
-    return RiemannMatrix(tau)
 
 
 @dataclass

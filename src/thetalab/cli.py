@@ -33,7 +33,6 @@ import numpy as np
 from . import serialize
 from .bilinear import (
     DirectionJet,
-    as_riemann_matrix,
     gauge_balance,
     hierarchy_scan,
     kp_field_values,
@@ -47,7 +46,7 @@ from .divisor import (
     sample_theta_intersection,
     weil_check,
 )
-from .engine import _check_points, _reader, box_points, canonical_request
+from .engine import _check_points, _reader, as_riemann_matrix, box_points, canonical_request
 from .errors import (
     DegenerateSampleError,
     InvalidInputError,

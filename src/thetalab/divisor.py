@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bilinear import NORMALIZER_FLOOR, ResidualReport, _galilean, as_riemann_matrix, build_report
+from .bilinear import NORMALIZER_FLOOR, ResidualReport, _galilean, build_report
 from .engine import (
     AbelianPoint,
     _check_points,
@@ -52,6 +52,7 @@ from .engine import (
     _check_vector,
     _reader,
     _reduce_coords,
+    as_riemann_matrix,
     box_points,
     canonical_request,
 )

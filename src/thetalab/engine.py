@@ -27,7 +27,11 @@ Input checks and lattice sizing have one owner each: ``_check_vector``
 non-finite input with ``InvalidInputError``, as ``BoundBatch`` does for a
 bound point that is non-finite or not of length g, and ``_evaluator_for``
 sizes every library evaluator from the derivative requests it will serve,
-each request charged for its own directions.
+each request charged for its own directions.  What the lattice sums reuse
+has one owner, the ``RiemannMatrix``: per integer radius it keeps its
+lattice and per-pair tables (``_pair_tables``), and ``RiemannMatrix.doubled``
+holds the matrix at 2 tau of the Kummer coordinates.  No lattice outlives
+its matrix.
 
 Every point is first reduced modulo the lattice Z^g + tau Z^g and the
 exponential growth is factored into a real ``scale_exponent``:
@@ -143,9 +147,13 @@ class RiemannMatrix:
         self.lambda_min = float(np.linalg.eigvalsh(self.Y)[0])
         if self.lambda_min <= 0.0:
             raise TauNotPositiveDefiniteError("Im(tau) is not positive definite")
-        # (2 tau, sizing, evaluator) of the last Kummer-coordinate read on
-        # this tau, kept by kummer._doubled_evaluator
-        self._doubled = None
+        # radius -> the lattice and its per-pair tables (``_pair_tables``)
+        self._lattices = {}
+
+    @functools.cached_property
+    def doubled(self) -> "RiemannMatrix":
+        """RiemannMatrix(2 tau), the matrix of the Kummer coordinates, built once per tau."""
+        return RiemannMatrix(2.0 * self.tau)
 
     @functools.cached_property
     def density(self) -> float:
@@ -160,6 +168,13 @@ class RiemannMatrix:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"RiemannMatrix(g={self.g})"
+
+
+def as_riemann_matrix(tau) -> RiemannMatrix:
+    """tau itself when it is a RiemannMatrix, else RiemannMatrix(tau)."""
+    if isinstance(tau, RiemannMatrix):
+        return tau
+    return RiemannMatrix(tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,9 +462,6 @@ def _choose_radius(rm: RiemannMatrix, target: float, profiles) -> tuple[int, flo
         radius += 1
 
 
-_LATTICE_CACHE: dict = {}
-
-
 def _lattice_points(rm: RiemannMatrix, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """The ellipsoid {n : |n|_Y <= sqrt(lambda_min) radius + mu} and its half lattice.
 
@@ -463,12 +475,8 @@ def _lattice_points(rm: RiemannMatrix, radius: float) -> tuple[np.ndarray, np.nd
     lexicographic.  The half lattice is the origin and the points after it,
     those whose first nonzero coordinate is positive (the origin first); the
     lattice is the negated half, reversed, followed by the half, so it is
-    symmetric by construction.  Cached on (Y, radius), at most 64 entries.
+    symmetric by construction.
     """
-    key = (rm.Y.tobytes(), radius)
-    cached = _LATTICE_CACHE.get(key)
-    if cached is not None:
-        return cached
     g = rm.g
     bound = (math.sqrt(rm.lambda_min) * radius + rm.box_margin) * (1.0 + 1e-9)
     factor = np.linalg.cholesky(rm.Y[::-1, ::-1]).T[::-1, ::-1]
@@ -485,10 +493,31 @@ def _lattice_points(rm: RiemannMatrix, radius: float) -> tuple[np.ndarray, np.nd
         pts = np.column_stack([pts[parent], coord])
         budget = budget[parent] - (diag * (coord - centre[parent])) ** 2
     half = pts[np.flatnonzero(~pts.any(axis=1))[0]:]
-    if len(_LATTICE_CACHE) >= 64:
-        _LATTICE_CACHE.clear()
-    cached = _LATTICE_CACHE[key] = np.concatenate([-half[:0:-1], half]), half
-    return cached
+    return np.concatenate([-half[:0:-1], half]), half
+
+
+def _pair_tables(rm: RiemannMatrix, radius: int) -> tuple:
+    """The lattice of ``radius`` and its per-pair tables, built once per rm and radius.
+
+    Returns (lattice, half, pair phase, modulus rows, reach, table rows).
+    Per half-lattice row n (the pair n, -n): the lattice phase
+    exp(pi*i n.X.n), halved at the origin, which is its own pair and which
+    a pair sum counts twice; the row [n, -pi n.Y.n, 1] of the real-exponent
+    product (see ``BoundBatch``); and the table row n_k + reach of each
+    coordinate, reach the largest |n_k|.  They are kept on rm, so every
+    evaluator of rm at this radius shares them and none outlives rm.
+    """
+    tables = rm._lattices.get(radius)
+    if tables is None:
+        lattice, half = _lattice_points(rm, radius)
+        phase = np.exp(1j * PI * ((half @ rm.X) * half).sum(axis=1))
+        phase[0] = 0.5
+        modulus = np.column_stack([half, -PI * ((half @ rm.Y) * half).sum(axis=1),
+                                   np.ones(len(half))])
+        reach = int(np.abs(half).max())
+        tables = rm._lattices[radius] = (lattice, half, phase, modulus, reach,
+                                         (half + reach).astype(np.intp))
+    return tables
 
 
 def _normalize_requests(requests, g):
@@ -656,11 +685,13 @@ def theta_char_eval(z, tau: RiemannMatrix, ch: Characteristic, requests=()) -> T
 
 
 class BatchThetaEvaluator:
-    """Theta jets at many points sharing one cached lattice.
+    """Theta jets at many points on one lattice, kept on its ``RiemannMatrix``.
 
     The lattice is sized once for the derivative requests the caller will
     make, then reused for every point bound to it, which keeps repeated
     sweeps (residual sampling, Newton iterations, search objectives) cheap.
+    Building an evaluator is its sizing and a lookup of rm's lattice and
+    pair tables at that radius (``_pair_tables``).
     ``profiles`` lists the requests' direction norms (|h_1|, ..., |h_k|),
     and every request is charged for its own directions (see
     ``_tail_bound``); without it the evaluator serves the
@@ -684,19 +715,8 @@ class BatchThetaEvaluator:
         if not all(0.0 <= h < math.inf for h in norms):
             raise InvalidInputError("direction norms must be finite and non-negative")
         radius, self._tail = _choose_radius(rm, 0.5 * target_abs_err, profiles)
-        self.lattice, half = _lattice_points(rm, radius)
-        self._half = half
-        # per half-lattice row n (the pair n, -n): the lattice phase
-        # exp(pi*i n.X.n), halved at the origin, which is its own pair and
-        # which a pair sum counts twice; the rows of the real-exponent
-        # product [n, -pi n.Y.n, 1] (see BoundBatch); and the table row
-        # n_k + reach of each coordinate
-        self._pair_phase = np.exp(1j * PI * ((half @ rm.X) * half).sum(axis=1))
-        self._pair_phase[0] = 0.5
-        self._modulus_rows = np.column_stack(
-            [half, -PI * ((half @ rm.Y) * half).sum(axis=1), np.ones(len(half))])
-        self._reach = int(np.abs(half).max())
-        self._table_rows = (half + self._reach).astype(np.intp)
+        (self.lattice, self._half, self._pair_phase, self._modulus_rows, self._reach,
+         self._table_rows) = _pair_tables(rm, radius)
 
     def bind(self, points) -> "BoundBatch":
         """Prepare fixed points (rows of length g, or one (g,) vector) for jet requests."""

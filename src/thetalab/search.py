@@ -77,11 +77,17 @@ from .bilinear import (
     _one_point_terms,
     _series,
     _term_ratios,
-    as_riemann_matrix,
     gauge_normalize,
     hierarchy_scan,
 )
-from .engine import _check_real, _check_vector, _evaluator_for, box_points, canonical_request
+from .engine import (
+    _check_real,
+    _check_vector,
+    _evaluator_for,
+    as_riemann_matrix,
+    box_points,
+    canonical_request,
+)
 from .errors import DegenerateJetError, InvalidInputError
 
 
@@ -644,9 +650,9 @@ def fit(problem: SearchProblem) -> SearchResult:
     free field from that start; the best restart is scored on the holdout
     cloud.
     """
-    rm = as_riemann_matrix(problem.tau)
     if problem.target == "hierarchy":
         return fit_hierarchy(problem)
+    rm = as_riemann_matrix(problem.tau)
     model_cls, n_real = _validate_problem(problem, rm)
     driver = _Multistart(problem, rm, n_real)
     g = rm.g

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -672,19 +674,40 @@ def _listed_lattice(rm, radius):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_lattice_enumeration_matches_the_listed_reference(g, monkeypatch):
-    monkeypatch.setattr(engine, "_LATTICE_CACHE", {})
+def test_lattice_enumeration_matches_the_listed_reference(g):
     rm = RiemannMatrix(random_tau(g, seed=60 + g))
     for radius in (0.0, 1.5, 2.2, 2.9, 3.6, 4.4, 5.3):
         got, half = engine._lattice_points(rm, radius)
         want = _listed_lattice(rm, radius)
         assert got.dtype == want.dtype and np.array_equal(got, want), (g, radius)
-        assert engine._lattice_points(rm, radius)[0] is got  # cached
+        kept = engine._pair_tables(rm, radius)[0]  # kept on rm
+        assert engine._pair_tables(rm, radius)[0] is kept and np.array_equal(kept, got)
         # the half lattice and its negation are the ball, the origin once
         assert not half[0].any() and len(half) == (len(got) + 1) // 2
         paired = np.concatenate([half, -half[1:]])
         assert np.array_equal(np.unique(paired, axis=0), np.unique(got, axis=0))
         assert len(np.unique(paired, axis=0)) == len(paired)
+
+
+def test_no_lattice_outlives_its_riemann_matrix():
+    # the lattice and its pair tables are kept on the RiemannMatrix only, so
+    # they go with it; a second matrix of the same tau enumerates them again
+    # and gives the same jets and errors, unshifted and shifted
+    tau = random_tau(3, seed=31)
+    rm = RiemannMatrix(tau)
+    keys = engine._normalize_requests([(e,) for e in np.eye(3)] + [(np.ones(3), np.eye(3)[1])], 3)
+    pts = engine.box_points(rm, np.random.default_rng(7), 12)
+    pts = np.concatenate([pts, pts + np.array([0.3 + 0.9j, -0.2 + 1.1j, 0.4j])])
+    ev = engine._evaluator_for(rm, keys)
+    first = ev.jets(pts, keys)
+    lattice = weakref.ref(ev.lattice)
+    del ev, rm
+    gc.collect()
+    assert lattice() is None
+    again = engine._evaluator_for(RiemannMatrix(tau), keys).jets(pts, keys)
+    assert first.keys() == again.keys()
+    for key, value in first.items():
+        assert np.array_equal(value, again[key]), key
 
 
 def _skewed_y(g, seed, ratio):

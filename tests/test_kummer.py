@@ -227,38 +227,37 @@ class TestHalfPoints:
                   for c in rep.tested_halves]
         assert rep.rank_ratio == min(ratios)
 
-    def test_gauge_scans_on_one_tau_build_one_doubled_evaluator(self, monkeypatch):
+    def test_gauge_scans_on_one_tau_build_one_doubled_matrix_and_lattice(self, monkeypatch):
         # the gauges (U, V) -> (lam U, lam^2 V), |lam| = 1, keep the direction
-        # norms up to rounding, so every scan reads one evaluator at 2 tau
-        # held on rm; the reports equal those of scans that build their own
-        from thetalab import kummer
+        # norms up to rounding, so every scan sizes the same radius on
+        # rm.doubled and reads the lattice kept there, as do another sizing
+        # and an order-3 scan; the reports equal those of scans on fresh tau
+        from thetalab import engine
         from thetalab.bilinear import DirectionJet, gauge_rescale
 
-        builds = []
+        enumerated = []
+        lattice_points = engine._lattice_points
 
-        class Counted(kummer.BatchThetaEvaluator):
-            def __init__(self, rm, *args, **kwargs):
-                builds.append(rm)
-                super().__init__(rm, *args, **kwargs)
+        def counted(rm, radius):
+            enumerated.append(rm)
+            return lattice_points(rm, radius)
 
-        monkeypatch.setattr(kummer, "BatchThetaEvaluator", Counted)
+        monkeypatch.setattr(engine, "_lattice_points", counted)
         rm = RiemannMatrix(GENERIC_G2_TAU)
         a = np.array([0.12 - 0.3j, 0.4 + 0.1j])
         jet = DirectionJet(U=[0.8 + 0.1j, -0.3j], V=[0.2 - 0.4j, 0.5 + 0.1j])
         lams = np.exp(2j * np.pi * np.random.default_rng(4).uniform(size=16))
         germs = [gauge_rescale(jet, lam) for lam in lams]
         held = [flex_scan(a, germ.U, -germ.V, rm) for germ in germs]
-        assert len(builds) == 1 and builds[0] is rm._doubled[0]
+        doubled = rm.doubled
+        flex_scan(a, 3.0 * jet.U, jet.V, rm)
+        flex_scan(a, jet.U, jet.V, rm, order=3, W=np.array([0.1 + 0.2j, -0.3j]))
+        assert rm.doubled is doubled and enumerated == [doubled]
         fresh = [flex_scan(a, germ.U, -germ.V, RiemannMatrix(GENERIC_G2_TAU)) for germ in germs]
-        assert len(builds) == 17
         for got, want in zip(held, fresh):
             assert got.passed == want.passed and got.sigma_ratios == want.sigma_ratios
             assert [(h.b.z.tolist(), h.sigma_ratios, h.passed) for h in got.tested_halves] == \
                 [(h.b.z.tolist(), h.sigma_ratios, h.passed) for h in want.tested_halves]
-        # another sizing on the same tau builds a new evaluator on the held 2 tau
-        doubled = rm._doubled[0]
-        flex_scan(a, 3.0 * jet.U, jet.V, rm)
-        assert len(builds) == 18 and rm._doubled[0] is doubled
 
     def test_scan_g2_product_positive(self):
         # A genus-2 scan with a = 2b on a product matrix must find the
