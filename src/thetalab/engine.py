@@ -496,7 +496,7 @@ def _lattice_points(rm: RiemannMatrix, radius: float) -> tuple[np.ndarray, np.nd
     return np.concatenate([-half[:0:-1], half]), half
 
 
-def _pair_tables(rm: RiemannMatrix, radius: int) -> tuple:
+def _pair_tables(rm: RiemannMatrix, radius: float) -> tuple:
     """The lattice of ``radius`` and its per-pair tables, built once per rm and radius.
 
     Returns (lattice, half, pair phase, modulus rows, reach, table rows).
